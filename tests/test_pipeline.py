@@ -9,6 +9,7 @@ from fractions import Fraction
 
 import pytest
 
+from mplsotn.evaluate import verify_design
 from mplsotn.formulation import StageModel, VarIndex
 from mplsotn.instances import generate_instance
 from mplsotn.milp import MilpModel, Solution, SolveStatus
@@ -133,6 +134,21 @@ def test_integrated_protected_ring4(ring4):
     # lose to the sequential pipeline
     sequential = cached_design(ring4, exact_config(Survivability.MULTI_DOUBLE))
     assert design.cost.total <= sequential.cost.total
+
+
+@pytest.mark.xfail(
+    raises=DecodeError,
+    strict=True,
+    reason="brs-extra rows credit spare-carrier arcs at -1 and the spare"
+           " route rows tied to pb = 0 still admit a circulation, so HiGHS"
+           " may set a closed slot's arcs (pb_2_5_2 = 0 over 2-3-5-2)",
+)
+def test_integrated_brs_decodes_on_mesh_family():
+    cfg = exact_config(Survivability.MULTI_INTERLAYER_BRS,
+                       approach=Approach.INTEGRATED)
+    inst = support.mesh_family(5, 0)
+    design = run_design(inst, cfg)
+    assert not verify_design(inst, design)
 
 
 def test_infeasible_stage_raises_with_context():
