@@ -82,15 +82,15 @@ def _route_link_pairs(route: Sequence[int]) -> tuple[Link, ...]:
                  for a, b in zip(route, route[1:]) if a != b)
 
 
-def _brs_peak_draw(
+def _brs_draw(
     lightpaths: Sequence[Lightpath], routes: Sequence[LspRoute]
-) -> dict[Link, int]:
-    """Per link, the worst single-router-failure pull on spare-side capacity.
+) -> dict[tuple[int, Link], int]:
+    """Per (router, link), what one router failure pulls on spare-side capacity.
 
     A router failure fires the protection lightpaths of carriers transiting
     its OXC and, for LSPs transiting the router itself, the spare carriers
     under their protection paths. Both draws land on the same wavelengths,
-    so the booked extra must cover their joint peak.
+    so the booked extra must cover their joint count.
     """
     carriers = {
         lp.key: lp for lp in lightpaths
@@ -121,35 +121,47 @@ def _brs_peak_draw(
                     needed.setdefault((n, link), set()).add(key)
     for (n, link), spares in needed.items():
         draw[(n, link)] = draw.get((n, link), 0) + len(spares)
+    return draw
+
+
+def _brs_peak_draw(
+    lightpaths: Sequence[Lightpath], routes: Sequence[LspRoute]
+) -> dict[Link, int]:
+    """Per link, the worst single-router-failure draw of ``_brs_draw``."""
     peak: dict[Link, int] = {}
-    for (_n, link), count in draw.items():
+    for (_n, link), count in _brs_draw(lightpaths, routes).items():
         peak[link] = max(peak.get(link, 0), count)
     return peak
 
 
-def wavelength_usage(instance: Instance, design: Design) -> tuple[LinkWavelengths, ...]:
-    """Per-link wavelength ledger: carriers, protection demand, paid extra."""
-    brs = design.config.survivability is Survivability.MULTI_INTERLAYER_BRS
+def _link_ledger(
+    instance: Instance,
+    lightpaths: Sequence[Lightpath],
+    routes: Sequence[LspRoute],
+    brs: bool,
+) -> tuple[LinkWavelengths, ...]:
+    """Per link: work carriers, spare carriers, protection demand, paid extra."""
     counts: dict[Link, list[int]] = {
         link: [0, 0, 0] for link in instance.topology.links
     }
-    for lp in design.logical.lightpaths:
-        if lp.role is LightpathRole.WORK_CARRIER:
-            slot_idx = 0
-        elif lp.role is LightpathRole.SPARE_CARRIER:
-            slot_idx = 1
-        else:
-            slot_idx = 2
+    column = {LightpathRole.WORK_CARRIER: 0, LightpathRole.SPARE_CARRIER: 1}
+    for lp in lightpaths:
         for link in _route_link_pairs(lp.route):
             if link in counts:
-                counts[link][slot_idx] += 1
-    peak = _brs_peak_draw(design.logical.lightpaths, design.lsp_routes) if brs else {}
+                counts[link][column.get(lp.role, 2)] += 1
+    peak = _brs_peak_draw(lightpaths, routes) if brs else {}
     out = []
     for link in instance.topology.links:
         w1, w2, p = counts[link]
         extra = max(0, p - w2, peak.get(link, 0) - w2) if brs else 0
         out.append(LinkWavelengths(link, w1, w2, p, extra))
     return tuple(out)
+
+
+def wavelength_usage(instance: Instance, design: Design) -> tuple[LinkWavelengths, ...]:
+    """Per-link wavelength ledger: carriers, protection demand, paid extra."""
+    brs = design.config.survivability is Survivability.MULTI_INTERLAYER_BRS
+    return _link_ledger(instance, design.logical.lightpaths, design.lsp_routes, brs)
 
 
 def reuse_factor(per_link: Sequence[LinkWavelengths], brs: bool) -> Optional[Fraction]:
@@ -190,34 +202,18 @@ def compute_metrics(
     brs = survivability is Survivability.MULTI_INTERLAYER_BRS
     per_node, total_transit = transit_traffic(instance, routes, double_count)
 
-    counts: dict[Link, list[int]] = {
-        link: [0, 0, 0] for link in instance.topology.links
-    }
-    n_work = n_spare = n_prot = 0
-    for lp in logical_lightpaths:
-        if lp.role is LightpathRole.WORK_CARRIER:
-            idx, n_work = 0, n_work + 1
-        elif lp.role is LightpathRole.SPARE_CARRIER:
-            idx, n_spare = 1, n_spare + 1
-        else:
-            idx, n_prot = 2, n_prot + 1
-        for link in _route_link_pairs(lp.route):
-            if link in counts:
-                counts[link][idx] += 1
-    peak = _brs_peak_draw(logical_lightpaths, routes) if brs else {}
-    per_link = []
-    for link in instance.topology.links:
-        w1, w2, p = counts[link]
-        extra = max(0, p - w2, peak.get(link, 0) - w2) if brs else 0
-        per_link.append(LinkWavelengths(link, w1, w2, p, extra))
+    per_link = _link_ledger(instance, logical_lightpaths, routes, brs)
+    roles = [lp.role for lp in logical_lightpaths]
+    n_work = roles.count(LightpathRole.WORK_CARRIER)
+    n_spare = roles.count(LightpathRole.SPARE_CARRIER)
 
     metrics = Metrics(
         transit_mbps_per_node=tuple(sorted(per_node.items())),
         transit_total_mbps=total_transit,
         working_lightpaths=n_work,
         spare_lightpaths=n_spare,
-        protection_lightpaths=n_prot,
-        wavelengths_per_link=tuple(per_link),
+        protection_lightpaths=len(roles) - n_work - n_spare,
+        wavelengths_per_link=per_link,
         wavelength_total=sum(lw.total(brs) for lw in per_link),
         extra_wavelengths=sum(lw.extra for lw in per_link),
         spare_wavelengths=sum(lw.spare_carrier for lw in per_link),
@@ -500,27 +496,7 @@ def verify_design(instance: Instance, design: Design) -> tuple[Violation, ...]:
             lw.link: (lw.spare_carrier, lw.extra)
             for lw in design.metrics.wavelengths_per_link
         }
-        draw: dict[tuple[int, Link], int] = {}
-        for lp in carriers:
-            plp = prot_by_key.get(lp.key)
-            if plp is None:
-                continue
-            for n in lp.transit_nodes:
-                if n in plp.route:
-                    continue
-                for link in _route_link_pairs(plp.route):
-                    draw[(n, link)] = draw.get((n, link), 0) + 1
-        needed: dict[tuple[int, Link], set[LightpathKey]] = {}
-        for r in design.lsp_routes:
-            for n in logical_intermediates(r.working):
-                for key in r.protection or ():
-                    spare = by_key.get(key)
-                    if spare is None or n in spare.route:
-                        continue
-                    for link in _route_link_pairs(spare.route):
-                        needed.setdefault((n, link), set()).add(key)
-        for (n, link), spares in needed.items():
-            draw[(n, link)] = draw.get((n, link), 0) + len(spares)
+        draw = _brs_draw(design.logical.lightpaths, design.lsp_routes)
         for (n, link), count in sorted(draw.items()):
             pool, extra = booked.get(link, (0, 0))
             if count > pool + extra:

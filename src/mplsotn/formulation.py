@@ -47,13 +47,20 @@ Arc = tuple[int, int]
 
 
 class VarIndex:
-    """family -> index tuple -> variable name."""
+    """family -> index tuple -> variable name.
+
+    Every entry is also filed under ``(family, key[0])`` in insertion order:
+    the demand index for ``wd``/``pd``, the slot for the route families. A row
+    or a decoder reads only its own group instead of scanning the family.
+    """
 
     def __init__(self) -> None:
         self._families: dict[str, dict[tuple, str]] = {}
+        self._groups: dict[tuple[str, object], list[tuple[tuple, str]]] = {}
 
     def add(self, family: str, key: tuple, name: str) -> str:
         self._families.setdefault(family, {})[key] = name
+        self._groups.setdefault((family, key[0]), []).append((key, name))
         return name
 
     def get(self, family: str, key: tuple) -> Optional[str]:
@@ -62,11 +69,12 @@ class VarIndex:
     def items(self, family: str) -> tuple[tuple[tuple, str], ...]:
         return tuple(self._families.get(family, {}).items())
 
+    def group(self, family: str, head: object) -> Sequence[tuple[tuple, str]]:
+        """The family's entries whose key starts with ``head``, in order."""
+        return self._groups.get((family, head), ())
+
     def count(self, family: str) -> int:
         return len(self._families.get(family, {}))
-
-    def families(self) -> tuple[str, ...]:
-        return tuple(self._families)
 
 
 @dataclass(frozen=True)
@@ -206,34 +214,144 @@ def _demand_index(instance: Instance) -> dict[str, int]:
     return {d.id: k for k, d in enumerate(instance.traffic.demands)}
 
 
-def _add_lsp_flow_rows(
+def _add_slot_binaries(
+    m: MilpModel,
+    index: VarIndex,
+    family: str,
+    slots: Sequence[Slot],
+    cost: Fraction,
+    occupied: frozenset[Slot] = frozenset(),
+) -> None:
+    """One priced binary per lightpath slot; ``occupied`` slots are barred."""
+    for slot in slots:
+        name = m.add_variable(_slot_name(family, slot), VarKind.BINARY)
+        index.add(family, slot, name)
+        m.add_objective_term(name, cost)
+        if slot in occupied:
+            m.add_constraint(
+                _slot_name("slotexcl", slot), [(name, 1)], "<=", 0,
+                tag="slot-exclusive",
+            )
+
+
+def _add_slot_limits(
+    m: MilpModel,
+    index: VarIndex,
+    family: str,
+    slots: Sequence[Slot],
+    nodes: Iterable[int],
+    t_limit: int,
+    occupied: frozenset[Slot] = frozenset(),
+) -> None:
+    """Interface limit per router and slot symmetry per router pair.
+
+    The fixed working layer's ``occupied`` slots enter both as constants.
+    """
+    for node in nodes:
+        fixed = sum(1 for (i, j, _q) in occupied if node in (i, j))
+        terms = [(index.get(family, s), 1) for s in slots if node in (s[0], s[1])]
+        m.add_constraint(f"ifaces_n{node}", terms, "<=", t_limit - fixed,
+                         tag="interface-limit")
+
+    for (i, j, q) in slots:
+        if q == 1:
+            continue
+        prev_fixed = 1 if (i, j, q - 1) in occupied else 0
+        this_fixed = 1 if (i, j, q) in occupied else 0
+        m.add_constraint(
+            f"slotsym_{i}_{j}_{q}",
+            [(index.get(family, (i, j, q)), 1),
+             (index.get(family, (i, j, q - 1)), -1)],
+            "<=",
+            prev_fixed - this_fixed,
+            tag="slot-symmetry",
+        )
+
+
+def _add_lsp(
     m: MilpModel,
     index: VarIndex,
     family: str,
     k: int,
     demand: LspDemand,
+    slots: Sequence[Slot],
+    nodes: Iterable[int],
+    coeff: Fraction,
+    tag: str,
+    row_prefix: str,
+    banned: frozenset[int] = frozenset(),
+) -> None:
+    """One LSP's slot binaries, priced ``coeff``, and its flow rows.
+
+    Slots touching a ``banned`` router get no variable, and such a router no
+    row.
+    """
+    for slot in slots:
+        i, j, q = slot
+        if i in banned or j in banned:
+            continue
+        name = m.add_variable(f"{family}_{k}_{i}_{j}_{q}", VarKind.BINARY)
+        index.add(family, (k, *slot), name)
+        m.add_objective_term(name, coeff)
+
+    group = index.group(family, k)
+    for n in nodes:
+        if n in banned:
+            continue
+        terms = [(name, 1 if a == n else -1)
+                 for (_k, a, b, _q), name in group if n in (a, b)]
+        rhs = 1 if n == demand.source else -1 if n == demand.destination else 0
+        if not terms and rhs == 0:
+            continue
+        m.add_constraint(f"{row_prefix}_k{k}_n{n}", terms, "=", rhs, tag=tag)
+
+
+def _add_route(
+    m: MilpModel,
+    index: VarIndex,
+    family: str,
+    slot: Slot,
+    arcs: Iterable[Arc],
     nodes: Iterable[int],
     tag: str,
     row_prefix: str,
-    skip_nodes: frozenset[int] = frozenset(),
+    cost: Optional[Fraction] = None,
+    slot_var: Optional[str] = None,
+    avoid: frozenset[int] = frozenset(),
 ) -> None:
-    """One flow-conservation row per eligible node for an LSP's path."""
-    for i in nodes:
-        if i in skip_nodes:
+    """One lightpath's physical route: arc binaries and flow conservation.
+
+    Arcs touching an ``avoid`` node are never created and those nodes get no
+    row. Each arc used pays ``cost`` when one is given. With ``slot_var`` (a
+    slot-existence binary) the route exists exactly when the slot does;
+    otherwise the route is unconditional.
+    """
+    for arc in arcs:
+        if arc[0] in avoid or arc[1] in avoid:
             continue
-        terms: list[tuple[str, int]] = []
-        for key, name in index.items(family):
-            kk, a, b, _q = key
-            if kk != k:
-                continue
-            if a == i:
-                terms.append((name, 1))
-            elif b == i:
-                terms.append((name, -1))
-        rhs = 1 if i == demand.source else -1 if i == demand.destination else 0
+        name = m.add_variable(_route_name(family, slot, arc), VarKind.BINARY)
+        index.add(family, (slot, arc), name)
+        if cost is not None:
+            m.add_objective_term(name, cost)
+
+    group = index.group(family, slot)
+    i, j, q = slot
+    for n in nodes:
+        if n in avoid:
+            continue
+        terms = [(name, 1 if arc[0] == n else -1)
+                 for (_s, arc), name in group if n in arc]
+        sign = 1 if n == i else -1 if n == j else 0
+        if slot_var is not None and sign != 0:
+            terms.append((slot_var, -sign))
+            rhs = 0
+        else:
+            rhs = sign
         if not terms and rhs == 0:
             continue
-        m.add_constraint(f"{row_prefix}_k{k}_n{i}", terms, "=", rhs, tag=tag)
+        m.add_constraint(
+            f"{row_prefix}_{i}_{j}_{q}_n{n}", terms, "=", rhs, tag=tag
+        )
 
 
 def _route_occupancy_terms(
@@ -248,87 +366,82 @@ def _route_occupancy_terms(
     if node == i or node == j:
         return 1, []
     terms = [
-        (name, 1)
-        for (s, arc), name in _route_items(index, family)
-        if s == slot and arc[1] == node
+        (name, 1) for (_s, arc), name in index.group(family, slot) if arc[1] == node
     ]
     return None, terms
 
 
-def _route_items(index: VarIndex, family: str):
-    for key, name in index.items(family):
-        slot = key[0]
-        arc = key[1]
-        yield (slot, arc), name
-
-
-def _route_link_usage_terms(
-    index: VarIndex, family: str, slot: Slot, link: Link
+def _link_terms(
+    index: VarIndex,
+    family: str,
+    slots: Iterable[Slot],
+    link: Link,
+    coeff: int = 1,
 ) -> list[tuple[str, int]]:
+    """A route family's use of one fiber link, summed over ``slots``."""
     a, b = link
     out = []
-    for arc in ((a, b), (b, a)):
-        name = index.get(family, (slot, arc))
-        if name:
-            out.append((name, 1))
+    for slot in slots:
+        for arc in ((a, b), (b, a)):
+            name = index.get(family, (slot, arc))
+            if name:
+                out.append((name, coeff))
     return out
 
 
-def _add_route_vars(
+def _links_of_route(route: tuple[int, ...]) -> tuple[Link, ...]:
+    return tuple(normalized_link(a, b) for a, b in zip(route, route[1:]))
+
+
+def _link_loads(
+    links: Iterable[Link], routes: Iterable[tuple[int, ...]]
+) -> dict[Link, int]:
+    """How many of ``routes`` cross each link."""
+    loads = {link: 0 for link in links}
+    for route in routes:
+        for link in _links_of_route(route):
+            loads[link] += 1
+    return loads
+
+
+def _demands_transiting(
+    plan: ProtectionPlan, working_paths: Mapping[str, tuple[Slot, ...]]
+) -> dict[int, tuple[str, ...]]:
+    """Router -> protected demands whose working LSP transits it."""
+    out: dict[int, list[str]] = {}
+    for did in plan.protected_demands:
+        for (_i, j, _q) in working_paths[did][:-1]:
+            out.setdefault(j, []).append(did)
+    return {n: tuple(dids) for n, dids in out.items()}
+
+
+def _add_carrier_protection(
     m: MilpModel,
     index: VarIndex,
-    family: str,
-    slot: Slot,
+    carriers: Sequence[Slot],
+    carrier_routes: Mapping[Slot, tuple[int, ...]],
     arcs: Iterable[Arc],
-    forbidden_nodes: frozenset[int] = frozenset(),
-) -> None:
-    for arc in arcs:
-        if arc[0] in forbidden_nodes or arc[1] in forbidden_nodes:
-            continue
-        name = _route_name(family, slot, arc)
-        m.add_variable(name, VarKind.BINARY)
-        index.add(family, (slot, arc), name)
-
-
-def _add_route_flow_rows(
-    m: MilpModel,
-    index: VarIndex,
-    family: str,
-    slot: Slot,
     nodes: Iterable[int],
-    tag: str,
-    row_prefix: str,
-    rhs_var: Optional[str] = None,
-    skip_nodes: frozenset[int] = frozenset(),
+    cost: Optional[Fraction],
 ) -> None:
-    """Conservation for one lightpath's physical route.
+    """An optical protection route ``pr`` for each carrier.
 
-    With ``rhs_var`` set (a slot-existence binary), the route exists exactly
-    when the slot does; otherwise the route is unconditional.
+    It keeps off the carrier's transit OXCs and never shares a fiber with
+    the carrier it protects.
     """
-    i, j, q = slot
-    for n in nodes:
-        if n in skip_nodes:
-            continue
-        terms: list[tuple[str, int]] = []
-        for (s, arc), name in _route_items(index, family):
-            if s != slot:
-                continue
-            if arc[0] == n:
-                terms.append((name, 1))
-            elif arc[1] == n:
-                terms.append((name, -1))
-        sign = 1 if n == i else -1 if n == j else 0
-        if rhs_var is not None and sign != 0:
-            terms.append((rhs_var, -sign))
-            rhs = 0
-        else:
-            rhs = sign
-        if not terms and rhs == 0:
-            continue
-        m.add_constraint(
-            f"{row_prefix}_{i}_{j}_{q}_n{n}", terms, "=", rhs, tag=tag
+    for slot in carriers:
+        route = carrier_routes[slot]
+        _add_route(
+            m, index, "pr", slot, arcs, nodes, "protection-lightpath-flow",
+            "plproute", cost=cost, avoid=frozenset(route[1:-1]),
         )
+        for link in _links_of_route(route):
+            terms = _link_terms(index, "pr", (slot,), link)
+            if terms:
+                m.add_constraint(
+                    f"lpdisj_{slot[0]}_{slot[1]}_{slot[2]}_l{link[0]}_{link[1]}",
+                    terms, "<=", 0, tag="lightpath-link-disjoint",
+                )
 
 
 def demand_physical_path_nodes(
@@ -389,57 +502,27 @@ def build_working_mpls(
     m = MilpModel("working-mpls")
     index = VarIndex()
     slots = _slots(instance, cfg)
+    nodes = instance.topology.nodes
     demands = instance.traffic.demands
-    cap = instance.lightpath_capacity_mbps
-    t_limit = cfg.effective_interfaces(instance)
 
-    for slot in slots:
-        name = m.add_variable(_slot_name("wb", slot), VarKind.BINARY)
-        index.add("wb", slot, name)
-        m.add_objective_term(name, costs.lightpath_cost)
+    _add_slot_binaries(m, index, "wb", slots, costs.lightpath_cost)
     for k, d in enumerate(demands):
         coeff = _transit_coeff(costs, d)
-        for slot in slots:
-            name = m.add_variable(f"wd_{k}_{slot[0]}_{slot[1]}_{slot[2]}",
-                                  VarKind.BINARY)
-            index.add("wd", (k, *slot), name)
-            m.add_objective_term(name, coeff)
+        _add_lsp(m, index, "wd", k, d, slots, nodes, coeff,
+                 "working-flow", "wflow")
         # arrival at the destination is not transit
         m.add_objective_constant(-coeff)
-
-    for k, d in enumerate(demands):
-        _add_lsp_flow_rows(m, index, "wd", k, d, instance.topology.nodes,
-                           "working-flow", "wflow")
-
     for slot in slots:
         terms = [
             (index.get("wd", (k, *slot)), d.bandwidth_mbps)
             for k, d in enumerate(demands)
         ]
-        terms.append((index.get("wb", slot), -cap))
+        terms.append((index.get("wb", slot), -instance.lightpath_capacity_mbps))
         m.add_constraint(
             _slot_name("groom", slot), terms, "<=", 0, tag="grooming-capacity"
         )
-
-    for node in instance.topology.nodes:
-        terms = [
-            (name, 1)
-            for (i, j, _q), name in index.items("wb")
-            if i == node or j == node
-        ]
-        m.add_constraint(f"ifaces_n{node}", terms, "<=", t_limit,
-                         tag="interface-limit")
-
-    for (i, j, q) in slots:
-        if q == 1:
-            continue
-        m.add_constraint(
-            f"slotsym_{i}_{j}_{q}",
-            [(index.get("wb", (i, j, q)), 1), (index.get("wb", (i, j, q - 1)), -1)],
-            "<=",
-            0,
-            tag="slot-symmetry",
-        )
+    _add_slot_limits(m, index, "wb", slots, nodes,
+                     cfg.effective_interfaces(instance))
 
     return StageModel(
         stage="working-mpls",
@@ -475,43 +558,22 @@ def build_protection_mpls(
         )
 
     slots = _slots(instance, cfg)
+    nodes = instance.topology.nodes
     demand_by_id = {d.id: d for d in instance.traffic.demands}
     kmap = _demand_index(instance)
     occupied = frozenset(work_slots)
-    cap = instance.lightpath_capacity_mbps
-    t_limit = cfg.effective_interfaces(instance)
 
-    for slot in slots:
-        name = m.add_variable(_slot_name("pb", slot), VarKind.BINARY)
-        index.add("pb", slot, name)
-        m.add_objective_term(name, costs.lightpath_cost)
-        if slot in occupied:
-            m.add_constraint(
-                _slot_name("slotexcl", slot), [(name, 1)], "<=", 0,
-                tag="slot-exclusive",
-            )
-
+    _add_slot_binaries(m, index, "pb", slots, costs.lightpath_cost, occupied)
     for did in plan.protected_demands:
         d = demand_by_id[did]
         k = kmap[did]
-        banned = frozenset(plan.excluded_for(did))
         coeff = _transit_coeff(costs, d)
-        for slot in slots:
-            i, j, _q = slot
-            if i in banned or j in banned:
-                continue  # barred routers are excluded from both row sides
-            name = m.add_variable(f"pd_{k}_{i}_{j}_{slot[2]}", VarKind.BINARY)
-            index.add("pd", (k, *slot), name)
-            m.add_objective_term(name, coeff)
+        # barred routers are excluded from both row sides
+        _add_lsp(m, index, "pd", k, d, slots, nodes, coeff,
+                 "protection-flow", "pflow",
+                 banned=frozenset(plan.excluded_for(did)))
         if not cfg.transit_double_count:
             m.add_objective_constant(-coeff)
-
-    for did in plan.protected_demands:
-        d = demand_by_id[did]
-        k = kmap[did]
-        banned = frozenset(plan.excluded_for(did))
-        _add_lsp_flow_rows(m, index, "pd", k, d, instance.topology.nodes,
-                           "protection-flow", "pflow", skip_nodes=banned)
         # a protected LSP's two paths never share a lightpath slot
         for slot in working_paths[did]:
             name = index.get("pd", (k, *slot))
@@ -527,34 +589,13 @@ def build_protection_mpls(
             for did in plan.protected_demands
             if index.get("pd", (kmap[did], *slot))
         ]
-        terms.append((index.get("pb", slot), -cap))
+        terms.append((index.get("pb", slot), -instance.lightpath_capacity_mbps))
         m.add_constraint(
             _slot_name("pgroom", slot), terms, "<=", 0,
             tag="spare-grooming-capacity",
         )
-
-    for node in instance.topology.nodes:
-        fixed = sum(1 for (i, j, _q) in occupied if node in (i, j))
-        terms = [
-            (name, 1)
-            for (i, j, _q), name in index.items("pb")
-            if i == node or j == node
-        ]
-        m.add_constraint(f"ifaces_n{node}", terms, "<=", t_limit - fixed,
-                         tag="interface-limit")
-
-    for (i, j, q) in slots:
-        if q == 1:
-            continue
-        prev_fixed = 1 if (i, j, q - 1) in occupied else 0
-        this_fixed = 1 if (i, j, q) in occupied else 0
-        m.add_constraint(
-            f"slotsym_{i}_{j}_{q}",
-            [(index.get("pb", (i, j, q)), 1), (index.get("pb", (i, j, q - 1)), -1)],
-            "<=",
-            prev_fixed - this_fixed,
-            tag="slot-symmetry",
-        )
+    _add_slot_limits(m, index, "pb", slots, nodes,
+                     cfg.effective_interfaces(instance), occupied)
 
     return StageModel(
         stage="protection-mpls",
@@ -610,23 +651,15 @@ def build_lightpath_routing_seq(
     w_limit = instance.topology.wavelengths_per_link
 
     for slot in sorted(work_slots):
-        _add_route_vars(m, index, "wr", slot, arcs)
+        _add_route(m, index, "wr", slot, arcs, nodes, "lightpath-flow",
+                   "lproute", cost=costs.wavelength_cost)
     for slot in sorted(spare_slots):
-        _add_route_vars(m, index, "sr", slot, arcs)
-    for family in ("wr", "sr"):
-        for (_slot, _arc), name in _route_items(index, family):
-            m.add_objective_term(name, costs.wavelength_cost)
-
-    for slot in sorted(work_slots):
-        _add_route_flow_rows(m, index, "wr", slot, nodes, "lightpath-flow", "lproute")
-    for slot in sorted(spare_slots):
-        _add_route_flow_rows(m, index, "sr", slot, nodes, "lightpath-flow", "sproute")
+        _add_route(m, index, "sr", slot, arcs, nodes, "lightpath-flow",
+                   "sproute", cost=costs.wavelength_cost)
 
     for link in instance.topology.links:
-        terms: list[tuple[str, int]] = []
-        for family, slot_list in (("wr", work_slots), ("sr", spare_slots)):
-            for slot in slot_list:
-                terms.extend(_route_link_usage_terms(index, family, slot, link))
+        terms = (_link_terms(index, "wr", work_slots, link)
+                 + _link_terms(index, "sr", spare_slots, link))
         m.add_constraint(
             f"wavecap_{link[0]}_{link[1]}", terms, "<=", w_limit,
             tag="wavelength-capacity",
@@ -660,8 +693,8 @@ def build_lightpath_routing_seq(
                 )
             if plan.lsp_pair_disjointness == "node-link":
                 for link in instance.topology.links:
-                    terms = _route_link_usage_terms(index, fa, a, link) + \
-                        _route_link_usage_terms(index, fb, b, link)
+                    terms = (_link_terms(index, fa, (a,), link)
+                             + _link_terms(index, fb, (b,), link))
                     if len(terms) < 2:
                         continue
                     m.add_constraint(
@@ -707,48 +740,16 @@ def build_lightpath_protection(
         return StageModel(stage="lightpath-protection", model=m, index=index,
                           info={"protected_carriers": ()})
 
-    arcs = instance.topology.directed_arcs()
-    nodes = instance.topology.nodes
     w_limit = instance.topology.wavelengths_per_link
     links = instance.topology.links
+    w1 = _link_loads(links, (carrier_routes[s] for s in work_slots))
+    w2 = _link_loads(links, (carrier_routes[s] for s in spare_slots))
 
-    w1: dict[Link, int] = {l: 0 for l in links}
-    w2: dict[Link, int] = {l: 0 for l in links}
-    for slot in work_slots:
-        for l in _links_of_route(carrier_routes[slot]):
-            w1[l] += 1
-    for slot in spare_slots:
-        for l in _links_of_route(carrier_routes[slot]):
-            w2[l] += 1
-
-    needed_spares: dict[tuple[int, Link], int] = {}
-    if plan.brs_sharing:
-        transiting: dict[int, list[str]] = {}
-        for did, path in working_paths.items():
-            for (_i, j, _q) in path[:-1]:
-                transiting.setdefault(j, []).append(did)
-        needed_spares = brs_needed_spares(
-            {n: tuple(v) for n, v in transiting.items()},
-            protection_paths,
-            {s: carrier_routes[s] for s in spare_slots},
-        )
-
-    for slot in protected:
-        route = carrier_routes[slot]
-        transit = frozenset(route[1:-1])
-        _add_route_vars(m, index, "pr", slot, arcs, forbidden_nodes=transit)
-        _add_route_flow_rows(
-            m, index, "pr", slot, nodes, "protection-lightpath-flow", "plproute",
-            skip_nodes=transit,
-        )
-        # never share a fiber with the carrier it protects
-        for link in _links_of_route(route):
-            terms = _route_link_usage_terms(index, "pr", slot, link)
-            if terms:
-                m.add_constraint(
-                    f"lpdisj_{slot[0]}_{slot[1]}_{slot[2]}_l{link[0]}_{link[1]}",
-                    terms, "<=", 0, tag="lightpath-link-disjoint",
-                )
+    _add_carrier_protection(
+        m, index, protected, carrier_routes, instance.topology.directed_arcs(),
+        instance.topology.nodes,
+        None if plan.brs_sharing else costs.wavelength_cost,
+    )
     if plan.brs_sharing:
         for link in links:
             name = m.add_variable(f"x_{link[0]}_{link[1]}", VarKind.INTEGER,
@@ -756,9 +757,7 @@ def build_lightpath_protection(
             index.add("x", (link,), name)
             m.add_objective_term(name, costs.wavelength_cost)
         for link in links:
-            terms: list[tuple[str, int]] = []
-            for slot in protected:
-                terms.extend(_route_link_usage_terms(index, "pr", slot, link))
+            terms = _link_terms(index, "pr", protected, link)
             if not terms:
                 continue
             terms.append((index.get("x", (link,)), -1))
@@ -769,12 +768,14 @@ def build_lightpath_protection(
         # when router n dies, protection lightpaths of carriers transiting
         # OXC n fire together with n's MPLS recovery; both draw on the spare
         # pool plus the paid extra wavelengths
-        transit_of = {s: frozenset(carrier_routes[s][1:-1]) for s in protected}
+        needed_spares = brs_needed_spares(
+            _demands_transiting(plan, working_paths),
+            protection_paths,
+            {s: carrier_routes[s] for s in spare_slots},
+        )
         for (node, link), needed in sorted(needed_spares.items()):
-            terms = []
-            for slot in protected:
-                if node in transit_of[slot]:
-                    terms.extend(_route_link_usage_terms(index, "pr", slot, link))
+            firing = [s for s in protected if node in carrier_routes[s][1:-1]]
+            terms = _link_terms(index, "pr", firing, link)
             if not terms:
                 continue
             terms.append((index.get("x", (link,)), -1))
@@ -783,12 +784,8 @@ def build_lightpath_protection(
                 terms, "<=", w2[link] - needed, tag="brs-pool-exclusion",
             )
     else:
-        for (_slot, _arc), name in _route_items(index, "pr"):
-            m.add_objective_term(name, costs.wavelength_cost)
         for link in links:
-            terms = []
-            for slot in protected:
-                terms.extend(_route_link_usage_terms(index, "pr", slot, link))
+            terms = _link_terms(index, "pr", protected, link)
             if not terms:
                 continue
             m.add_constraint(
@@ -802,10 +799,6 @@ def build_lightpath_protection(
         index=index,
         info={"protected_carriers": protected},
     )
-
-
-def _links_of_route(route: tuple[int, ...]) -> tuple[Link, ...]:
-    return tuple(normalized_link(a, b) for a, b in zip(route, route[1:]))
 
 
 # -- integrated stages ---------------------------------------------------------
@@ -824,21 +817,15 @@ def build_integrated_working(
     nodes = instance.topology.nodes
 
     for slot in slots:
-        _add_route_vars(m, index, "wr", slot, arcs)
-        for arc in arcs:
-            m.add_objective_term(index.get("wr", (slot, arc)), costs.wavelength_cost)
-        _add_route_flow_rows(
-            m, index, "wr", slot, nodes, "lightpath-flow", "lproute",
-            rhs_var=index.get("wb", slot),
-        )
+        _add_route(m, index, "wr", slot, arcs, nodes, "lightpath-flow",
+                   "lproute", cost=costs.wavelength_cost,
+                   slot_var=index.get("wb", slot))
 
     for link in instance.topology.links:
-        terms: list[tuple[str, int]] = []
-        for slot in slots:
-            terms.extend(_route_link_usage_terms(index, "wr", slot, link))
         m.add_constraint(
-            f"wavecap_{link[0]}_{link[1]}", terms, "<=",
-            instance.topology.wavelengths_per_link, tag="wavelength-capacity",
+            f"wavecap_{link[0]}_{link[1]}", _link_terms(index, "wr", slots, link),
+            "<=", instance.topology.wavelengths_per_link,
+            tag="wavelength-capacity",
         )
 
     return StageModel(stage="integrated-working", model=m, index=index,
@@ -879,23 +866,15 @@ def build_integrated_protection(
     w_limit = instance.topology.wavelengths_per_link
     kmap = _demand_index(instance)
     demand_by_id = {d.id: d for d in instance.traffic.demands}
-
-    w1: dict[Link, int] = {l: 0 for l in links}
-    for slot in work_slots:
-        for l in _links_of_route(carrier_routes[slot]):
-            w1[l] += 1
+    w1 = _link_loads(links, (carrier_routes[s] for s in work_slots))
 
     spare_capable = [s for s in slots if index.get("pb", s) is not None]
 
     # spare carriers route iff they exist
     for slot in spare_capable:
-        _add_route_vars(m, index, "sr", slot, arcs)
-        for arc in arcs:
-            m.add_objective_term(index.get("sr", (slot, arc)), costs.wavelength_cost)
-        _add_route_flow_rows(
-            m, index, "sr", slot, nodes, "lightpath-flow", "sproute",
-            rhs_var=index.get("pb", slot),
-        )
+        _add_route(m, index, "sr", slot, arcs, nodes, "lightpath-flow",
+                   "sproute", cost=costs.wavelength_cost,
+                   slot_var=index.get("pb", slot))
 
     # physical disjointness between each demand's working path and the spare
     # carriers its protection LSP rides, conditioned on the riding decision
@@ -932,7 +911,7 @@ def build_integrated_protection(
                     )
                 if want_links:
                     for link in sorted(links_on_path):
-                        terms = _route_link_usage_terms(index, "sr", slot, link)
+                        terms = _link_terms(index, "sr", (slot,), link)
                         if not terms:
                             continue
                         m.add_constraint(
@@ -943,42 +922,21 @@ def build_integrated_protection(
 
     # optical protection for fixed work carriers
     protected_work = tuple(sorted(work_slots)) if plan.protect_work_carriers else ()
-    for slot in protected_work:
-        route = carrier_routes[slot]
-        transit = frozenset(route[1:-1])
-        _add_route_vars(m, index, "pr", slot, arcs, forbidden_nodes=transit)
-        _add_route_flow_rows(
-            m, index, "pr", slot, nodes, "protection-lightpath-flow", "plproute",
-            skip_nodes=transit,
-        )
-        for link in _links_of_route(route):
-            terms = _route_link_usage_terms(index, "pr", slot, link)
-            if terms:
-                m.add_constraint(
-                    f"lpdisj_{slot[0]}_{slot[1]}_{slot[2]}_l{link[0]}_{link[1]}",
-                    terms, "<=", 0, tag="lightpath-link-disjoint",
-                )
-        if not plan.brs_sharing:
-            for arc in arcs:
-                name = index.get("pr", (slot, arc))
-                if name:
-                    m.add_objective_term(name, costs.wavelength_cost)
+    _add_carrier_protection(
+        m, index, protected_work, carrier_routes, arcs, nodes,
+        None if plan.brs_sharing else costs.wavelength_cost,
+    )
 
     # optical protection for spare carriers (double protection): exists iff
     # the spare does, and avoids the spare's own links and transit nodes
     if plan.protect_spare_carriers:
         for slot in spare_capable:
-            _add_route_vars(m, index, "pr2", slot, arcs)
-            for arc in arcs:
-                m.add_objective_term(index.get("pr2", (slot, arc)),
-                                     costs.wavelength_cost)
-            _add_route_flow_rows(
-                m, index, "pr2", slot, nodes, "protection-lightpath-flow",
-                "plproute2", rhs_var=index.get("pb", slot),
-            )
+            _add_route(m, index, "pr2", slot, arcs, nodes,
+                       "protection-lightpath-flow", "plproute2",
+                       cost=costs.wavelength_cost, slot_var=index.get("pb", slot))
             for link in links:
-                terms = _route_link_usage_terms(index, "pr2", slot, link) + \
-                    _route_link_usage_terms(index, "sr", slot, link)
+                terms = (_link_terms(index, "pr2", (slot,), link)
+                         + _link_terms(index, "sr", (slot,), link))
                 m.add_constraint(
                     f"lpdisj2_{slot[0]}_{slot[1]}_{slot[2]}_l{link[0]}_{link[1]}",
                     terms, "<=", 1, tag="lightpath-link-disjoint",
@@ -1004,21 +962,14 @@ def build_integrated_protection(
             index.add("x", (link,), name)
             m.add_objective_term(name, costs.wavelength_cost)
         for link in links:
-            terms: list[tuple[str, int]] = []
-            for slot in protected_work:
-                terms.extend(_route_link_usage_terms(index, "pr", slot, link))
-            for slot in spare_capable:
-                for t, c in _route_link_usage_terms(index, "sr", slot, link):
-                    terms.append((t, -c))
+            terms = (_link_terms(index, "pr", protected_work, link)
+                     + _link_terms(index, "sr", spare_capable, link, -1))
             terms.append((index.get("x", (link,)), -1))
             m.add_constraint(
                 f"brsextra_l{link[0]}_{link[1]}", terms, "<=", 0, tag="brs-extra",
             )
 
-        transiting: dict[int, list[str]] = {}
-        for did in plan.protected_demands:
-            for (_i, j, _q) in working_paths[did][:-1]:
-                transiting.setdefault(j, []).append(did)
+        transiting = _demands_transiting(plan, working_paths)
         pool_nodes = sorted(
             n for n in transiting
             if any(n in carrier_routes[s][1:-1] for s in protected_work)
@@ -1034,7 +985,7 @@ def build_integrated_protection(
                         pd_name = index.get("pd", (k, *slot))
                         if pd_name is None:
                             continue
-                        terms = _route_link_usage_terms(index, "sr", slot, link)
+                        terms = _link_terms(index, "sr", (slot,), link)
                         if not terms:
                             continue
                         m.add_constraint(
@@ -1046,7 +997,7 @@ def build_integrated_protection(
                 for slot in protected_work:
                     if n not in carrier_routes[slot][1:-1]:
                         continue
-                    terms = _route_link_usage_terms(index, "pr", slot, link)
+                    terms = _link_terms(index, "pr", (slot,), link)
                     if not terms:
                         continue
                     m.add_constraint(
@@ -1057,17 +1008,13 @@ def build_integrated_protection(
 
     # wavelength capacity with the fixed working layer folded in
     for link in links:
-        terms = []
-        for slot in spare_capable:
-            terms.extend(_route_link_usage_terms(index, "sr", slot, link))
+        terms = _link_terms(index, "sr", spare_capable, link)
         if plan.brs_sharing:
             terms.append((index.get("x", (link,)), 1))
         else:
-            for slot in protected_work:
-                terms.extend(_route_link_usage_terms(index, "pr", slot, link))
+            terms += _link_terms(index, "pr", protected_work, link)
             if plan.protect_spare_carriers:
-                for slot in spare_capable:
-                    terms.extend(_route_link_usage_terms(index, "pr2", slot, link))
+                terms += _link_terms(index, "pr2", spare_capable, link)
         if not terms:
             continue
         m.add_constraint(

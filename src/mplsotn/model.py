@@ -19,6 +19,7 @@ import hashlib
 import json
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
+from functools import cached_property
 from typing import Iterable, Mapping, Optional
 
 import networkx as nx
@@ -87,7 +88,7 @@ class PhysicalTopology:
             self, "links", tuple(normalized_link(a, b) for a, b in self.links)
         )
 
-    @property
+    @cached_property
     def link_set(self) -> frozenset[Link]:
         return frozenset(self.links)
 
@@ -160,12 +161,6 @@ class Instance:
     def lightpath_capacity_gbps(self) -> Fraction:
         return Fraction(self.lightpath_capacity_mbps, MBPS_PER_GBPS)
 
-    def interfaces_limit(self, q_max: Optional[int] = None) -> int:
-        if self.router_interfaces is not None:
-            return self.router_interfaces
-        q = q_max if q_max is not None else self.max_parallel_lightpaths
-        return 2 * q * (len(self.topology.nodes) - 1)
-
 
 @dataclass(frozen=True)
 class CostModel:
@@ -200,22 +195,6 @@ class CostModel:
 
     def transit_cost_per_mbps(self) -> Fraction:
         return self.transit_cost_per_gbps / MBPS_PER_GBPS
-
-
-@dataclass(frozen=True)
-class DerivedCosts:
-    lightpath_cost: Fraction
-    wavelength_cost: Fraction
-    transit_cost_per_gbps: Fraction
-
-
-def derive_costs(m: CostModel) -> DerivedCosts:
-    """Unit prices for the three cost terms the optimizer trades off."""
-    return DerivedCosts(
-        lightpath_cost=m.lightpath_cost,
-        wavelength_cost=m.wavelength_cost,
-        transit_cost_per_gbps=m.transit_cost_per_gbps,
-    )
 
 
 @dataclass(frozen=True)

@@ -38,6 +38,7 @@ from .model import (
     LightpathKey,
     LightpathRole,
     LogicalTopology,
+    LspDemand,
     LspRoute,
     StageTrace,
     Survivability,
@@ -141,11 +142,9 @@ def decode_slot_path(
 ) -> tuple[LightpathKey, ...]:
     """Selected slot arcs of one LSP -> its ordered logical path."""
     outgoing: dict[int, list[tuple[int, int]]] = {}
-    for key, name in sm.index.items(family):
-        if key[0] != k or not _is_one(sol.values, name):
-            continue
-        _k, i, j, q = key
-        outgoing.setdefault(i, []).append((j, q))
+    for (_k, i, j, q), name in sm.index.group(family, k):
+        if _is_one(sol.values, name):
+            outgoing.setdefault(i, []).append((j, q))
 
     path: list[LightpathKey] = []
     visited = {source}
@@ -178,11 +177,9 @@ def decode_route(
     """Selected physical arcs of one lightpath -> its node route."""
     origin, termination, _q = slot
     outgoing: dict[int, list[int]] = {}
-    for key, name in sm.index.items(family):
-        if key[0] != slot or not _is_one(sol.values, name):
-            continue
-        a, b = key[1]
-        outgoing.setdefault(a, []).append(b)
+    for (_s, (a, b)), name in sm.index.group(family, slot):
+        if _is_one(sol.values, name):
+            outgoing.setdefault(a, []).append(b)
 
     route = [origin]
     visited = {origin}
@@ -203,21 +200,45 @@ def decode_route(
     return tuple(route)
 
 
-def _decode_slots(sol: Solution, sm: StageModel, family: str
-                  ) -> tuple[LightpathKey, ...]:
-    return tuple(sorted(
-        key for key, name in sm.index.items(family) if _is_one(sol.values, name)
-    ))
+def _decode_routes(
+    sol: Solution,
+    sm: StageModel,
+    family: str,
+    slots: Sequence[LightpathKey],
+    lenient: bool = False,
+) -> dict[LightpathKey, tuple[int, ...]]:
+    return {slot: decode_route(sol, sm, family, slot, lenient=lenient)
+            for slot in slots}
 
 
-def _check_unused_routes(sol: Solution, sm: StageModel, family: str,
-                         open_slots: frozenset[LightpathKey]) -> None:
-    # a slot that does not exist must not hold wavelengths
-    for key, name in sm.index.items(family):
-        if key[0] not in open_slots and _is_one(sol.values, name):
-            raise DecodeError(
-                f"{sm.stage}: closed slot {key[0]} occupies fiber arc {key[1]}"
-            )
+def _decode_layer(
+    sol: Solution,
+    sm: StageModel,
+    slot_family: str,
+    path_family: str,
+    demands: Sequence[tuple[int, LspDemand]],
+    route_family: Optional[str] = None,
+) -> tuple[tuple[LightpathKey, ...], dict[str, tuple[LightpathKey, ...]]]:
+    """A solved MPLS layer -> its open slots and each demand's path.
+
+    When the stage also routes its slots over ``route_family``, a closed slot
+    that holds a fiber arc is an error.
+    """
+    open_slots = []
+    for slot, name in sm.index.items(slot_family):
+        if _is_one(sol.values, name):
+            open_slots.append(slot)
+        elif route_family is not None:
+            for (_s, arc), route_name in sm.index.group(route_family, slot):
+                if _is_one(sol.values, route_name):
+                    raise DecodeError(
+                        f"{sm.stage}: closed slot {slot} occupies fiber arc {arc}"
+                    )
+    paths = {
+        d.id: decode_slot_path(sol, sm, path_family, k, d.source, d.destination)
+        for k, d in demands
+    }
+    return tuple(sorted(open_slots)), paths
 
 
 # -- stage execution ------------------------------------------------------------
@@ -352,15 +373,11 @@ def _run_sequential(
 ) -> Design:
     budgets = allocate_budgets(instance, cfg)
     traces: list[StageTrace] = []
-    kmap = {d.id: k for k, d in enumerate(instance.traffic.demands)}
+    demands = tuple(enumerate(instance.traffic.demands))
 
     sm = build_working_mpls(instance, cfg, cost_model)
     sol = _run_stage(sm, cfg, budgets[S_WORK], solver, traces)
-    work_slots = _decode_slots(sol, sm, "wb")
-    working_paths = {
-        d.id: decode_slot_path(sol, sm, "wd", kmap[d.id], d.source, d.destination)
-        for d in instance.traffic.demands
-    }
+    work_slots, working_paths = _decode_layer(sol, sm, "wb", "wd", demands)
 
     plan = compute_protection_plan(instance, cfg, working_paths)
     spare_slots: tuple[LightpathKey, ...] = ()
@@ -370,25 +387,18 @@ def _run_sequential(
             instance, cfg, cost_model, plan, work_slots, working_paths
         )
         sol = _run_stage(sm, cfg, budgets[S_PROT], solver, traces)
-        spare_slots = _decode_slots(sol, sm, "pb")
-        demand_by_id = {d.id: d for d in instance.traffic.demands}
-        for did in plan.protected_demands:
-            d = demand_by_id[did]
-            protection_paths[did] = decode_slot_path(
-                sol, sm, "pd", kmap[did], d.source, d.destination
-            )
+        protected = [(k, d) for k, d in demands if d.id in plan.protected_demands]
+        spare_slots, protection_paths = _decode_layer(
+            sol, sm, "pb", "pd", protected
+        )
 
     sm = build_lightpath_routing_seq(
         instance, cfg, cost_model, work_slots, spare_slots,
         plan, working_paths, protection_paths,
     )
     sol = _run_stage(sm, cfg, budgets[S_ROUTE], solver, traces)
-    carrier_routes = {
-        slot: decode_route(sol, sm, "wr", slot) for slot in work_slots
-    }
-    carrier_routes.update(
-        (slot, decode_route(sol, sm, "sr", slot)) for slot in spare_slots
-    )
+    carrier_routes = _decode_routes(sol, sm, "wr", work_slots)
+    carrier_routes.update(_decode_routes(sol, sm, "sr", spare_slots))
 
     protection_routes: dict[LightpathKey, tuple[int, ...]] = {}
     if cfg.survivability.multilayer:
@@ -397,9 +407,10 @@ def _run_sequential(
             work_slots, spare_slots, working_paths, protection_paths,
         )
         sol = _run_stage(sm, cfg, budgets[S_OPROT], solver, traces)
-        for slot in plan.protected_carriers(work_slots, spare_slots):
-            protection_routes[slot] = decode_route(sol, sm, "pr", slot,
-                                                   lenient=True)
+        protection_routes = _decode_routes(
+            sol, sm, "pr", plan.protected_carriers(work_slots, spare_slots),
+            lenient=True,
+        )
 
     return _materialize(
         instance, cfg, cost_model, work_slots, spare_slots,
@@ -416,19 +427,14 @@ def _run_integrated(
 ) -> Design:
     budgets = allocate_budgets(instance, cfg)
     traces: list[StageTrace] = []
-    kmap = {d.id: k for k, d in enumerate(instance.traffic.demands)}
+    demands = tuple(enumerate(instance.traffic.demands))
 
     sm = build_integrated_working(instance, cfg, cost_model)
     sol = _run_stage(sm, cfg, budgets[S_IWORK], solver, traces)
-    work_slots = _decode_slots(sol, sm, "wb")
-    _check_unused_routes(sol, sm, "wr", frozenset(work_slots))
-    working_paths = {
-        d.id: decode_slot_path(sol, sm, "wd", kmap[d.id], d.source, d.destination)
-        for d in instance.traffic.demands
-    }
-    carrier_routes = {
-        slot: decode_route(sol, sm, "wr", slot) for slot in work_slots
-    }
+    work_slots, working_paths = _decode_layer(
+        sol, sm, "wb", "wd", demands, route_family="wr"
+    )
+    carrier_routes = _decode_routes(sol, sm, "wr", work_slots)
 
     spare_slots: tuple[LightpathKey, ...] = ()
     protection_paths: dict[str, tuple[LightpathKey, ...]] = {}
@@ -440,24 +446,18 @@ def _run_integrated(
             carrier_routes,
         )
         sol = _run_stage(sm, cfg, budgets[S_IPROT], solver, traces)
-        spare_slots = _decode_slots(sol, sm, "pb")
-        _check_unused_routes(sol, sm, "sr", frozenset(spare_slots))
-        demand_by_id = {d.id: d for d in instance.traffic.demands}
-        for did in plan.protected_demands:
-            d = demand_by_id[did]
-            protection_paths[did] = decode_slot_path(
-                sol, sm, "pd", kmap[did], d.source, d.destination
-            )
-        carrier_routes.update(
-            (slot, decode_route(sol, sm, "sr", slot)) for slot in spare_slots
+        protected = [(k, d) for k, d in demands if d.id in plan.protected_demands]
+        spare_slots, protection_paths = _decode_layer(
+            sol, sm, "pb", "pd", protected, route_family="sr"
         )
-        for slot in sm.info.get("protected_work", ()):
-            protection_routes[slot] = decode_route(sol, sm, "pr", slot,
-                                                   lenient=True)
+        carrier_routes.update(_decode_routes(sol, sm, "sr", spare_slots))
+        protection_routes = _decode_routes(
+            sol, sm, "pr", sm.info.get("protected_work", ()), lenient=True
+        )
         if plan.protect_spare_carriers:
-            for slot in spare_slots:
-                protection_routes[slot] = decode_route(sol, sm, "pr2", slot,
-                                                       lenient=True)
+            protection_routes.update(
+                _decode_routes(sol, sm, "pr2", spare_slots, lenient=True)
+            )
 
     return _materialize(
         instance, cfg, cost_model, work_slots, spare_slots,

@@ -7,6 +7,10 @@ adds the rows the desk instances never build (``pr2``, ``pairnode2`` and the
 shared-restoration ``brsy``/``brscont``/``brsban`` rows). A refactor of the
 builders leaves every digest unchanged; a deliberate change to a formulation
 updates the pinned values below and says why.
+
+A later stage's model depends on the optimum HiGHS returned for the earlier
+stages, so the pins belong to one solver build (scipy 1.17.1). After a solver
+upgrade, regenerate them on an unchanged tree before judging a refactor.
 """
 
 import hashlib

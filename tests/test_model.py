@@ -21,7 +21,6 @@ from mplsotn.model import (
     TrafficMatrix,
     canonical_instance_dict,
     complement_route,
-    derive_costs,
     instance_hash,
     normalized_link,
     validate_instance,
@@ -94,9 +93,6 @@ def test_cost_model_unit_prices_are_exact():
     assert cm.wavelength_cost == 3
     assert cm.transit_cost_per_gbps == Fraction(4, 5)
     assert cm.transit_cost_per_mbps() == Fraction(4, 5000)
-    d = derive_costs(cm)
-    assert (d.lightpath_cost, d.wavelength_cost, d.transit_cost_per_gbps) == (
-        cm.lightpath_cost, cm.wavelength_cost, cm.transit_cost_per_gbps)
 
     custom = CostModel(router_port_cost=Fraction(9), oxc_port_cost=Fraction(1, 4),
                        transponder_cost=Fraction(3, 2),
