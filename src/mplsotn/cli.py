@@ -12,6 +12,7 @@ import json
 import os
 import sys
 from concurrent.futures import ThreadPoolExecutor
+from dataclasses import replace
 from pathlib import Path
 from typing import Optional
 
@@ -29,8 +30,11 @@ from .pipeline import (
     PipelineError,
     SolverUnavailableError,
     StageInfeasibleError,
+    WorkingLayer,
     manifest_dict,
     run_design,
+    solve_working,
+    working_budget,
 )
 from .serialize import load_design, save_design
 from .solvers import DEFAULT_EXTERNAL_TEMPLATE, ENV_SOLVER_COMMAND, SolverConfig
@@ -73,12 +77,26 @@ def _design_config(args, survivability: Survivability) -> DesignConfig:
     )
 
 
-def _run_one(instance: Instance, args, survivability: Survivability):
-    cfg = _design_config(args, survivability)
-    design = run_design(instance, cfg, solver=_solver_config(args))
+def _run_one(instance: Instance, cfg: DesignConfig, solver: SolverConfig,
+             working: Optional[WorkingLayer] = None):
+    design = run_design(instance, cfg, solver=solver, working=working)
     violations = evaluate.verify_design(instance, design)
     drill = evaluate.failure_drill(instance, design)
     return design, violations, drill
+
+
+def _failure(exc: Exception) -> tuple[int, str, str]:
+    """Exit code, short reason and message line for an error a run raised."""
+    if isinstance(exc, InvalidInstanceError):
+        # the message already starts with "invalid instance:"
+        return EXIT_INVALID_INSTANCE, "invalid instance", str(exc)
+    if isinstance(exc, SolverUnavailableError):
+        code, reason = EXIT_NO_SOLVER, "solver unavailable"
+    elif isinstance(exc, StageInfeasibleError):
+        code, reason = EXIT_INFEASIBLE, "infeasible"
+    else:
+        code, reason = EXIT_INTERNAL, "error"
+    return code, reason, f"{reason}: {exc}"
 
 
 def _write_outputs(out_dir: Optional[str], design, suffix: str = "") -> None:
@@ -119,7 +137,8 @@ def _cmd_run(args) -> int:
     if args.compare_all:
         return _cmd_compare(instance, args)
     survivability = Survivability(args.survivability)
-    design, violations, drill = _run_one(instance, args, survivability)
+    design, violations, drill = _run_one(
+        instance, _design_config(args, survivability), _solver_config(args))
     _write_outputs(args.output_dir, design)
     sys.stdout.write(report.design_summary(design, drill.summary()))
     if violations:
@@ -140,24 +159,65 @@ def _cmd_run(args) -> int:
 
 
 def _cmd_compare(instance: Instance, args) -> int:
-    options = [Survivability(v) for v in _OPTIONS]
+    """Every option on one working layer, solved once on a pool worker.
+
+    The shared stage gets the smallest budget any option would give it, and
+    keeps its artifacts in the top directory; each option's own stages keep
+    theirs in a subdirectory named after the option. An option that fails
+    becomes a failed row, and the exit code is the highest of any option.
+    """
+    configs = [_design_config(args, s) for s in Survivability]
+    solver = _solver_config(args)
+    budget = min(working_budget(instance, cfg) for cfg in configs)
+
+    def run_option(cfg: DesignConfig, working: Optional[WorkingLayer]):
+        own = solver
+        if solver.keep_artifacts_dir is not None:
+            own = replace(solver, keep_artifacts_dir=(
+                solver.keep_artifacts_dir / cfg.survivability.value))
+        try:
+            return cfg, _run_one(instance, cfg, own, working)
+        except (PipelineError, ValueError) as exc:
+            return cfg, exc
+
     with ThreadPoolExecutor(max_workers=args.workers) as pool:
-        results = list(pool.map(
-            lambda s: (s, _run_one(instance, args, s)), options
-        ))
+        # stage I does not depend on the option; the NONE config validates
+        # only what every option checks
+        shared = pool.submit(solve_working, instance, configs[0],
+                             solver=solver, budget=budget)
+        try:
+            working = shared.result()
+        except (PipelineError, ValueError) as exc:
+            if not (args.auto_grow_q and isinstance(exc, StageInfeasibleError)):
+                return _report_compare(args, [(cfg, exc) for cfg in configs])
+            working = None  # each option grows q on its own, as a lone run does
+        results = list(pool.map(run_option, configs,
+                                [working] * len(configs)))
+    return _report_compare(args, results)
+
+
+def _report_compare(args, results) -> int:
     entries = []
     worst = EXIT_OK
-    for survivability, (design, violations, drill) in results:
-        entries.append((survivability.value, design))
-        _write_outputs(args.output_dir, design, suffix=survivability.value)
+    for cfg, outcome in results:
+        option = cfg.survivability.value
+        if isinstance(outcome, Exception):
+            code, reason, message = _failure(outcome)
+            print(f"failed[{option}]: {message}", file=sys.stderr)
+            entries.append((option, reason))
+            worst = max(worst, code)
+            continue
+        design, violations, drill = outcome
+        entries.append((option, design))
+        _write_outputs(args.output_dir, design, suffix=option)
         for v in violations:
-            print(f"verification[{survivability.value}]: {v.code}: {v.message}",
+            print(f"verification[{option}]: {v.code}: {v.message}",
                   file=sys.stderr)
         if violations:
             worst = max(worst, EXIT_VERIFY_FAILED)
-        elif (survivability is not Survivability.NONE
+        elif (cfg.survivability is not Survivability.NONE
               and not drill.all_restorable):
-            print(f"drill[{survivability.value}]: "
+            print(f"drill[{option}]: "
                   f"{len(drill.failures())} non-restorable event(s)",
                   file=sys.stderr)
             worst = max(worst, EXIT_DRILL_FAILED)
@@ -239,21 +299,10 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except InvalidInstanceError as exc:
-        print(str(exc), file=sys.stderr)
-        return EXIT_INVALID_INSTANCE
-    except SolverUnavailableError as exc:
-        print(f"solver unavailable: {exc}", file=sys.stderr)
-        return EXIT_NO_SOLVER
-    except StageInfeasibleError as exc:
-        print(f"infeasible: {exc}", file=sys.stderr)
-        return EXIT_INFEASIBLE
-    except PipelineError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INTERNAL
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INTERNAL
+    except (PipelineError, ValueError) as exc:
+        code, _reason, message = _failure(exc)
+        print(message, file=sys.stderr)
+        return code
 
 
 if __name__ == "__main__":

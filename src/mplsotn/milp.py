@@ -522,17 +522,15 @@ def read_solution(text: str, m: MilpModel) -> Solution:
                         message="; ".join(problems[:5]))
 
     exact = m.objective_value(snapped)
-    status = SolveStatus.OPTIMAL
-    if status_hint:
-        low = status_hint.lower()
-        if low in ("optimal",):
-            status = SolveStatus.OPTIMAL
-        elif low in ("feasible-within-gap",):
-            status = SolveStatus.FEASIBLE_WITHIN_GAP
-        elif low == "time-limit-feasible" or low.startswith("stopped"):
-            status = SolveStatus.TIME_LIMIT_FEASIBLE
-        elif low in ("unbounded",):
-            return Solution(SolveStatus.UNBOUNDED, None, {}, None)
+    low = (status_hint or "").lower()
+    if low == "unbounded":
+        return Solution(SolveStatus.UNBOUNDED, None, {}, None)
+    # a point whose file states no proof (no status, CBC's "Stopped", or
+    # "time-limit-feasible") is an incumbent, never an optimum
+    status = {
+        "optimal": SolveStatus.OPTIMAL,
+        "feasible-within-gap": SolveStatus.FEASIBLE_WITHIN_GAP,
+    }.get(low, SolveStatus.TIME_LIMIT_FEASIBLE)
     return Solution(
         status=status,
         objective=float(exact),

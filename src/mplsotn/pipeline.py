@@ -12,7 +12,10 @@ still ties the final design back to the stage objectives).
 
 from __future__ import annotations
 
+import time
+from dataclasses import dataclass, fields, replace
 from fractions import Fraction
+from types import MappingProxyType
 from typing import Mapping, Optional, Sequence
 
 from . import evaluate
@@ -29,6 +32,7 @@ from .formulation import (
 )
 from .milp import SolveStatus, Solution
 from .model import (
+    Approach,
     CostModel,
     Design,
     DesignConfig,
@@ -107,7 +111,7 @@ def allocate_budgets(instance: Instance, cfg: DesignConfig) -> dict[str, float]:
     arcs = n * (n - 1)
     edges = len(instance.topology.links)
     k = max(1, len(instance.traffic.demands))
-    q = cfg.effective_q_max(instance)
+    q = max(1, cfg.effective_q_max(instance))
     mpls = q * arcs * (k + 1)
     optical = q * arcs * 2 * edges
     weight = {
@@ -123,6 +127,11 @@ def allocate_budgets(instance: Instance, cfg: DesignConfig) -> dict[str, float]:
     shares = {s: max(weight[s] / total, MIN_BUDGET_SHARE) for s in names}
     norm = sum(shares.values())
     return {s: cfg.time_limit_seconds * shares[s] / norm for s in names}
+
+
+def working_budget(instance: Instance, cfg: DesignConfig) -> float:
+    """The share of the time limit ``allocate_budgets`` gives stage I."""
+    return allocate_budgets(instance, cfg)[stage_names(instance, cfg)[0]]
 
 
 # -- decoding -------------------------------------------------------------------
@@ -362,6 +371,107 @@ def _check_accounting(design: Design) -> None:
         )
 
 
+# -- stage I: the working layer ------------------------------------------------
+
+
+@dataclass(frozen=True)
+class WorkingInputs:
+    """Everything stage I depends on: the inputs minus the survivability option."""
+
+    instance_hash: str
+    approach: Approach
+    q_max: int
+    interfaces: int
+    gap: float
+    cost_model: CostModel
+
+
+def _working_inputs(instance: Instance, cfg: DesignConfig,
+                   cost_model: CostModel) -> WorkingInputs:
+    return WorkingInputs(
+        instance_hash=instance_hash(instance),
+        approach=cfg.approach,
+        q_max=cfg.effective_q_max(instance),
+        interfaces=cfg.effective_interfaces(instance),
+        gap=cfg.optimality_gap,
+        cost_model=cost_model,
+    )
+
+
+@dataclass(frozen=True)
+class WorkingLayer:
+    """Stage I, solved and decoded: the routed working MPLS layer.
+
+    It is the same for every survivability option, so one layer can serve
+    each option's later stages (see ``run_design``). Under the integrated
+    approach it also holds the fiber routes of its carriers.
+    """
+
+    open_slots: tuple[LightpathKey, ...]
+    working_paths: Mapping[str, tuple[LightpathKey, ...]]
+    carrier_routes: Mapping[LightpathKey, tuple[int, ...]]
+    trace: StageTrace
+    inputs: WorkingInputs
+    seconds: float  # wall time to build, solve and decode it
+
+
+def _validate(instance: Instance, cfg: DesignConfig) -> None:
+    violations = validate_instance(instance, cfg)
+    if violations:
+        raise InvalidInstanceError(violations)
+
+
+def solve_working(
+    instance: Instance,
+    cfg: DesignConfig,
+    cost_model: Optional[CostModel] = None,
+    solver: Optional[SolverConfig] = None,
+    budget: Optional[float] = None,
+) -> WorkingLayer:
+    """Validate, then solve and decode stage I of ``cfg``'s approach.
+
+    ``budget`` is the stage's time limit in seconds; by default it is the
+    share ``allocate_budgets`` gives stage I under ``cfg``.
+    """
+    _validate(instance, cfg)
+    cm = cost_model if cost_model is not None else default_cost_model(instance)
+    if budget is None:
+        budget = working_budget(instance, cfg)
+    return _solve_working(instance, cfg, cm, solver, budget)
+
+
+def _solve_working(
+    instance: Instance,
+    cfg: DesignConfig,
+    cost_model: CostModel,
+    solver: Optional[SolverConfig],
+    budget: float,
+) -> WorkingLayer:
+    start = time.perf_counter()
+    traces: list[StageTrace] = []
+    demands = tuple(enumerate(instance.traffic.demands))
+    carrier_routes: dict[LightpathKey, tuple[int, ...]] = {}
+    if cfg.approach is Approach.INTEGRATED:
+        sm = build_integrated_working(instance, cfg, cost_model)
+        sol = _run_stage(sm, cfg, budget, solver, traces)
+        work_slots, working_paths = _decode_layer(
+            sol, sm, "wb", "wd", demands, route_family="wr"
+        )
+        carrier_routes = _decode_routes(sol, sm, "wr", work_slots)
+    else:
+        sm = build_working_mpls(instance, cfg, cost_model)
+        sol = _run_stage(sm, cfg, budget, solver, traces)
+        work_slots, working_paths = _decode_layer(sol, sm, "wb", "wd", demands)
+    return WorkingLayer(
+        open_slots=work_slots,
+        working_paths=MappingProxyType(working_paths),
+        carrier_routes=MappingProxyType(carrier_routes),
+        trace=traces[0],
+        inputs=_working_inputs(instance, cfg, cost_model),
+        seconds=time.perf_counter() - start,
+    )
+
+
 # -- the two approaches -----------------------------------------------------------
 
 
@@ -370,14 +480,12 @@ def _run_sequential(
     cfg: DesignConfig,
     cost_model: CostModel,
     solver: Optional[SolverConfig],
+    working: WorkingLayer,
+    budgets: Mapping[str, float],
 ) -> Design:
-    budgets = allocate_budgets(instance, cfg)
-    traces: list[StageTrace] = []
+    traces = [working.trace]
     demands = tuple(enumerate(instance.traffic.demands))
-
-    sm = build_working_mpls(instance, cfg, cost_model)
-    sol = _run_stage(sm, cfg, budgets[S_WORK], solver, traces)
-    work_slots, working_paths = _decode_layer(sol, sm, "wb", "wd", demands)
+    work_slots, working_paths = working.open_slots, working.working_paths
 
     plan = compute_protection_plan(instance, cfg, working_paths)
     spare_slots: tuple[LightpathKey, ...] = ()
@@ -424,17 +532,13 @@ def _run_integrated(
     cfg: DesignConfig,
     cost_model: CostModel,
     solver: Optional[SolverConfig],
+    working: WorkingLayer,
+    budgets: Mapping[str, float],
 ) -> Design:
-    budgets = allocate_budgets(instance, cfg)
-    traces: list[StageTrace] = []
+    traces = [working.trace]
     demands = tuple(enumerate(instance.traffic.demands))
-
-    sm = build_integrated_working(instance, cfg, cost_model)
-    sol = _run_stage(sm, cfg, budgets[S_IWORK], solver, traces)
-    work_slots, working_paths = _decode_layer(
-        sol, sm, "wb", "wd", demands, route_family="wr"
-    )
-    carrier_routes = _decode_routes(sol, sm, "wr", work_slots)
+    work_slots, working_paths = working.open_slots, working.working_paths
+    carrier_routes = dict(working.carrier_routes)
 
     spare_slots: tuple[LightpathKey, ...] = ()
     protection_paths: dict[str, tuple[LightpathKey, ...]] = {}
@@ -466,30 +570,67 @@ def _run_integrated(
     )
 
 
+def _run(
+    instance: Instance,
+    cfg: DesignConfig,
+    cost_model: CostModel,
+    solver: Optional[SolverConfig],
+    working: Optional[WorkingLayer],
+    budgets: Mapping[str, float],
+) -> Design:
+    if working is None:
+        first = stage_names(instance, cfg)[0]
+        working = _solve_working(instance, cfg, cost_model, solver,
+                                 budgets[first])
+    runner = (_run_integrated if cfg.approach is Approach.INTEGRATED
+              else _run_sequential)
+    return runner(instance, cfg, cost_model, solver, working, budgets)
+
+
 def run_design(
     instance: Instance,
     cfg: DesignConfig,
     cost_model: Optional[CostModel] = None,
     solver: Optional[SolverConfig] = None,
+    working: Optional[WorkingLayer] = None,
 ) -> Design:
     """Validate, optimize stage by stage, decode, and account.
 
+    ``working`` is a stage I from ``solve_working`` for the same inputs under
+    any survivability option; without one, stage I is solved here. A layer
+    solved for other inputs raises ``ValueError``.
+
     With ``auto_grow_q`` set, an infeasible stage is retried once with one
-    more parallel lightpath slot per node pair.
+    more parallel lightpath slot per node pair. The retry solves a fresh
+    working layer, and its stages share only the time left of the limit,
+    counting the time spent on a given layer.
     """
-    violations = validate_instance(instance, cfg)
-    if violations:
-        raise InvalidInstanceError(violations)
+    start = time.perf_counter()
+    _validate(instance, cfg)
     cm = cost_model if cost_model is not None else default_cost_model(instance)
-    runner = (_run_integrated if cfg.approach.value == "integrated"
-              else _run_sequential)
+    if working is not None:
+        expected = _working_inputs(instance, cfg, cm)
+        differ = [f.name for f in fields(WorkingInputs)
+                  if getattr(working.inputs, f.name) != getattr(expected, f.name)]
+        if differ:
+            raise ValueError(
+                "working layer was solved for other inputs: "
+                + ", ".join(differ) + " differ"
+            )
     try:
-        return runner(instance, cfg, cm, solver)
+        return _run(instance, cfg, cm, solver, working,
+                    allocate_budgets(instance, cfg))
     except StageInfeasibleError:
-        if not cfg.auto_grow_q:
+        spent = time.perf_counter() - start
+        if working is not None:
+            spent += working.seconds
+        remaining = cfg.time_limit_seconds - spent
+        if not cfg.auto_grow_q or remaining <= 0:
             raise
-        grown = cfg.grown(instance)
-        return runner(instance, grown, cm, solver)
+    grown = cfg.grown(instance)
+    budgets = allocate_budgets(
+        instance, replace(grown, time_limit_seconds=remaining))
+    return _run(instance, grown, cm, solver, None, budgets)
 
 
 def manifest_dict(design: Design) -> dict:

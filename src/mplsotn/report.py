@@ -44,18 +44,24 @@ def _counts(design: Design) -> tuple[str, str]:
     return lightpaths, wavelengths
 
 
-def option_rows(entries: Sequence[tuple[str, Design]]) -> list[dict]:
+def option_rows(entries: Sequence[tuple[str, Union[Design, str]]]) -> list[dict]:
     """One row per survivability option.
 
     Lightpath counts show spare carriers in parentheses; under shared
     restoration the wavelength count shows paid extra wavelengths in
-    parentheses. Savings are relative to the most expensive row.
+    parentheses. Savings are relative to the most expensive row. An entry
+    whose second element is a string is an option that failed for that
+    reason: its row reads ``failed: <reason>`` and ``-`` elsewhere.
     """
-    if not entries:
-        return []
-    worst = max(d.cost.total for _label, d in entries)
+    worst = max((d.cost.total for _label, d in entries
+                 if isinstance(d, Design)), default=0)
     rows = []
     for label, d in entries:
+        if not isinstance(d, Design):
+            rows.append({"option": label, "total_cost": f"failed: {d}",
+                         "transit_gbps": "-", "lightpaths": "-",
+                         "wavelengths": "-", "saving": "-"})
+            continue
         lightpaths, wavelengths = _counts(d)
         saving = ("-" if d.cost.total == worst or worst == 0
                   else format_percent((worst - d.cost.total) / worst))
@@ -140,7 +146,8 @@ def _csv_table(rows: list[dict], columns) -> str:
     return buf.getvalue()
 
 
-def option_table(entries: Sequence[tuple[str, Design]], fmt: str = "text") -> str:
+def option_table(entries: Sequence[tuple[str, Union[Design, str]]],
+                 fmt: str = "text") -> str:
     rows = option_rows(entries)
     if fmt == "csv":
         return _csv_table(rows, _OPTION_COLUMNS)

@@ -1,15 +1,18 @@
 """Command line behaviour, driven in-process through main(argv)."""
 
 import csv
+import hashlib
 import io
 import json
+import time
 
 import pytest
 
-from mplsotn import evaluate
+from mplsotn import evaluate, pipeline
 from mplsotn.cli import (
     EXIT_DRILL_FAILED,
     EXIT_INFEASIBLE,
+    EXIT_INTERNAL,
     EXIT_INVALID_INSTANCE,
     EXIT_NO_SOLVER,
     EXIT_OK,
@@ -18,11 +21,12 @@ from mplsotn.cli import (
 )
 from mplsotn.evaluate import DrillReport, EventOutcome
 from mplsotn.instances import load_instance, save_instance
-from mplsotn.model import FailureEvent, FailureKind, Violation
+from mplsotn.model import Approach, FailureEvent, FailureKind, Violation
+from mplsotn.pipeline import StageInfeasibleError
 from mplsotn.serialize import load_design
 from mplsotn.solvers import ENV_SOLVER_COMMAND
 
-from support import desk
+from support import OPTIONS, cached_design, desk, exact_config, mesh_family
 
 
 @pytest.fixture(scope="module")
@@ -96,7 +100,8 @@ def test_corrupt_instance_file(tmp_path, capsys):
     assert "bad-json" in capsys.readouterr().err
 
 
-def test_unsurvivable_instance_rejected(tmp_path, capsys):
+@pytest.fixture
+def chain_file(tmp_path):
     # a two-node chain cannot offer disjoint paths
     path = tmp_path / "chain.json"
     path.write_text(json.dumps({
@@ -107,7 +112,11 @@ def test_unsurvivable_instance_rejected(tmp_path, capsys):
         "demands": [{"id": "d1", "source": 1, "destination": 2,
                      "bandwidth_gbps": "1"}],
     }), encoding="utf-8")
-    code = main(["run", str(path), "--survivability", "single"])
+    return str(path)
+
+
+def test_unsurvivable_instance_rejected(chain_file, capsys):
+    code = main(["run", chain_file, "--survivability", "single"])
     assert code == EXIT_INVALID_INSTANCE
     assert "not-biconnected" in capsys.readouterr().err
 
@@ -117,6 +126,13 @@ def test_bogus_external_solver(ring4_file, capsys):
                  "--solver-cmd", "no-such-milp-binary {lp} {sol}"])
     assert code == EXIT_NO_SOLVER
     assert "solver unavailable" in capsys.readouterr().err
+
+
+def test_bad_solver_command_token_is_internal_error(ring4_file, capsys):
+    code = main(["run", ring4_file,
+                 "--solver-cmd", "python3 {lp} {sol} {bogus}"])
+    assert code == EXIT_INTERNAL
+    assert "bad solver command token '{bogus}'" in capsys.readouterr().err
 
 
 def test_external_backend_defaults_to_bundled_solver(ring4_file, tmp_path,
@@ -141,6 +157,37 @@ def test_auto_grow_q_flag_rescues(infeasible_file):
     code = main(["run", infeasible_file, "--survivability", "single",
                  "--q-max", "1", "--auto-grow-q"])
     assert code == EXIT_OK
+
+
+def test_auto_grow_q_retry_gets_the_time_left(infeasible_file, tmp_path,
+                                             monkeypatch):
+    calls = []  # (stage, time limit, status, start, end) per solve
+    solve = pipeline.solve
+
+    def timed_solve(model, **kwargs):
+        start = time.perf_counter()
+        sol = solve(model, **kwargs)
+        calls.append((kwargs["stage"], kwargs["time_limit"],
+                      sol.status.value, start, time.perf_counter()))
+        return sol
+
+    monkeypatch.setattr(pipeline, "solve", timed_solve)
+    out = tmp_path / "out"
+    code = main(["run", infeasible_file, "--survivability", "single",
+                 "--q-max", "1", "--auto-grow-q", "--time-limit", "60",
+                 "-o", str(out)])
+    assert code == EXIT_OK
+    failed = [c[2] for c in calls].index("infeasible")
+    first, retry = calls[:failed + 1], calls[failed + 1:]
+    assert [c[0] for c in first] == ["working-mpls", "protection-mpls"]
+    assert [c[0] for c in retry] == [
+        "working-mpls", "protection-mpls", "lightpath-routing"]
+    # the first attempt lasted at least from its first solve to its last
+    first_wall = first[-1][4] - first[0][3]
+    assert sum(c[1] for c in retry) <= 60 - first_wall
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert manifest["configuration"]["time_limit_seconds"] == 60
+    assert sum(s["budget_seconds"] for s in manifest["stages"]) < 60
 
 
 def test_verification_failure_exit_code(ring4_file, monkeypatch, capsys):
@@ -189,6 +236,139 @@ def test_compare_all(ring4_file, tmp_path, capsys):
     by_option = {r[0]: r for r in rows[1:]}
     assert by_option["none"][1] == "23"
     assert by_option["brs"][1] == "29"
+
+
+def _csv_rows_of(text: str) -> dict[str, list[str]]:
+    rows = list(csv.reader(io.StringIO(text)))
+    assert rows[0][0] == "option"
+    return {r[0]: r for r in rows[1:]}
+
+
+def test_compare_all_keeps_the_rows_of_options_that_succeed(infeasible_file,
+                                                            capsys):
+    code = main(["run", infeasible_file, "--compare-all", "--q-max", "1",
+                 "--format", "csv"])
+    assert code == EXIT_INFEASIBLE
+    out, err = capsys.readouterr()
+    by_option = _csv_rows_of(out)
+    assert list(by_option) == [o.value for o in OPTIONS]
+    assert by_option["single"][1:] == ["failed: infeasible"] + ["-"] * 4
+    assert "failed[single]: infeasible: stage 'protection-mpls'" in err
+    for option in ("none", "double", "spare-unprotected", "brs"):
+        assert not by_option[option][1].startswith("failed")
+
+
+def test_compare_all_validates_each_option(chain_file, capsys):
+    code = main(["run", chain_file, "--compare-all", "--format", "csv"])
+    assert code == EXIT_INVALID_INSTANCE
+    out, err = capsys.readouterr()
+    by_option = _csv_rows_of(out)
+    assert not by_option["none"][1].startswith("failed")
+    for option in ("single", "double", "spare-unprotected", "brs"):
+        assert by_option[option][1] == "failed: invalid instance"
+        assert f"failed[{option}]: invalid instance: not-biconnected" in err
+
+
+def test_compare_all_reports_a_failed_shared_stage_on_every_row(ring4_file,
+                                                                capsys):
+    code = main(["run", ring4_file, "--compare-all", "--format", "csv",
+                 "--solver-cmd", "no-such-milp-binary {lp} {sol}"])
+    assert code == EXIT_NO_SOLVER
+    out, err = capsys.readouterr()
+    assert {r[1] for r in _csv_rows_of(out).values()} == {
+        "failed: solver unavailable"}
+    assert err.count("solver unavailable: solver executable") == len(OPTIONS)
+
+
+def test_compare_all_grows_q_per_option_after_a_shared_infeasibility(
+        tmp_path, capsys):
+    # router 1 sends 27 Gbps, but one slot to each of its two peers carries 20
+    path = tmp_path / "ring3.json"
+    path.write_text(json.dumps({
+        "name": "ring3-hot",
+        "nodes": [1, 2, 3],
+        "links": [[1, 2], [2, 3], [1, 3]],
+        "wavelengths_per_link": 32,
+        "max_parallel_lightpaths": 1,
+        "demands": [
+            {"id": "a", "source": 1, "destination": 2, "bandwidth_gbps": "9"},
+            {"id": "b", "source": 1, "destination": 2, "bandwidth_gbps": "9"},
+            {"id": "c", "source": 1, "destination": 3, "bandwidth_gbps": "9"},
+        ],
+    }), encoding="utf-8")
+    args = ["run", str(path), "--compare-all", "--format", "csv"]
+    assert main(args) == EXIT_INFEASIBLE
+    out, err = capsys.readouterr()
+    assert {r[1] for r in _csv_rows_of(out).values()} == {"failed: infeasible"}
+    assert err.count("stage 'working-mpls' ended infeasible") == len(OPTIONS)
+
+    main(args + ["--auto-grow-q"])
+    by_option = _csv_rows_of(capsys.readouterr().out)
+    assert not by_option["none"][1].startswith("failed")
+
+
+def test_compare_all_solves_the_working_stage_once(ring4_file, monkeypatch):
+    stages = []
+    solve = pipeline.solve
+
+    def counting_solve(model, **kwargs):
+        stages.append(kwargs["stage"])
+        return solve(model, **kwargs)
+
+    monkeypatch.setattr(pipeline, "solve", counting_solve)
+    assert main(["run", ring4_file, "--compare-all"]) == EXIT_OK
+    assert stages.count("working-mpls") == 1
+    assert len(stages) == 13  # 1 shared, then 1 + 2 + 3 * 3 of the options' own
+
+
+@pytest.mark.parametrize("name,approach", [
+    ("ring4", Approach.SEQUENTIAL),
+    ("ring4", Approach.INTEGRATED),
+    ("fam-5-s0", Approach.SEQUENTIAL),
+])
+def test_compare_all_matches_lone_runs(name, approach, tmp_path, capsys):
+    instance = desk("ring4") if name == "ring4" else mesh_family(5, 0)
+    path = tmp_path / f"{name}.json"
+    save_instance(instance, path)
+    out = tmp_path / "out"
+    code = main(["run", str(path), "--compare-all", "--approach",
+                 approach.value, "-o", str(out)])
+    infeasible = []
+    for option in OPTIONS:
+        design_file = out / f"design-{option.value}.json"
+        try:
+            alone = cached_design(instance, exact_config(option, approach))
+        except StageInfeasibleError:
+            infeasible.append(option)
+            assert not design_file.exists()
+            continue
+        shared = load_design(design_file)
+        assert shared.config == alone.config
+        assert shared.cost == alone.cost
+        assert shared.lsp_routes == alone.lsp_routes
+        assert shared.logical.lightpaths == alone.logical.lightpaths
+    assert code == (EXIT_INFEASIBLE if infeasible else EXIT_OK)
+
+
+def test_compare_all_keeps_every_options_artifacts(ring4_file, tmp_path):
+    shared = tmp_path / "shared"
+    assert main(["run", ring4_file, "--compare-all",
+                 "--keep-artifacts", str(shared)]) == EXIT_OK
+    assert (shared / "working-mpls.lp").exists()
+
+    def digest(path):
+        return hashlib.sha256(path.read_bytes()).hexdigest()
+
+    for option in OPTIONS:
+        alone = tmp_path / "alone" / option.value
+        assert main(["run", ring4_file, "--survivability", option.value,
+                     "--keep-artifacts", str(alone)]) == EXIT_OK
+        own = shared / option.value
+        assert not (own / "working-mpls.lp").exists()
+        assert digest(own / "lightpath-routing.lp") == \
+            digest(alone / "lightpath-routing.lp")
+        assert digest(shared / "working-mpls.lp") == \
+            digest(alone / "working-mpls.lp")
 
 
 def test_export_dot(ring4_file, tmp_path, capsys):

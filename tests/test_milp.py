@@ -267,6 +267,9 @@ def test_read_solution_plain_dialect():
     sol = read_solution("# status infeasible\n", m)
     assert sol.status is SolveStatus.INFEASIBLE
 
+    # a file that states no status claims no proof
+    assert read_solution("x 1\n", m).status is SolveStatus.TIME_LIMIT_FEASIBLE
+
     assert read_solution("", m).status is SolveStatus.ERROR
     assert read_solution("x 1 2 3\n", m).status is SolveStatus.ERROR
     assert read_solution("x one\n", m).status is SolveStatus.ERROR

@@ -4,6 +4,7 @@ Every pinned total in here was reproduced by tests/oracle.py enumeration
 before being written down.
 """
 
+import dataclasses
 import json
 from fractions import Fraction
 
@@ -13,7 +14,7 @@ from mplsotn.evaluate import verify_design
 from mplsotn.formulation import StageModel, VarIndex
 from mplsotn.instances import generate_instance
 from mplsotn.milp import MilpModel, Solution, SolveStatus
-from mplsotn.model import Approach, DesignConfig, Survivability
+from mplsotn.model import Approach, CostModel, DesignConfig, Survivability
 from mplsotn.pipeline import (
     DecodeError,
     SolverUnavailableError,
@@ -24,6 +25,7 @@ from mplsotn.pipeline import (
     default_cost_model,
     manifest_dict,
     run_design,
+    solve_working,
     stage_names,
 )
 from mplsotn.model import InvalidInstanceError, instance_hash
@@ -175,6 +177,40 @@ def test_auto_grow_q_recovers_from_infeasibility():
     design = run_design(inst, cfg)
     assert design.config.q_max == 2
     assert design.cost.total == Fraction(129)
+
+
+def test_auto_grow_q_never_reuses_a_given_working_layer():
+    inst = generate_instance("mesh", 4, seed=1, demand_count=3,
+                             bandwidth_profile="mixed")
+    cfg = DesignConfig(survivability=Survivability.SINGLE_LAYER, q_max=1,
+                       optimality_gap=0.0, auto_grow_q=True)
+    layer = solve_working(inst, dataclasses.replace(
+        cfg, survivability=Survivability.NONE))
+    design = run_design(inst, cfg, working=layer)
+    assert design.config.q_max == 2
+    assert design.cost.total == Fraction(129)
+    assert design.traces[0] is not layer.trace
+
+
+@pytest.mark.parametrize("change,field", [
+    ({"instance": "ring4-chord"}, "instance_hash"),
+    ({"approach": Approach.INTEGRATED}, "approach"),
+    ({"q_max": 3}, "q_max"),
+    ({"router_interfaces": 5}, "interfaces"),
+    ({"optimality_gap": 0.01}, "gap"),
+    ({"cost_model": CostModel(router_port_cost=Fraction(9))}, "cost_model"),
+], ids=lambda p: p if isinstance(p, str) else None)
+def test_run_design_rejects_a_working_layer_of_other_inputs(ring4, change,
+                                                            field):
+    layer = solve_working(ring4, exact_config(Survivability.NONE))
+    change = dict(change)
+    instance = support.desk(change.pop("instance", "ring4"))
+    cost_model = change.pop("cost_model", None)
+    cfg = dataclasses.replace(exact_config(Survivability.SINGLE_LAYER),
+                              **change)
+    with pytest.raises(ValueError, match="solved for other inputs") as err:
+        run_design(instance, cfg, cost_model=cost_model, working=layer)
+    assert field in str(err.value)
 
 
 def test_missing_external_solver_raises(ring4):
