@@ -17,8 +17,6 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterable, Mapping, Optional, Sequence
 
-NumberLike = "Fraction | int | float | str"
-
 _NAME_RE = re.compile(r"^[A-Za-z_][A-Za-z0-9_.]*$")
 
 
@@ -46,11 +44,22 @@ class SolveStatus(enum.Enum):
         )
 
 
+# Fractions are immutable, so every small int coefficient, bound and snapped
+# value can share one object instead of allocating its own.
+_SMALL_INT_LIMIT = 256
+_SMALL_INTS = tuple(Fraction(i) for i in range(-_SMALL_INT_LIMIT, _SMALL_INT_LIMIT + 1))
+_ZERO = _SMALL_INTS[_SMALL_INT_LIMIT]
+
+
 def as_fraction(x) -> Fraction:
+    # ints first: isinstance(x, Fraction) on a non-Fraction goes through the
+    # numbers ABC machinery, which costs more than the rest of this function
+    if isinstance(x, int):
+        if -_SMALL_INT_LIMIT <= x <= _SMALL_INT_LIMIT:
+            return _SMALL_INTS[x + _SMALL_INT_LIMIT]
+        return Fraction(x)
     if isinstance(x, Fraction):
         return x
-    if isinstance(x, int):
-        return Fraction(x)
     if isinstance(x, float):
         return Fraction(x).limit_denominator(10**12)
     if isinstance(x, str):
@@ -88,7 +97,7 @@ class MilpModel:
         self._constraints: list[Constraint] = []
         self._constraint_names: set[str] = set()
         self._objective: dict[str, Fraction] = {}
-        self.objective_constant: Fraction = Fraction(0)
+        self.objective_constant: Fraction = _ZERO
 
     # -- variables ---------------------------------------------------------
 
@@ -132,14 +141,21 @@ class MilpModel:
         if not _NAME_RE.match(name):
             raise ModelError(f"constraint name {name!r} is not LP-safe")
         folded: dict[str, Fraction] = {}
+        repeated = False
         for var, coeff in terms:
             if var not in self._vars:
                 raise ModelError(f"constraint {name!r} references unknown variable {var!r}")
             c = as_fraction(coeff)
-            if c == 0:
+            if not c:
                 continue
-            folded[var] = folded.get(var, Fraction(0)) + c
-        tupled = tuple((v, c) for v, c in folded.items() if c != 0)
+            if var in folded:
+                folded[var] += c
+                repeated = True
+            else:
+                folded[var] = c
+        # only a repeated variable can fold to zero
+        tupled = (tuple((v, c) for v, c in folded.items() if c) if repeated
+                  else tuple(folded.items()))
         self._constraints.append(Constraint(name, tupled, sense, as_fraction(rhs), tag))
         self._constraint_names.add(name)
 
@@ -151,7 +167,8 @@ class MilpModel:
         if var not in self._vars:
             raise ModelError(f"objective references unknown variable {var!r}")
         c = as_fraction(coeff)
-        self._objective[var] = self._objective.get(var, Fraction(0)) + c
+        prev = self._objective.get(var)
+        self._objective[var] = c if prev is None else prev + c
 
     def add_objective_constant(self, value) -> None:
         self.objective_constant += as_fraction(value)
@@ -161,9 +178,12 @@ class MilpModel:
         return tuple((v, c) for v, c in self._objective.items() if c != 0)
 
     def objective_value(self, values: Mapping[str, Fraction]) -> Fraction:
-        total = Fraction(self.objective_constant)
-        for var, coeff in self.objective_terms:
-            total += coeff * values.get(var, Fraction(0))
+        """Exact objective; variables missing from ``values`` count as zero."""
+        total = self.objective_constant
+        for var, coeff in self._objective.items():
+            x = values.get(var)
+            if x:
+                total += coeff * x
         return total
 
     def tags(self) -> tuple[str, ...]:
@@ -401,9 +421,13 @@ class Solution:
     wall_seconds: float = 0.0
     solver_name: str = ""
     message: str = ""
+    # branch-and-bound nodes and the proven lower bound on ``objective``
+    # (objective constant included); None where the backend reports neither
+    node_count: Optional[int] = None
+    dual_bound: Optional[float] = None
 
     def value(self, var: str) -> Fraction:
-        return self.values.get(var, Fraction(0))
+        return self.values.get(var, _ZERO)
 
 
 INTEGRALITY_TOLERANCE = 1e-6
@@ -419,12 +443,14 @@ def snap_values(m: MilpModel, raw: Mapping[str, float]) -> tuple[dict, list[str]
     problems: list[str] = []
     for v in m.variables:
         x = raw.get(v.name, 0.0)
-        if v.kind in (VarKind.BINARY, VarKind.INTEGER):
+        if v.kind is not VarKind.CONTINUOUS:
             nearest = round(x)
             if abs(x - nearest) > INTEGRALITY_TOLERANCE:
                 problems.append(f"{v.name}={x!r} is not integral")
                 continue
-            snapped[v.name] = Fraction(int(nearest))
+            snapped[v.name] = as_fraction(int(nearest))
+        elif x == 0:
+            snapped[v.name] = _ZERO
         else:
             snapped[v.name] = Fraction(x).limit_denominator(10**12)
     return snapped, problems
@@ -432,22 +458,35 @@ def snap_values(m: MilpModel, raw: Mapping[str, float]) -> tuple[dict, list[str]
 
 def check_solution(m: MilpModel, values: Mapping[str, Fraction],
                    tolerance: float = FEASIBILITY_TOLERANCE) -> list[str]:
-    """All constraint and bound violations beyond tolerance."""
+    """All bound and row violations beyond a nonnegative tolerance, in model order.
+
+    Exact: each row sums ``coeff * value`` in rationals over the variables
+    whose value is nonzero (a missing variable counts as zero), and the
+    tolerance is applied only to a value or row already outside its bounds.
+    """
     bad: list[str] = []
     tol = Fraction(tolerance).limit_denominator(10**12)
     for v in m.variables:
-        x = values.get(v.name, Fraction(0))
-        if x < v.lower - tol or x > v.upper + tol:
-            bad.append(f"bound: {v.name}={x} outside [{v.lower}, {v.upper}]")
+        x = values.get(v.name, _ZERO)
+        lo, hi = v.lower, v.upper
+        if (x < lo and x < lo - tol) or (x > hi and x > hi + tol):
+            bad.append(f"bound: {v.name}={x} outside [{lo}, {hi}]")
+    nonzero = {var: x for var, x in values.items() if x}
     for c in m.constraints:
-        lhs = sum((coeff * values.get(var, Fraction(0)) for var, coeff in c.terms),
-                  Fraction(0))
-        if c.sense == "<=" and lhs > c.rhs + tol:
-            bad.append(f"row {c.name}: {lhs} > {c.rhs}")
-        elif c.sense == ">=" and lhs < c.rhs - tol:
-            bad.append(f"row {c.name}: {lhs} < {c.rhs}")
-        elif c.sense == "=" and abs(lhs - c.rhs) > tol:
-            bad.append(f"row {c.name}: {lhs} != {c.rhs}")
+        lhs = _ZERO
+        for var, coeff in c.terms:
+            x = nonzero.get(var)
+            if x is not None:
+                lhs += coeff * x
+        rhs = c.rhs
+        if c.sense == "<=":
+            if lhs > rhs and lhs > rhs + tol:
+                bad.append(f"row {c.name}: {lhs} > {rhs}")
+        elif c.sense == ">=":
+            if lhs < rhs and lhs < rhs - tol:
+                bad.append(f"row {c.name}: {lhs} < {rhs}")
+        elif c.sense == "=" and lhs != rhs and abs(lhs - rhs) > tol:
+            bad.append(f"row {c.name}: {lhs} != {rhs}")
     return bad
 
 

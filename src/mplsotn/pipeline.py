@@ -138,7 +138,7 @@ def working_budget(instance: Instance, cfg: DesignConfig) -> float:
 
 
 def _is_one(values: Mapping[str, Fraction], name: Optional[str]) -> bool:
-    return name is not None and values.get(name, Fraction(0)) == 1
+    return name is not None and values.get(name, 0) == 1
 
 
 def decode_slot_path(
@@ -279,6 +279,8 @@ def _run_stage(
         wall_seconds=sol.wall_seconds,
         time_budget_seconds=budget,
         solver=sol.solver_name,
+        node_count=sol.node_count,
+        dual_bound=sol.dual_bound,
     ))
     if sol.status is SolveStatus.NO_SOLVER:
         raise SolverUnavailableError(sol.message or "no MILP solver available")
@@ -672,6 +674,8 @@ def manifest_dict(design: Design) -> dict:
                 "wall_seconds": round(t.wall_seconds, 6),
                 "budget_seconds": round(t.time_budget_seconds, 6),
                 "solver": t.solver,
+                "node_count": t.node_count,
+                "dual_bound": t.dual_bound,
             }
             for t in design.traces
         ],

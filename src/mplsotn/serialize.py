@@ -119,6 +119,8 @@ def design_to_dict(design: Design) -> dict:
                 "wall_seconds": t.wall_seconds,
                 "time_budget_seconds": t.time_budget_seconds,
                 "solver": t.solver,
+                "node_count": t.node_count,
+                "dual_bound": t.dual_bound,
             }
             for t in design.traces
         ],
@@ -210,6 +212,8 @@ def design_from_dict(data: dict) -> Design:
                 wall_seconds=t["wall_seconds"],
                 time_budget_seconds=t["time_budget_seconds"],
                 solver=t.get("solver", ""),
+                node_count=t.get("node_count"),
+                dual_bound=t.get("dual_bound"),
             )
             for t in data["traces"]
         ),

@@ -22,7 +22,7 @@ import subprocess
 import sys
 import tempfile
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from pathlib import Path
 from typing import Optional
@@ -116,18 +116,13 @@ def solve(model: MilpModel, *, gap: float = 0.0,
         raise ValueError(f"unknown solver backend {solver.backend!r}")
 
     wall = time.perf_counter() - start
-    sol = Solution(
-        status=sol.status, objective=sol.objective, values=sol.values,
-        gap=sol.gap, wall_seconds=wall, solver_name=sol.solver_name,
-        message=sol.message,
-    )
+    sol = replace(sol, wall_seconds=wall)
 
     if sol.status.has_solution:
         bad = check_solution(model, sol.values)
         if bad:
-            sol = Solution(
-                status=SolveStatus.ERROR, objective=None, values={}, gap=None,
-                wall_seconds=wall, solver_name=sol.solver_name,
+            sol = replace(
+                sol, status=SolveStatus.ERROR, objective=None, values={}, gap=None,
                 message="solver returned an infeasible point: " + "; ".join(bad[:5]),
             )
     _keep_artifacts(model, sol, solver, stage)
@@ -147,7 +142,9 @@ def _keep_artifacts(model: MilpModel, sol: Solution, solver: SolverConfig,
 
 def _solve_embedded(model: MilpModel, *, gap: float,
                     time_limit: Optional[float]) -> Solution:
-    names = [v.name for v in model.variables]
+    variables = model.variables
+    model_rows = model.constraints
+    names = [v.name for v in variables]
     index = {n: i for i, n in enumerate(names)}
     n = len(names)
 
@@ -156,17 +153,17 @@ def _solve_embedded(model: MilpModel, *, gap: float,
         c[index[var]] = float(coeff)
 
     integrality = np.array(
-        [0 if v.kind is VarKind.CONTINUOUS else 1 for v in model.variables]
+        [0 if v.kind is VarKind.CONTINUOUS else 1 for v in variables]
     )
-    lower = np.array([float(v.lower) for v in model.variables])
-    upper = np.array([float(v.upper) for v in model.variables])
+    lower = np.array([float(v.lower) for v in variables])
+    upper = np.array([float(v.upper) for v in variables])
 
     rows: list[int] = []
     cols: list[int] = []
     data: list[float] = []
     lo: list[float] = []
     hi: list[float] = []
-    for r, con in enumerate(model.constraints):
+    for r, con in enumerate(model_rows):
         for var, coeff in con.terms:
             rows.append(r)
             cols.append(index[var])
@@ -182,7 +179,7 @@ def _solve_embedded(model: MilpModel, *, gap: float,
             lo.append(rhs)
             hi.append(rhs)
 
-    n_rows = len(model.constraints)
+    n_rows = len(model_rows)
     matrix = scipy.sparse.csr_matrix(
         (data, (rows, cols)), shape=(n_rows, n)
     )
@@ -202,23 +199,32 @@ def _solve_embedded(model: MilpModel, *, gap: float,
     )
 
     solver_name = f"highs(scipy-{scipy.__version__})"
+    # search statistics ride on every outcome, the failed ones included;
+    # the dual bound is shifted by the objective constant HiGHS never saw
+    nodes = getattr(res, "mip_node_count", None)
+    bound = getattr(res, "mip_dual_bound", None)
+    stats = {
+        "node_count": int(nodes) if nodes is not None else None,
+        "dual_bound": (float(bound) + float(model.objective_constant)
+                       if bound is not None and np.isfinite(bound) else None),
+    }
     if res.status == 2:
         return Solution(SolveStatus.INFEASIBLE, None, {}, None,
-                        solver_name=solver_name, message=res.message)
+                        solver_name=solver_name, message=res.message, **stats)
     if res.status == 3:
         return Solution(SolveStatus.UNBOUNDED, None, {}, None,
-                        solver_name=solver_name, message=res.message)
+                        solver_name=solver_name, message=res.message, **stats)
     if res.x is None:
         return Solution(SolveStatus.ERROR, None, {}, None,
                         solver_name=solver_name,
-                        message=f"no incumbent: {res.message}")
+                        message=f"no incumbent: {res.message}", **stats)
 
     raw = {name: float(x) for name, x in zip(names, res.x)}
     snapped, problems = snap_values(model, raw)
     if problems:
         return Solution(SolveStatus.ERROR, None, {}, None,
                         solver_name=solver_name,
-                        message="; ".join(problems[:5]))
+                        message="; ".join(problems[:5]), **stats)
 
     achieved = getattr(res, "mip_gap", None)
     achieved = float(achieved) if achieved is not None and np.isfinite(achieved) else None
@@ -232,7 +238,7 @@ def _solve_embedded(model: MilpModel, *, gap: float,
         status = SolveStatus.TIME_LIMIT_FEASIBLE
     else:
         return Solution(SolveStatus.ERROR, None, {}, None,
-                        solver_name=solver_name, message=res.message)
+                        solver_name=solver_name, message=res.message, **stats)
 
     exact = model.objective_value(snapped)
     return Solution(
@@ -241,6 +247,7 @@ def _solve_embedded(model: MilpModel, *, gap: float,
         values=snapped,
         gap=achieved,
         solver_name=solver_name,
+        **stats,
     )
 
 

@@ -339,6 +339,8 @@ def test_manifest_dict_fields(ring4):
         assert s["budget_seconds"] > 0.0
         assert s["variables"] > 0 and s["constraints"] > 0
         assert s["solver"]
+        assert s["node_count"] >= 0
+        assert s["dual_bound"] == pytest.approx(s["objective"])
     # total and per-stage times are rounded separately, hence the slack
     assert man["wall_seconds_total"] == pytest.approx(
         sum(s["wall_seconds"] for s in stages), abs=5e-6)
@@ -351,6 +353,31 @@ def test_serialize_round_trip(option, ring4):
     assert design_from_dict(doc) == design
     # the document must survive a JSON round trip unchanged
     assert design_from_dict(json.loads(json.dumps(doc))) == design
+    # HiGHS search statistics ride along per stage; a trivial stage has none
+    for t, written in zip(design.traces, doc["traces"]):
+        assert (written["node_count"], written["dual_bound"]) == \
+            (t.node_count, t.dual_bound)
+        if t.solver == "trivial":
+            assert t.node_count is None and t.dual_bound is None
+        else:
+            assert t.node_count >= 0
+            assert t.dual_bound == pytest.approx(t.objective)
+
+
+def test_load_design_without_search_statistics(tmp_path, ring4):
+    # design files written before node counts and dual bounds still load
+    design = cached_design(ring4, exact_config(Survivability.SINGLE_LAYER))
+    doc = design_to_dict(design)
+    for t in doc["traces"]:
+        del t["node_count"], t["dual_bound"]
+    path = tmp_path / "old-design.json"
+    path.write_text(json.dumps(doc))
+    loaded = load_design(path)
+    assert all(t.node_count is None and t.dual_bound is None
+               for t in loaded.traces)
+    assert loaded == dataclasses.replace(design, traces=tuple(
+        dataclasses.replace(t, node_count=None, dual_bound=None)
+        for t in design.traces))
 
 
 def test_serialize_round_trip_integrated(ring5_chord):

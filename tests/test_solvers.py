@@ -48,6 +48,16 @@ def test_embedded_solves_to_optimality():
     assert sol.values["a"] == 1 and sol.values["b"] == 0 and sol.values["c"] == 1
     assert all(isinstance(v, Fraction) for v in sol.values.values())
     assert sol.wall_seconds > 0
+    assert sol.node_count >= 0
+    assert sol.dual_bound == -8.0
+
+
+def test_embedded_dual_bound_includes_objective_constant():
+    m = knapsack()
+    m.add_objective_constant(Fraction(21, 2))
+    sol = solve(m, gap=0.0)
+    assert sol.objective == 2.5
+    assert sol.dual_bound == 2.5
 
 
 def test_embedded_reports_infeasible():
@@ -82,6 +92,8 @@ def test_external_via_bundled_script():
     assert sol.status is SolveStatus.OPTIMAL
     assert sol.objective == -8.0
     assert sol.solver_name == "mplsotn-lp-solve"
+    # the solution file format carries no search statistics
+    assert sol.node_count is None and sol.dual_bound is None
 
 
 def test_external_solver_missing_or_misconfigured():
