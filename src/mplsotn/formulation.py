@@ -286,6 +286,8 @@ def _add_lsp(
     Slots touching a ``banned`` router get no variable, and such a router no
     row.
     """
+    # each node's flow-row terms, in variable order: +1 out, -1 in
+    by_node: dict[int, list[tuple[str, int]]] = {}
     for slot in slots:
         i, j, q = slot
         if i in banned or j in banned:
@@ -293,13 +295,13 @@ def _add_lsp(
         name = m.add_variable(f"{family}_{k}_{i}_{j}_{q}", VarKind.BINARY)
         index.add(family, (k, *slot), name)
         m.add_objective_term(name, coeff)
+        by_node.setdefault(i, []).append((name, 1))
+        by_node.setdefault(j, []).append((name, -1))
 
-    group = index.group(family, k)
     for n in nodes:
         if n in banned:
             continue
-        terms = [(name, 1 if a == n else -1)
-                 for (_k, a, b, _q), name in group if n in (a, b)]
+        terms = by_node.get(n, [])
         rhs = 1 if n == demand.source else -1 if n == demand.destination else 0
         if not terms and rhs == 0:
             continue
@@ -326,6 +328,8 @@ def _add_route(
     slot-existence binary) the route exists exactly when the slot does;
     otherwise the route is unconditional.
     """
+    # each node's flow-row terms, in variable order: +1 out, -1 in
+    by_node: dict[int, list[tuple[str, int]]] = {}
     for arc in arcs:
         if arc[0] in avoid or arc[1] in avoid:
             continue
@@ -333,14 +337,14 @@ def _add_route(
         index.add(family, (slot, arc), name)
         if cost is not None:
             m.add_objective_term(name, cost)
+        by_node.setdefault(arc[0], []).append((name, 1))
+        by_node.setdefault(arc[1], []).append((name, -1))
 
-    group = index.group(family, slot)
     i, j, q = slot
     for n in nodes:
         if n in avoid:
             continue
-        terms = [(name, 1 if arc[0] == n else -1)
-                 for (_s, arc), name in group if n in arc]
+        terms = by_node.get(n, [])
         sign = 1 if n == i else -1 if n == j else 0
         if slot_var is not None and sign != 0:
             terms.append((slot_var, -sign))

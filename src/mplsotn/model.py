@@ -22,8 +22,6 @@ from fractions import Fraction
 from functools import cached_property
 from typing import Iterable, Mapping, Optional
 
-import networkx as nx
-
 MBPS_PER_GBPS = 1000
 
 # (origin, termination, slot): identifies one lightpath between a router pair.
@@ -106,12 +104,6 @@ class PhysicalTopology:
             arcs.append((a, b))
             arcs.append((b, a))
         return tuple(arcs)
-
-    def graph(self) -> nx.Graph:
-        g = nx.Graph()
-        g.add_nodes_from(self.nodes)
-        g.add_edges_from(self.links)
-        return g
 
 
 @dataclass(frozen=True)
@@ -473,6 +465,42 @@ def _gbps_str(mbps: int) -> str:
     return f"{whole}.{frac:03d}".rstrip("0")
 
 
+def _depth_first_scan(topo: PhysicalTopology) -> tuple[int, bool]:
+    """Nodes reached from the first node, and whether one is an articulation point.
+
+    One iterative depth-first scan with discovery order and low-link values
+    (Tarjan, "Depth-first search and linear graph algorithms", 1972). A
+    non-root node cuts the graph when some child's subtree has no back edge
+    above it; the root cuts it when it has two or more tree children. Assumes
+    a simple graph, which the checks before the scan guarantee.
+    """
+    root = topo.nodes[0]
+    order = {root: 0}
+    low = {root: 0}
+    root_children = 0
+    has_cut = False
+    stack = [(root, root, iter(topo.neighbors(root)))]
+    while stack:
+        node, parent, pending = stack[-1]
+        for nxt in pending:
+            if nxt not in order:
+                order[nxt] = low[nxt] = len(order)
+                stack.append((nxt, node, iter(topo.neighbors(nxt))))
+                break
+            if nxt != parent:
+                low[node] = min(low[node], order[nxt])
+        else:
+            stack.pop()
+            if node == root:
+                continue
+            low[parent] = min(low[parent], low[node])
+            if parent == root:
+                root_children += 1
+            elif low[node] >= order[parent]:
+                has_cut = True
+    return len(order), has_cut or root_children > 1
+
+
 def validate_instance(instance: Instance, cfg: Optional[DesignConfig] = None
                       ) -> tuple[Violation, ...]:
     """Structural checks a problem must pass before any model is built."""
@@ -511,11 +539,11 @@ def validate_instance(instance: Instance, cfg: Optional[DesignConfig] = None
         out.append(Violation("bad-interface-limit", "router interface count must be >= 1"))
 
     if not out:
-        g = topo.graph()
-        if not nx.is_connected(g):
+        reached, has_cut = _depth_first_scan(topo)
+        if reached < len(nodes):
             out.append(Violation("disconnected", "physical topology is not connected"))
         elif cfg.survivability is not Survivability.NONE:
-            if len(nodes) < 3 or not nx.is_biconnected(g):
+            if len(nodes) < 3 or has_cut:
                 out.append(Violation(
                     "not-biconnected",
                     "survivable design needs a bi-connected physical topology "

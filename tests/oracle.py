@@ -14,8 +14,6 @@ import itertools
 from fractions import Fraction
 from typing import Mapping, Optional, Sequence
 
-import networkx as nx
-
 from mplsotn.model import (
     CostModel,
     Design,
@@ -96,11 +94,34 @@ def min_slots(bandwidths: Sequence[int], capacity: int) -> Optional[int]:
 def physical_simple_paths(instance: Instance, a: int, b: int,
                           banned_nodes: frozenset[int] = frozenset()
                           ) -> list[tuple[int, ...]]:
-    g = instance.topology.graph()
-    g = g.subgraph([n for n in g.nodes if n not in banned_nodes or n in (a, b)])
-    if a not in g.nodes or b not in g.nodes:
+    """Every simple fiber path a -> b through no banned node but its ends.
+
+    Depth-first over each node's neighbours in link order.
+    """
+    topo = instance.topology
+    allowed = {n for n in topo.nodes if n not in banned_nodes or n in (a, b)}
+    if a not in allowed or b not in allowed:
         return []
-    return [tuple(p) for p in nx.all_simple_paths(g, a, b)]
+    adjacent: dict[int, list[int]] = {n: [] for n in allowed}
+    for x, y in topo.links:
+        if x in allowed and y in allowed:
+            adjacent[x].append(y)
+            adjacent[y].append(x)
+    out: list[tuple[int, ...]] = []
+    path = [a]
+
+    def extend(node: int) -> None:
+        for nxt in adjacent[node]:
+            if nxt == b:
+                out.append((*path, b))
+            elif nxt not in path:
+                path.append(nxt)
+                extend(nxt)
+                path.pop()
+
+    if a != b:
+        extend(a)
+    return out
 
 
 def _links_of(path: Sequence[int]) -> frozenset[Link]:

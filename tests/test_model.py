@@ -1,8 +1,14 @@
 """Value types, derived quantities, and instance validation."""
 
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mplsotn.model import (
     Approach,
@@ -255,3 +261,91 @@ def test_approach_values_round_trip():
     assert Approach("sequential") is Approach.SEQUENTIAL
     assert Approach("integrated") is Approach.INTEGRATED
     assert Survivability("brs") is Survivability.MULTI_INTERLAYER_BRS
+
+
+# -- the connectivity scan ----------------------------------------------------------
+
+
+def reference_topology_codes(nodes, links, protected):
+    """Brute force: a BFS from one node, then again with each node deleted."""
+    def connected_without(gone):
+        live = [n for n in nodes if n != gone]
+        seen = {live[0]}
+        frontier = [live[0]]
+        while frontier:
+            x = frontier.pop()
+            for a, b in links:
+                for u, v in ((a, b), (b, a)):
+                    if u == x and v != gone and v not in seen:
+                        seen.add(v)
+                        frontier.append(v)
+        return len(seen) == len(live)
+
+    if not connected_without(None):
+        return ["disconnected"]
+    if protected and (len(nodes) < 3
+                      or not all(connected_without(n) for n in nodes)):
+        return ["not-biconnected"]
+    return []
+
+
+def topology_codes(nodes, links, protected):
+    option = Survivability.SINGLE_LAYER if protected else Survivability.NONE
+    return [v.code for v in validate_instance(
+        make_instance(nodes, links, []), DesignConfig(survivability=option))]
+
+
+@st.composite
+def simple_graphs(draw):
+    n = draw(st.integers(min_value=2, max_value=9))
+    nodes = draw(st.permutations(range(n)))
+    pairs = [(a, b) for a in range(n) for b in range(a + 1, n)]
+    keep = draw(st.lists(st.booleans(), min_size=len(pairs), max_size=len(pairs)))
+    links = draw(st.permutations([p for p, k in zip(pairs, keep) if k]))
+    return tuple(nodes), tuple(links)
+
+
+@settings(max_examples=200, deadline=None)
+@given(simple_graphs(), st.booleans())
+def test_scan_matches_brute_force(graph, protected):
+    nodes, links = graph
+    assert topology_codes(nodes, links, protected) == \
+        reference_topology_codes(nodes, links, protected)
+
+
+SCAN_CASES = {
+    # name: (nodes, links, codes unprotected, codes protected)
+    "two-node-link": ([1, 2], [(1, 2)], [], ["not-biconnected"]),
+    "path": ([1, 2, 3, 4], [(1, 2), (2, 3), (3, 4)], [], ["not-biconnected"]),
+    "cycle": ([1, 2, 3, 4, 5], [(1, 2), (2, 3), (3, 4), (4, 5), (5, 1)], [], []),
+    "triangles-sharing-a-node": (
+        [1, 2, 3, 4, 5], [(1, 2), (2, 3), (1, 3), (3, 4), (4, 5), (3, 5)],
+        [], ["not-biconnected"]),
+    "cycles-joined-by-a-bridge": (
+        [1, 2, 3, 4, 5, 6, 7, 8],
+        [(1, 2), (2, 3), (3, 4), (4, 1), (4, 5), (5, 6), (6, 7), (7, 8), (8, 5)],
+        [], ["not-biconnected"]),
+    "isolated-node": (
+        [1, 2, 3, 4], [(1, 2), (2, 3), (1, 3)], ["disconnected"], ["disconnected"]),
+}
+
+
+@pytest.mark.parametrize("name", sorted(SCAN_CASES))
+def test_scan_fixed_topologies(name):
+    nodes, links, unprotected, protected = SCAN_CASES[name]
+    assert topology_codes(nodes, links, False) == unprotected
+    assert topology_codes(nodes, links, True) == protected
+    assert reference_topology_codes(nodes, links, False) == unprotected
+    assert reference_topology_codes(nodes, links, True) == protected
+
+
+def test_imports_need_no_networkx():
+    tests = Path(__file__).resolve().parent
+    code = ("import sys\n"
+            "sys.modules['networkx'] = None\n"
+            "import mplsotn, mplsotn.cli, oracle\n")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [str(tests.parent / "src"), str(tests)]))
+    done = subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr

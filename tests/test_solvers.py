@@ -7,8 +7,10 @@ import tempfile
 from fractions import Fraction
 from pathlib import Path
 
+import numpy as np
 import pytest
 
+from mplsotn import solvers
 from mplsotn.milp import MilpModel, SolveStatus, VarKind
 from mplsotn.solvers import (
     DEFAULT_EXTERNAL_TEMPLATE,
@@ -65,6 +67,60 @@ def test_embedded_reports_infeasible():
     m.add_variable("x", VarKind.BINARY)
     m.add_constraint("lo", [("x", 1)], ">=", 2)
     assert solve(m).status is SolveStatus.INFEASIBLE
+
+
+def mixed_coefficient_model() -> MilpModel:
+    """Shared small ints, ints beyond +-256, and non-terminating fractions."""
+    m = MilpModel("mixed")
+    m.add_variable("b", VarKind.BINARY)
+    m.add_variable("n", VarKind.INTEGER, lower=-300, upper=257)
+    m.add_variable("y", VarKind.CONTINUOUS, lower=Fraction(1, 3), upper=1000)
+    m.add_variable("z", VarKind.CONTINUOUS, lower=-2, upper=Fraction(22, 7))
+    for var, coeff in (("b", 3), ("n", -1), ("y", Fraction(2, 3)), ("z", -257)):
+        m.add_objective_term(var, coeff)
+    m.add_constraint("r1", [("b", 1), ("n", 1), ("y", 1)], "<=", 1)
+    m.add_constraint("r2", [("n", 300), ("y", Fraction(-1, 7))], ">=", -90000)
+    m.add_constraint("r3", [("b", -1), ("z", Fraction(5, 3))], "=", Fraction(10, 3))
+    m.add_constraint("r4", [("y", 1), ("z", 1), ("n", -1)], "<=", 1000)
+    return m
+
+
+def test_embedded_assembly_matches_per_term_floats(monkeypatch):
+    m = mixed_coefficient_model()
+    seen = {}
+
+    def capture(**kwargs):
+        seen.update(kwargs)
+        return real(**kwargs)
+
+    real = solvers.scipy_milp
+    monkeypatch.setattr(solvers, "scipy_milp", capture)
+    assert solve(m, gap=0.0).status is SolveStatus.OPTIMAL
+
+    names = [v.name for v in m.variables]
+    col = {name: i for i, name in enumerate(names)}
+    c = np.zeros(len(names))
+    for var, coeff in m.objective_terms:
+        c[col[var]] = float(coeff)
+    matrix = np.zeros((len(m.constraints), len(names)))
+    lo, hi = [], []
+    for r, con in enumerate(m.constraints):
+        for var, coeff in con.terms:
+            matrix[r, col[var]] = float(coeff)
+        lo.append(-np.inf if con.sense == "<=" else float(con.rhs))
+        hi.append(np.inf if con.sense == ">=" else float(con.rhs))
+
+    def same(got, want):
+        got = np.asarray(got, dtype=float)
+        want = np.asarray(want, dtype=float)
+        return got.shape == want.shape and got.tobytes() == want.tobytes()
+
+    assert same(seen["c"], c)
+    assert same(seen["bounds"].lb, [float(v.lower) for v in m.variables])
+    assert same(seen["bounds"].ub, [float(v.upper) for v in m.variables])
+    assert same(seen["constraints"].A.toarray(), matrix)
+    assert same(seen["constraints"].lb, lo)
+    assert same(seen["constraints"].ub, hi)
 
 
 def test_hard_deadline_adds_slack():
