@@ -148,25 +148,15 @@ def _solve_embedded(model: MilpModel, *, gap: float,
     index = {n: i for i, n in enumerate(names)}
     n = len(names)
 
-    # float(Fraction) runs in Python; most coefficients are the same few
-    # shared Fraction objects, so each distinct object is converted once
-    floats: dict[int, float] = {}
-
-    def to_float(x: Fraction) -> float:
-        f = floats.get(id(x))
-        if f is None:
-            f = floats[id(x)] = float(x)
-        return f
-
     c = np.zeros(n)
     for var, coeff in model.objective_terms:
-        c[index[var]] = to_float(coeff)
+        c[index[var]] = float(coeff)
 
     integrality = np.array(
         [0 if v.kind is VarKind.CONTINUOUS else 1 for v in variables]
     )
-    lower = np.array([to_float(v.lower) for v in variables])
-    upper = np.array([to_float(v.upper) for v in variables])
+    lower = np.array([float(v.lower) for v in variables])
+    upper = np.array([float(v.upper) for v in variables])
 
     rows: list[int] = []
     cols: list[int] = []
@@ -177,8 +167,8 @@ def _solve_embedded(model: MilpModel, *, gap: float,
         for var, coeff in con.terms:
             rows.append(r)
             cols.append(index[var])
-            data.append(to_float(coeff))
-        rhs = to_float(con.rhs)
+            data.append(float(coeff))
+        rhs = float(con.rhs)
         if con.sense == "<=":
             lo.append(-np.inf)
             hi.append(rhs)

@@ -22,11 +22,11 @@ from mplsotn.cli import (
 from mplsotn.evaluate import DrillReport, EventOutcome
 from mplsotn.instances import load_instance, save_instance
 from mplsotn.model import Approach, FailureEvent, FailureKind, Violation
-from mplsotn.pipeline import StageInfeasibleError
+from mplsotn.pipeline import StageInfeasibleError, run_design
 from mplsotn.serialize import load_design
 from mplsotn.solvers import ENV_SOLVER_COMMAND
 
-from support import OPTIONS, cached_design, desk, exact_config, mesh_family
+from support import OPTIONS, desk, exact_config, mesh_family
 
 
 @pytest.fixture(scope="module")
@@ -337,7 +337,7 @@ def test_compare_all_matches_lone_runs(name, approach, tmp_path, capsys):
     for option in OPTIONS:
         design_file = out / f"design-{option.value}.json"
         try:
-            alone = cached_design(instance, exact_config(option, approach))
+            alone = run_design(instance, exact_config(option, approach))
         except StageInfeasibleError:
             infeasible.append(option)
             assert not design_file.exists()
