@@ -28,13 +28,11 @@ from .model import (
 )
 from .pipeline import (
     PipelineError,
+    SolveMemo,
     SolverUnavailableError,
     StageInfeasibleError,
-    WorkingLayer,
     manifest_dict,
     run_design,
-    solve_working,
-    working_budget,
 )
 from .serialize import load_design, save_design
 from .solvers import DEFAULT_EXTERNAL_TEMPLATE, ENV_SOLVER_COMMAND, SolverConfig
@@ -78,8 +76,8 @@ def _design_config(args, survivability: Survivability) -> DesignConfig:
 
 
 def _run_one(instance: Instance, cfg: DesignConfig, solver: SolverConfig,
-             working: Optional[WorkingLayer] = None):
-    design = run_design(instance, cfg, solver=solver, working=working)
+             shared: Optional[SolveMemo] = None):
+    design = run_design(instance, cfg, solver=solver, shared=shared)
     violations = evaluate.verify_design(instance, design)
     drill = evaluate.failure_drill(instance, design)
     return design, violations, drill
@@ -159,40 +157,30 @@ def _cmd_run(args) -> int:
 
 
 def _cmd_compare(instance: Instance, args) -> int:
-    """Every option on one working layer, solved once on a pool worker.
+    """Every option on a pool worker, sharing the models they have in common.
 
-    The shared stage gets the smallest budget any option would give it, and
-    keeps its artifacts in the top directory; each option's own stages keep
-    theirs in a subdirectory named after the option. An option that fails
-    becomes a failed row, and the exit code is the highest of any option.
+    One memo serves all options, so a stage model that two options build
+    alike is solved once. Each option keeps its artifacts in a subdirectory
+    named after it. An option that fails becomes a failed row, and the exit
+    code is the highest of any option.
     """
     configs = [_design_config(args, s) for s in Survivability]
     solver = _solver_config(args)
-    budget = min(working_budget(instance, cfg) for cfg in configs)
+    shared = SolveMemo()
 
-    def run_option(cfg: DesignConfig, working: Optional[WorkingLayer]):
+    def run_option(cfg: DesignConfig):
         own = solver
         if solver.keep_artifacts_dir is not None:
             own = replace(solver, keep_artifacts_dir=(
                 solver.keep_artifacts_dir / cfg.survivability.value))
         try:
-            return cfg, _run_one(instance, cfg, own, working)
+            return cfg, _run_one(instance, cfg, own, shared)
         except (PipelineError, ValueError) as exc:
             return cfg, exc
 
-    with ThreadPoolExecutor(max_workers=args.workers) as pool:
-        # stage I does not depend on the option; the NONE config validates
-        # only what every option checks
-        shared = pool.submit(solve_working, instance, configs[0],
-                             solver=solver, budget=budget)
-        try:
-            working = shared.result()
-        except (PipelineError, ValueError) as exc:
-            if not (args.auto_grow_q and isinstance(exc, StageInfeasibleError)):
-                return _report_compare(args, [(cfg, exc) for cfg in configs])
-            working = None  # each option grows q on its own, as a lone run does
-        results = list(pool.map(run_option, configs,
-                                [working] * len(configs)))
+    workers = min(len(configs), os.cpu_count() or 1)
+    with ThreadPoolExecutor(max_workers=workers) as pool:
+        results = list(pool.map(run_option, configs))
     return _report_compare(args, results)
 
 
@@ -279,8 +267,6 @@ def build_parser() -> argparse.ArgumentParser:
                      help="keep LP files, solver output, and metadata in DIR")
     run.add_argument("--compare-all", action="store_true",
                      help="run every survivability option and tabulate")
-    run.add_argument("--workers", type=int, default=2,
-                     help="parallel option runs for --compare-all")
     run.add_argument("--format", choices=["text", "csv"], default="text")
     run.add_argument("-o", "--output-dir", default=None,
                      help="write design and manifest JSON here")

@@ -115,11 +115,6 @@ class MilpModel:
         self._vars[name] = Variable(name, kind, lo, hi)
         return name
 
-    def fix_variable(self, name: str, value) -> None:
-        v = self._vars[name]
-        val = as_fraction(value)
-        self._vars[name] = Variable(v.name, v.kind, val, val)
-
     @property
     def variables(self) -> tuple[Variable, ...]:
         return tuple(self._vars.values())

@@ -12,11 +12,12 @@ still ties the final design back to the stage objectives).
 
 from __future__ import annotations
 
+import threading
 import time
-from dataclasses import dataclass, fields, replace
+from concurrent.futures import Future
+from dataclasses import replace
 from fractions import Fraction
-from types import MappingProxyType
-from typing import Mapping, Optional, Sequence
+from typing import Callable, Mapping, Optional, Sequence
 
 from . import evaluate
 from .formulation import (
@@ -49,7 +50,7 @@ from .model import (
     instance_hash,
     validate_instance,
 )
-from .solvers import SolverConfig, solve
+from .solvers import SolverConfig, keep_artifacts, solve
 
 S_WORK = "working-mpls"
 S_PROT = "protection-mpls"
@@ -127,11 +128,6 @@ def allocate_budgets(instance: Instance, cfg: DesignConfig) -> dict[str, float]:
     shares = {s: max(weight[s] / total, MIN_BUDGET_SHARE) for s in names}
     norm = sum(shares.values())
     return {s: cfg.time_limit_seconds * shares[s] / norm for s in names}
-
-
-def working_budget(instance: Instance, cfg: DesignConfig) -> float:
-    """The share of the time limit ``allocate_budgets`` gives stage I."""
-    return allocate_budgets(instance, cfg)[stage_names(instance, cfg)[0]]
 
 
 # -- decoding -------------------------------------------------------------------
@@ -252,21 +248,74 @@ def _decode_layer(
 
 # -- stage execution ------------------------------------------------------------
 
+# Outcomes that do not depend on the time limit a solve ran under.
+_SETTLED = frozenset({
+    SolveStatus.OPTIMAL,
+    SolveStatus.FEASIBLE_WITHIN_GAP,
+    SolveStatus.INFEASIBLE,
+    SolveStatus.UNBOUNDED,
+    SolveStatus.NO_SOLVER,
+})
+
+
+def _solve_stage(sm: StageModel, gap: float, budget: float,
+                 solver: Optional[SolverConfig]) -> Solution:
+    return solve(sm.model, gap=gap, time_limit=budget, solver=solver,
+                 stage=sm.stage)
+
+
+class SolveMemo:
+    """Stage solutions by model content, for runs that build the same models.
+
+    ``run_design(..., shared=memo)`` looks each stage model up before solving
+    it. The key is the whole model (name, variables, rows, objective) plus the
+    gap and the solver backend and command, so a hit is an equal model. A
+    stored solution is reused only when its status does not depend on the
+    time limit and its solve fits the caller's stage budget; otherwise the
+    caller solves the model itself. A model that another thread is solving is
+    waited for, not solved twice. A hit still writes the caller's kept
+    artifacts.
+    """
+
+    def __init__(self) -> None:
+        self._lock = threading.Lock()
+        self._solutions: dict[tuple, Future] = {}
+
+    def solve(self, sm: StageModel, gap: float, budget: float,
+              solver: Optional[SolverConfig]) -> Solution:
+        config = solver or SolverConfig()
+        m = sm.model
+        key = (m.name, m.variables, m.constraints, m.objective_terms,
+               m.objective_constant, gap, config.backend, config.command)
+        fresh: Future = Future()
+        with self._lock:
+            future = self._solutions.setdefault(key, fresh)
+        if future is fresh:
+            try:
+                sol = _solve_stage(sm, gap, budget, solver)
+            except BaseException as exc:
+                future.set_exception(exc)
+                raise
+            future.set_result(sol)
+            return sol
+        sol = future.result()
+        if sol.status in _SETTLED and sol.wall_seconds <= budget:
+            keep_artifacts(m, sol, config, sm.stage)
+            return sol
+        return _solve_stage(sm, gap, budget, solver)
+
 
 def _run_stage(
     sm: StageModel,
     cfg: DesignConfig,
     budget: float,
     solver: Optional[SolverConfig],
+    shared: Optional[SolveMemo],
     traces: list[StageTrace],
 ) -> Solution:
-    sol = solve(
-        sm.model,
-        gap=cfg.optimality_gap,
-        time_limit=budget,
-        solver=solver,
-        stage=sm.stage,
-    )
+    gap = cfg.optimality_gap
+    sol = (shared.solve(sm, gap, budget, solver) if shared is not None
+           else _solve_stage(sm, gap, budget, solver))
     exact = sm.model.objective_value(sol.values) if sol.status.has_solution else None
     traces.append(StageTrace(
         stage=sm.stage,
@@ -373,107 +422,6 @@ def _check_accounting(design: Design) -> None:
         )
 
 
-# -- stage I: the working layer ------------------------------------------------
-
-
-@dataclass(frozen=True)
-class WorkingInputs:
-    """Everything stage I depends on: the inputs minus the survivability option."""
-
-    instance_hash: str
-    approach: Approach
-    q_max: int
-    interfaces: int
-    gap: float
-    cost_model: CostModel
-
-
-def _working_inputs(instance: Instance, cfg: DesignConfig,
-                   cost_model: CostModel) -> WorkingInputs:
-    return WorkingInputs(
-        instance_hash=instance_hash(instance),
-        approach=cfg.approach,
-        q_max=cfg.effective_q_max(instance),
-        interfaces=cfg.effective_interfaces(instance),
-        gap=cfg.optimality_gap,
-        cost_model=cost_model,
-    )
-
-
-@dataclass(frozen=True)
-class WorkingLayer:
-    """Stage I, solved and decoded: the routed working MPLS layer.
-
-    It is the same for every survivability option, so one layer can serve
-    each option's later stages (see ``run_design``). Under the integrated
-    approach it also holds the fiber routes of its carriers.
-    """
-
-    open_slots: tuple[LightpathKey, ...]
-    working_paths: Mapping[str, tuple[LightpathKey, ...]]
-    carrier_routes: Mapping[LightpathKey, tuple[int, ...]]
-    trace: StageTrace
-    inputs: WorkingInputs
-    seconds: float  # wall time to build, solve and decode it
-
-
-def _validate(instance: Instance, cfg: DesignConfig) -> None:
-    violations = validate_instance(instance, cfg)
-    if violations:
-        raise InvalidInstanceError(violations)
-
-
-def solve_working(
-    instance: Instance,
-    cfg: DesignConfig,
-    cost_model: Optional[CostModel] = None,
-    solver: Optional[SolverConfig] = None,
-    budget: Optional[float] = None,
-) -> WorkingLayer:
-    """Validate, then solve and decode stage I of ``cfg``'s approach.
-
-    ``budget`` is the stage's time limit in seconds; by default it is the
-    share ``allocate_budgets`` gives stage I under ``cfg``.
-    """
-    _validate(instance, cfg)
-    cm = cost_model if cost_model is not None else default_cost_model(instance)
-    if budget is None:
-        budget = working_budget(instance, cfg)
-    return _solve_working(instance, cfg, cm, solver, budget)
-
-
-def _solve_working(
-    instance: Instance,
-    cfg: DesignConfig,
-    cost_model: CostModel,
-    solver: Optional[SolverConfig],
-    budget: float,
-) -> WorkingLayer:
-    start = time.perf_counter()
-    traces: list[StageTrace] = []
-    demands = tuple(enumerate(instance.traffic.demands))
-    carrier_routes: dict[LightpathKey, tuple[int, ...]] = {}
-    if cfg.approach is Approach.INTEGRATED:
-        sm = build_integrated_working(instance, cfg, cost_model)
-        sol = _run_stage(sm, cfg, budget, solver, traces)
-        work_slots, working_paths = _decode_layer(
-            sol, sm, "wb", "wd", demands, route_family="wr"
-        )
-        carrier_routes = _decode_routes(sol, sm, "wr", work_slots)
-    else:
-        sm = build_working_mpls(instance, cfg, cost_model)
-        sol = _run_stage(sm, cfg, budget, solver, traces)
-        work_slots, working_paths = _decode_layer(sol, sm, "wb", "wd", demands)
-    return WorkingLayer(
-        open_slots=work_slots,
-        working_paths=MappingProxyType(working_paths),
-        carrier_routes=MappingProxyType(carrier_routes),
-        trace=traces[0],
-        inputs=_working_inputs(instance, cfg, cost_model),
-        seconds=time.perf_counter() - start,
-    )
-
-
 # -- the two approaches -----------------------------------------------------------
 
 
@@ -481,13 +429,12 @@ def _run_sequential(
     instance: Instance,
     cfg: DesignConfig,
     cost_model: CostModel,
-    solver: Optional[SolverConfig],
-    working: WorkingLayer,
-    budgets: Mapping[str, float],
+    stage: Callable[[StageModel], Solution],
+    traces: Sequence[StageTrace],
 ) -> Design:
-    traces = [working.trace]
     demands = tuple(enumerate(instance.traffic.demands))
-    work_slots, working_paths = working.open_slots, working.working_paths
+    sm = build_working_mpls(instance, cfg, cost_model)
+    work_slots, working_paths = _decode_layer(stage(sm), sm, "wb", "wd", demands)
 
     plan = compute_protection_plan(instance, cfg, working_paths)
     spare_slots: tuple[LightpathKey, ...] = ()
@@ -496,7 +443,7 @@ def _run_sequential(
         sm = build_protection_mpls(
             instance, cfg, cost_model, plan, work_slots, working_paths
         )
-        sol = _run_stage(sm, cfg, budgets[S_PROT], solver, traces)
+        sol = stage(sm)
         protected = [(k, d) for k, d in demands if d.id in plan.protected_demands]
         spare_slots, protection_paths = _decode_layer(
             sol, sm, "pb", "pd", protected
@@ -506,7 +453,7 @@ def _run_sequential(
         instance, cfg, cost_model, work_slots, spare_slots,
         plan, working_paths, protection_paths,
     )
-    sol = _run_stage(sm, cfg, budgets[S_ROUTE], solver, traces)
+    sol = stage(sm)
     carrier_routes = _decode_routes(sol, sm, "wr", work_slots)
     carrier_routes.update(_decode_routes(sol, sm, "sr", spare_slots))
 
@@ -516,7 +463,7 @@ def _run_sequential(
             instance, cfg, cost_model, plan, carrier_routes,
             work_slots, spare_slots, working_paths, protection_paths,
         )
-        sol = _run_stage(sm, cfg, budgets[S_OPROT], solver, traces)
+        sol = stage(sm)
         protection_routes = _decode_routes(
             sol, sm, "pr", plan.protected_carriers(work_slots, spare_slots),
             lenient=True,
@@ -533,14 +480,16 @@ def _run_integrated(
     instance: Instance,
     cfg: DesignConfig,
     cost_model: CostModel,
-    solver: Optional[SolverConfig],
-    working: WorkingLayer,
-    budgets: Mapping[str, float],
+    stage: Callable[[StageModel], Solution],
+    traces: Sequence[StageTrace],
 ) -> Design:
-    traces = [working.trace]
     demands = tuple(enumerate(instance.traffic.demands))
-    work_slots, working_paths = working.open_slots, working.working_paths
-    carrier_routes = dict(working.carrier_routes)
+    sm = build_integrated_working(instance, cfg, cost_model)
+    sol = stage(sm)
+    work_slots, working_paths = _decode_layer(
+        sol, sm, "wb", "wd", demands, route_family="wr"
+    )
+    carrier_routes = _decode_routes(sol, sm, "wr", work_slots)
 
     spare_slots: tuple[LightpathKey, ...] = ()
     protection_paths: dict[str, tuple[LightpathKey, ...]] = {}
@@ -551,7 +500,7 @@ def _run_integrated(
             instance, cfg, cost_model, plan, work_slots, working_paths,
             carrier_routes,
         )
-        sol = _run_stage(sm, cfg, budgets[S_IPROT], solver, traces)
+        sol = stage(sm)
         protected = [(k, d) for k, d in demands if d.id in plan.protected_demands]
         spare_slots, protection_paths = _decode_layer(
             sol, sm, "pb", "pd", protected, route_family="sr"
@@ -577,16 +526,17 @@ def _run(
     cfg: DesignConfig,
     cost_model: CostModel,
     solver: Optional[SolverConfig],
-    working: Optional[WorkingLayer],
+    shared: Optional[SolveMemo],
     budgets: Mapping[str, float],
 ) -> Design:
-    if working is None:
-        first = stage_names(instance, cfg)[0]
-        working = _solve_working(instance, cfg, cost_model, solver,
-                                 budgets[first])
+    traces: list[StageTrace] = []
+
+    def stage(sm: StageModel) -> Solution:
+        return _run_stage(sm, cfg, budgets[sm.stage], solver, shared, traces)
+
     runner = (_run_integrated if cfg.approach is Approach.INTEGRATED
               else _run_sequential)
-    return runner(instance, cfg, cost_model, solver, working, budgets)
+    return runner(instance, cfg, cost_model, stage, traces)
 
 
 def run_design(
@@ -594,45 +544,33 @@ def run_design(
     cfg: DesignConfig,
     cost_model: Optional[CostModel] = None,
     solver: Optional[SolverConfig] = None,
-    working: Optional[WorkingLayer] = None,
+    shared: Optional[SolveMemo] = None,
 ) -> Design:
     """Validate, optimize stage by stage, decode, and account.
 
-    ``working`` is a stage I from ``solve_working`` for the same inputs under
-    any survivability option; without one, stage I is solved here. A layer
-    solved for other inputs raises ``ValueError``.
+    With ``shared``, a stage model already solved through the same memo,
+    by this run or another, is not solved again (see ``SolveMemo``).
 
     With ``auto_grow_q`` set, an infeasible stage is retried once with one
-    more parallel lightpath slot per node pair. The retry solves a fresh
-    working layer, and its stages share only the time left of the limit,
-    counting the time spent on a given layer.
+    more parallel lightpath slot per node pair. The retry's stages share only
+    the time left of the limit, counting any time spent waiting on the memo.
     """
     start = time.perf_counter()
-    _validate(instance, cfg)
+    violations = validate_instance(instance, cfg)
+    if violations:
+        raise InvalidInstanceError(violations)
     cm = cost_model if cost_model is not None else default_cost_model(instance)
-    if working is not None:
-        expected = _working_inputs(instance, cfg, cm)
-        differ = [f.name for f in fields(WorkingInputs)
-                  if getattr(working.inputs, f.name) != getattr(expected, f.name)]
-        if differ:
-            raise ValueError(
-                "working layer was solved for other inputs: "
-                + ", ".join(differ) + " differ"
-            )
     try:
-        return _run(instance, cfg, cm, solver, working,
+        return _run(instance, cfg, cm, solver, shared,
                     allocate_budgets(instance, cfg))
     except StageInfeasibleError:
-        spent = time.perf_counter() - start
-        if working is not None:
-            spent += working.seconds
-        remaining = cfg.time_limit_seconds - spent
+        remaining = cfg.time_limit_seconds - (time.perf_counter() - start)
         if not cfg.auto_grow_q or remaining <= 0:
             raise
     grown = cfg.grown(instance)
     budgets = allocate_budgets(
         instance, replace(grown, time_limit_seconds=remaining))
-    return _run(instance, grown, cm, solver, None, budgets)
+    return _run(instance, grown, cm, solver, shared, budgets)
 
 
 def manifest_dict(design: Design) -> dict:

@@ -16,7 +16,6 @@ model (1e-6 absolute) before being handed to callers.
 
 from __future__ import annotations
 
-import os
 import shlex
 import subprocess
 import sys
@@ -74,13 +73,6 @@ class SolverConfig:
     command: Optional[str] = None
     keep_artifacts_dir: Optional[Path] = None
 
-    @staticmethod
-    def from_environment() -> "SolverConfig":
-        cmd = os.environ.get(ENV_SOLVER_COMMAND)
-        if cmd:
-            return SolverConfig(backend="external", command=cmd)
-        return SolverConfig()
-
 
 def hard_deadline(time_limit: Optional[float]) -> Optional[float]:
     if time_limit is None:
@@ -104,7 +96,7 @@ def solve(model: MilpModel, *, gap: float = 0.0,
             gap=0.0,
             solver_name="trivial",
         )
-        _keep_artifacts(model, sol, solver, stage)
+        keep_artifacts(model, sol, solver, stage)
         return sol
 
     if solver.backend == "embedded":
@@ -125,12 +117,12 @@ def solve(model: MilpModel, *, gap: float = 0.0,
                 sol, status=SolveStatus.ERROR, objective=None, values={}, gap=None,
                 message="solver returned an infeasible point: " + "; ".join(bad[:5]),
             )
-    _keep_artifacts(model, sol, solver, stage)
+    keep_artifacts(model, sol, solver, stage)
     return sol
 
 
-def _keep_artifacts(model: MilpModel, sol: Solution, solver: SolverConfig,
-                    stage: str) -> None:
+def keep_artifacts(model: MilpModel, sol: Solution, solver: SolverConfig,
+                   stage: str) -> None:
     if solver.keep_artifacts_dir is None:
         return
     d = Path(solver.keep_artifacts_dir)

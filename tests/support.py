@@ -3,14 +3,12 @@
 Several test modules compare, verify, and drill the same optimized designs.
 Solving each configuration once per session keeps the suite fast, and it also
 guarantees the failure drills run against exactly the designs whose costs the
-comparison tests assert on. Stage I does not depend on the survivability
-option, so the designs of one instance share one solved working layer, as
-``--compare-all`` does.
+comparison tests assert on. Every design shares one session-wide solve memo,
+so a stage model that several configurations build alike (stage I under
+every option, for one) is solved once, as ``--compare-all`` does.
 """
 
 from __future__ import annotations
-
-from typing import Optional
 
 from mplsotn.instances import (
     five_node_ring_chord,
@@ -30,12 +28,7 @@ from mplsotn.model import (
     instance_hash,
     normalized_link,
 )
-from mplsotn.pipeline import (
-    StageInfeasibleError,
-    WorkingLayer,
-    run_design,
-    solve_working,
-)
+from mplsotn.pipeline import SolveMemo, run_design
 
 OPTIONS = (
     Survivability.NONE,
@@ -65,7 +58,7 @@ DESK_BUILDERS = {
 
 _instances: dict[str, Instance] = {}
 _designs: dict[tuple, tuple[Instance, Design]] = {}
-_working_layers: dict[tuple, WorkingLayer] = {}
+_shared = SolveMemo()
 
 
 def desk(name: str) -> Instance:
@@ -93,31 +86,8 @@ def cached_design(instance: Instance, cfg: DesignConfig) -> Design:
         cfg.auto_grow_q,
     )
     if key not in _designs:
-        _designs[key] = (instance, run_design(
-            instance, cfg, working=_working_layer(instance, cfg)))
+        _designs[key] = (instance, run_design(instance, cfg, shared=_shared))
     return _designs[key][1]
-
-
-def _working_layer(instance: Instance, cfg: DesignConfig
-                   ) -> Optional[WorkingLayer]:
-    """Stage I for ``cfg``'s working inputs, solved once per session.
-
-    None when stage I is infeasible: ``run_design`` then meets the failure
-    itself, and grows the slot limit under ``auto_grow_q`` as it would alone.
-    """
-    key = (
-        instance_hash(instance),
-        cfg.approach,
-        cfg.effective_q_max(instance),
-        cfg.effective_interfaces(instance),
-        cfg.optimality_gap,
-    )
-    if key not in _working_layers:
-        try:
-            _working_layers[key] = solve_working(instance, cfg)
-        except StageInfeasibleError:
-            return None
-    return _working_layers[key]
 
 
 def cached_protected_designs() -> list[tuple[Instance, Design]]:

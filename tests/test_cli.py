@@ -1,14 +1,13 @@
 """Command line behaviour, driven in-process through main(argv)."""
 
 import csv
-import hashlib
 import io
 import json
 import time
 
 import pytest
 
-from mplsotn import evaluate, pipeline
+from mplsotn import cli, evaluate, pipeline
 from mplsotn.cli import (
     EXIT_DRILL_FAILED,
     EXIT_INFEASIBLE,
@@ -21,6 +20,7 @@ from mplsotn.cli import (
 )
 from mplsotn.evaluate import DrillReport, EventOutcome
 from mplsotn.instances import load_instance, save_instance
+from mplsotn.milp import write_model
 from mplsotn.model import Approach, FailureEvent, FailureKind, Violation
 from mplsotn.pipeline import StageInfeasibleError, run_design
 from mplsotn.serialize import load_design
@@ -225,7 +225,7 @@ def test_drill_not_enforced_without_survivability(ring4_file, monkeypatch):
 def test_compare_all(ring4_file, tmp_path, capsys):
     out = tmp_path / "cmp"
     code = main(["run", ring4_file, "--compare-all", "--format", "csv",
-                 "--workers", "2", "-o", str(out)])
+                 "-o", str(out)])
     assert code == EXIT_OK
     for option in ("none", "single", "double", "spare-unprotected", "brs"):
         assert (out / f"design-{option}.json").exists()
@@ -280,8 +280,8 @@ def test_compare_all_reports_a_failed_shared_stage_on_every_row(ring4_file,
     assert err.count("solver unavailable: solver executable") == len(OPTIONS)
 
 
-def test_compare_all_grows_q_per_option_after_a_shared_infeasibility(
-        tmp_path, capsys):
+@pytest.fixture
+def ring3_hot_file(tmp_path):
     # router 1 sends 27 Gbps, but one slot to each of its two peers carries 20
     path = tmp_path / "ring3.json"
     path.write_text(json.dumps({
@@ -296,7 +296,12 @@ def test_compare_all_grows_q_per_option_after_a_shared_infeasibility(
             {"id": "c", "source": 1, "destination": 3, "bandwidth_gbps": "9"},
         ],
     }), encoding="utf-8")
-    args = ["run", str(path), "--compare-all", "--format", "csv"]
+    return str(path)
+
+
+def test_compare_all_grows_q_per_option_after_a_shared_infeasibility(
+        ring3_hot_file, capsys):
+    args = ["run", ring3_hot_file, "--compare-all", "--format", "csv"]
     assert main(args) == EXIT_INFEASIBLE
     out, err = capsys.readouterr()
     assert {r[1] for r in _csv_rows_of(out).values()} == {"failed: infeasible"}
@@ -307,18 +312,54 @@ def test_compare_all_grows_q_per_option_after_a_shared_infeasibility(
     assert not by_option["none"][1].startswith("failed")
 
 
+def test_compare_all_retries_get_the_time_left_after_a_shared_stage(
+        ring3_hot_file, tmp_path, monkeypatch):
+    starts = {}  # option -> when its first attempt began
+    failed = []  # when the shared stage I came back infeasible
+    run, solve = cli.run_design, pipeline.solve
+
+    def timed_run(instance, cfg, **kwargs):
+        starts[cfg.survivability.value] = time.perf_counter()
+        return run(instance, cfg, **kwargs)
+
+    def timed_solve(model, **kwargs):
+        sol = solve(model, **kwargs)
+        if kwargs["stage"] == "working-mpls" and sol.status.value == "infeasible":
+            failed.append(time.perf_counter())
+        return sol
+
+    monkeypatch.setattr(cli, "run_design", timed_run)
+    monkeypatch.setattr(pipeline, "solve", timed_solve)
+    out = tmp_path / "out"
+    main(["run", ring3_hot_file, "--compare-all", "--auto-grow-q",
+          "--time-limit", "60", "-o", str(out)])
+    (shared_end,) = failed  # one solve serves every option's stage I
+    # single-layer protection stays infeasible at two slots per pair
+    retried = [o.value for o in OPTIONS if o.value != "single"]
+    for option in retried:
+        manifest = json.loads((out / f"manifest-{option}.json").read_text())
+        # an option's first attempt lasts at least until the shared stage
+        # it waited on came back
+        first = max(0.0, shared_end - starts[option])
+        assert sum(s["budget_seconds"] for s in manifest["stages"]) <= \
+            60 - first
+
+
 def test_compare_all_solves_the_working_stage_once(ring4_file, monkeypatch):
-    stages = []
+    solved = []  # (stage, LP text, gap) per solve
     solve = pipeline.solve
 
     def counting_solve(model, **kwargs):
-        stages.append(kwargs["stage"])
+        solved.append((kwargs["stage"], write_model(model), kwargs["gap"]))
         return solve(model, **kwargs)
 
     monkeypatch.setattr(pipeline, "solve", counting_solve)
-    assert main(["run", ring4_file, "--compare-all"]) == EXIT_OK
-    assert stages.count("working-mpls") == 1
-    assert len(stages) == 13  # 1 shared, then 1 + 2 + 3 * 3 of the options' own
+    # lone runs of the five options solve 17 and 9 models
+    for approach, distinct in (("sequential", 7), ("integrated", 4)):
+        solved.clear()
+        assert main(["run", ring4_file, "--compare-all",
+                     "--approach", approach]) == EXIT_OK
+        assert len(solved) == len(set(solved)) == distinct
 
 
 @pytest.mark.parametrize("name,approach", [
@@ -354,21 +395,18 @@ def test_compare_all_keeps_every_options_artifacts(ring4_file, tmp_path):
     shared = tmp_path / "shared"
     assert main(["run", ring4_file, "--compare-all",
                  "--keep-artifacts", str(shared)]) == EXIT_OK
-    assert (shared / "working-mpls.lp").exists()
+    # every option keeps its whole chain, shared solves included
+    assert sorted(p.name for p in shared.iterdir()) == sorted(
+        option.value for option in OPTIONS)
 
-    def digest(path):
-        return hashlib.sha256(path.read_bytes()).hexdigest()
+    def contents(directory):
+        return {p.name: p.read_bytes() for p in directory.iterdir()}
 
     for option in OPTIONS:
         alone = tmp_path / "alone" / option.value
         assert main(["run", ring4_file, "--survivability", option.value,
                      "--keep-artifacts", str(alone)]) == EXIT_OK
-        own = shared / option.value
-        assert not (own / "working-mpls.lp").exists()
-        assert digest(own / "lightpath-routing.lp") == \
-            digest(alone / "lightpath-routing.lp")
-        assert digest(shared / "working-mpls.lp") == \
-            digest(alone / "working-mpls.lp")
+        assert contents(shared / option.value) == contents(alone)
 
 
 def test_export_dot(ring4_file, tmp_path, capsys):

@@ -77,14 +77,6 @@ def test_constraint_terms_fold_and_drop_zeros():
     assert row.terms == (("a", Fraction(3)),)
 
 
-def test_fix_variable_pins_bounds():
-    m = MilpModel("fix")
-    m.add_variable("a", VarKind.INTEGER, 0, 9)
-    m.fix_variable("a", 4)
-    v = m.variable("a")
-    assert (v.lower, v.upper) == (Fraction(4), Fraction(4))
-
-
 def test_tags_and_metadata():
     m = small_model()
     assert m.tags() == ("cap",)

@@ -6,17 +6,20 @@ before being written down.
 
 import dataclasses
 import json
+import threading
 from fractions import Fraction
 
 import pytest
 
+from mplsotn import pipeline
 from mplsotn.evaluate import verify_design
 from mplsotn.formulation import StageModel, VarIndex
 from mplsotn.instances import generate_instance
-from mplsotn.milp import MilpModel, Solution, SolveStatus
-from mplsotn.model import Approach, CostModel, DesignConfig, Survivability
+from mplsotn.milp import MilpModel, Solution, SolveStatus, VarKind
+from mplsotn.model import Approach, DesignConfig, Survivability
 from mplsotn.pipeline import (
     DecodeError,
+    SolveMemo,
     SolverUnavailableError,
     StageInfeasibleError,
     allocate_budgets,
@@ -25,7 +28,6 @@ from mplsotn.pipeline import (
     default_cost_model,
     manifest_dict,
     run_design,
-    solve_working,
     stage_names,
 )
 from mplsotn.model import InvalidInstanceError, instance_hash
@@ -179,38 +181,30 @@ def test_auto_grow_q_recovers_from_infeasibility():
     assert design.cost.total == Fraction(129)
 
 
-def test_auto_grow_q_never_reuses_a_given_working_layer():
+def test_auto_grow_q_never_reuses_a_given_working_layer(monkeypatch):
     inst = generate_instance("mesh", 4, seed=1, demand_count=3,
                              bandwidth_profile="mixed")
     cfg = DesignConfig(survivability=Survivability.SINGLE_LAYER, q_max=1,
                        optimality_gap=0.0, auto_grow_q=True)
-    layer = solve_working(inst, dataclasses.replace(
-        cfg, survivability=Survivability.NONE))
-    design = run_design(inst, cfg, working=layer)
+    memo = SolveMemo()
+    plain = run_design(inst, dataclasses.replace(
+        cfg, survivability=Survivability.NONE), shared=memo)
+    solved = []
+    solve = pipeline.solve
+
+    def counting_solve(model, **kwargs):
+        solved.append(kwargs["stage"])
+        return solve(model, **kwargs)
+
+    monkeypatch.setattr(pipeline, "solve", counting_solve)
+    design = run_design(inst, cfg, shared=memo)
     assert design.config.q_max == 2
     assert design.cost.total == Fraction(129)
-    assert design.traces[0] is not layer.trace
-
-
-@pytest.mark.parametrize("change,field", [
-    ({"instance": "ring4-chord"}, "instance_hash"),
-    ({"approach": Approach.INTEGRATED}, "approach"),
-    ({"q_max": 3}, "q_max"),
-    ({"router_interfaces": 5}, "interfaces"),
-    ({"optimality_gap": 0.01}, "gap"),
-    ({"cost_model": CostModel(router_port_cost=Fraction(9))}, "cost_model"),
-], ids=lambda p: p if isinstance(p, str) else None)
-def test_run_design_rejects_a_working_layer_of_other_inputs(ring4, change,
-                                                            field):
-    layer = solve_working(ring4, exact_config(Survivability.NONE))
-    change = dict(change)
-    instance = support.desk(change.pop("instance", "ring4"))
-    cost_model = change.pop("cost_model", None)
-    cfg = dataclasses.replace(exact_config(Survivability.SINGLE_LAYER),
-                              **change)
-    with pytest.raises(ValueError, match="solved for other inputs") as err:
-        run_design(instance, cfg, cost_model=cost_model, working=layer)
-    assert field in str(err.value)
+    # the first attempt takes stage I from the memo; the retry's grown
+    # models are new to it, so each is solved
+    assert solved == ["protection-mpls", "working-mpls", "protection-mpls",
+                      "lightpath-routing"]
+    assert design.traces[0].variables > plain.traces[0].variables
 
 
 def test_missing_external_solver_raises(ring4):
@@ -235,6 +229,135 @@ def test_default_cost_model_lightpath_capacity(ring4):
     assert cm.lightpath_cost == Fraction(17)
     assert cm.wavelength_cost == Fraction(3)
     assert cm.transit_cost_per_gbps == Fraction(4, 5)
+
+
+# -- the solve memo ------------------------------------------------------------
+
+
+def _knapsack_stage(b_weight=3) -> StageModel:
+    m = MilpModel("knap")
+    m.add_variable("a", VarKind.BINARY)
+    m.add_variable("b", VarKind.BINARY)
+    m.add_constraint("cap", [("a", 2), ("b", b_weight)], "<=", 4)
+    m.add_objective_term("a", -5)
+    m.add_objective_term("b", -4)
+    return StageModel(stage="knap", model=m, index=VarIndex())
+
+
+class _StubSolve:
+    """Stands in for ``pipeline.solve``: records calls, returns ``result``."""
+
+    def __init__(self, status=SolveStatus.OPTIMAL, wall=1.0):
+        self.calls = []
+        self.result = Solution(status, None, {}, None, wall_seconds=wall)
+
+    def __call__(self, model, **kwargs):
+        self.calls.append(kwargs)
+        return self.result
+
+
+def test_solve_memo_solves_an_equal_model_once(monkeypatch):
+    stub = _StubSolve()
+    monkeypatch.setattr(pipeline, "solve", stub)
+    memo = SolveMemo()
+    first = memo.solve(_knapsack_stage(), 0.0, 10.0, None)
+    # a separately built model with the same content is a hit
+    assert memo.solve(_knapsack_stage(), 0.0, 10.0, None) is first
+    assert len(stub.calls) == 1
+
+
+@pytest.mark.parametrize("change,solves", [
+    ({"b_weight": 4}, 2),
+    ({"gap": 0.01}, 2),
+    ({"solver": SolverConfig(backend="external", command="a {lp} {sol}")}, 2),
+    ({"solver": SolverConfig(backend="external", command="b {lp} {sol}")}, 2),
+    ({"solver": SolverConfig(keep_artifacts_dir=None)}, 1),
+], ids=["model", "gap", "backend", "command", "default-config"])
+def test_solve_memo_keys_on_model_gap_and_solver(monkeypatch, change, solves):
+    stub = _StubSolve()
+    monkeypatch.setattr(pipeline, "solve", stub)
+    memo = SolveMemo()
+    memo.solve(_knapsack_stage(), 0.0, 10.0, None)
+    memo.solve(_knapsack_stage(change.get("b_weight", 3)),
+               change.get("gap", 0.0), 10.0, change.get("solver"))
+    assert len(stub.calls) == solves
+
+
+@pytest.mark.parametrize("status,wall,solves", [
+    (SolveStatus.OPTIMAL, 1.0, 1),
+    (SolveStatus.INFEASIBLE, 1.0, 1),
+    (SolveStatus.NO_SOLVER, 0.0, 1),
+    (SolveStatus.OPTIMAL, 20.0, 2),
+    (SolveStatus.TIME_LIMIT_FEASIBLE, 1.0, 2),
+    (SolveStatus.ERROR, 1.0, 2),
+], ids=["optimal", "infeasible", "no-solver", "over-budget",
+        "time-limit-feasible", "error"])
+def test_solve_memo_reuses_only_what_the_time_limit_cannot_change(
+        monkeypatch, status, wall, solves):
+    stub = _StubSolve(status, wall)
+    monkeypatch.setattr(pipeline, "solve", stub)
+    memo = SolveMemo()
+    memo.solve(_knapsack_stage(), 0.0, 30.0, None)
+    memo.solve(_knapsack_stage(), 0.0, 10.0, None)
+    assert len(stub.calls) == solves
+    assert stub.calls[-1]["time_limit"] == (30.0 if solves == 1 else 10.0)
+
+
+def test_solve_memo_waits_for_a_model_in_flight(monkeypatch):
+    stub = _StubSolve()
+    entered, release = threading.Event(), threading.Event()
+
+    def slow_solve(model, **kwargs):
+        entered.set()
+        release.wait(10)
+        return stub(model, **kwargs)
+
+    monkeypatch.setattr(pipeline, "solve", slow_solve)
+    memo = SolveMemo()
+    results = []
+
+    def ask():
+        results.append(memo.solve(_knapsack_stage(), 0.0, 10.0, None))
+
+    first = threading.Thread(target=ask)
+    first.start()
+    assert entered.wait(10)
+    second = threading.Thread(target=ask)
+    second.start()
+    second.join(0.1)
+    assert second.is_alive()  # waiting on the first solve, not solving
+    release.set()
+    first.join(10)
+    second.join(10)
+    assert len(stub.calls) == 1
+    assert results[0] is results[1]
+
+
+def test_solve_memo_hands_a_failed_solve_to_later_callers(monkeypatch):
+    calls = []
+
+    def failing_solve(model, **kwargs):
+        calls.append(kwargs)
+        raise ValueError("bad solver command token")
+
+    monkeypatch.setattr(pipeline, "solve", failing_solve)
+    memo = SolveMemo()
+    for _ in range(2):
+        with pytest.raises(ValueError, match="bad solver command token"):
+            memo.solve(_knapsack_stage(), 0.0, 10.0, None)
+    assert len(calls) == 1
+
+
+def test_solve_memo_keeps_artifacts_on_a_hit(tmp_path):
+    memo = SolveMemo()
+    first = memo.solve(_knapsack_stage(), 0.0, 10.0, SolverConfig(
+        keep_artifacts_dir=tmp_path / "first"))
+    assert first.status is SolveStatus.OPTIMAL
+    assert memo.solve(_knapsack_stage(), 0.0, 10.0, SolverConfig(
+        keep_artifacts_dir=tmp_path / "second")) is first
+    for name in ("knap.lp", "knap.meta.json", "knap.sol"):
+        assert (tmp_path / "second" / name).read_bytes() == \
+            (tmp_path / "first" / name).read_bytes()
 
 
 # -- decoding crafted solutions --------------------------------------------------

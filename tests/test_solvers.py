@@ -14,7 +14,6 @@ from mplsotn import solvers
 from mplsotn.milp import MilpModel, SolveStatus, VarKind
 from mplsotn.solvers import (
     DEFAULT_EXTERNAL_TEMPLATE,
-    ENV_SOLVER_COMMAND,
     SolverConfig,
     hard_deadline,
     solve,
@@ -126,15 +125,6 @@ def test_embedded_assembly_matches_per_term_floats(monkeypatch):
 def test_hard_deadline_adds_slack():
     assert hard_deadline(None) is None
     assert hard_deadline(10.0) == pytest.approx(10.0 * 1.1 + 1.0)
-
-
-def test_config_from_environment(monkeypatch):
-    monkeypatch.delenv(ENV_SOLVER_COMMAND, raising=False)
-    assert SolverConfig.from_environment().backend == "embedded"
-    monkeypatch.setenv(ENV_SOLVER_COMMAND, "my-solver {lp} -o {sol}")
-    cfg = SolverConfig.from_environment()
-    assert cfg.backend == "external"
-    assert cfg.command == "my-solver {lp} -o {sol}"
 
 
 def test_unknown_backend_rejected():
