@@ -11,7 +11,6 @@ import argparse
 import json
 import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import replace
 from pathlib import Path
 from typing import Optional
@@ -157,7 +156,7 @@ def _cmd_run(args) -> int:
 
 
 def _cmd_compare(instance: Instance, args) -> int:
-    """Every option on a pool worker, sharing the models they have in common.
+    """Every option one after another, sharing the models they have in common.
 
     One memo serves all options, so a stage model that two options build
     alike is solved once. Each option keeps its artifacts in a subdirectory
@@ -178,9 +177,7 @@ def _cmd_compare(instance: Instance, args) -> int:
         except (PipelineError, ValueError) as exc:
             return cfg, exc
 
-    workers = min(len(configs), os.cpu_count() or 1)
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        results = list(pool.map(run_option, configs))
+    results = [run_option(cfg) for cfg in configs]
     return _report_compare(args, results)
 
 

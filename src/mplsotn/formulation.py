@@ -532,7 +532,7 @@ def build_working_mpls(
         stage="working-mpls",
         model=m,
         index=index,
-        info={"slots": slots, "demand_ids": tuple(d.id for d in demands)},
+        info={"slots": slots},
     )
 
 
@@ -558,7 +558,7 @@ def build_protection_mpls(
     if not plan.protected_demands:
         return StageModel(
             stage="protection-mpls", model=m, index=index,
-            info={"slots": (), "protected": ()},
+            info={"slots": ()},
         )
 
     slots = _slots(instance, cfg)
@@ -605,7 +605,7 @@ def build_protection_mpls(
         stage="protection-mpls",
         model=m,
         index=index,
-        info={"slots": slots, "protected": plan.protected_demands},
+        info={"slots": slots},
     )
 
 
@@ -710,8 +710,6 @@ def build_lightpath_routing_seq(
         stage="lightpath-routing",
         model=m,
         index=index,
-        info={"work_slots": tuple(sorted(work_slots)),
-              "spare_slots": tuple(sorted(spare_slots))},
     )
 
 
@@ -857,7 +855,7 @@ def build_integrated_protection(
     )
     if not plan.protected_demands and not plan.protect_work_carriers:
         return StageModel(stage="integrated-protection", model=base.model,
-                          index=base.index, info={"slots": (), "protected": ()})
+                          index=base.index, info={"slots": ()})
 
     # graft the MPLS-layer protection model, then add the optical layer
     m = base.model
@@ -1030,10 +1028,5 @@ def build_integrated_protection(
         stage="integrated-protection",
         model=m,
         index=index,
-        info={
-            "slots": slots,
-            "protected": plan.protected_demands,
-            "protected_work": protected_work,
-            "spare_capable": tuple(spare_capable),
-        },
+        info={"slots": slots, "protected_work": protected_work},
     )

@@ -13,7 +13,7 @@ from __future__ import annotations
 import enum
 import json
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Mapping, Optional, Sequence
 
@@ -118,9 +118,6 @@ class MilpModel:
     @property
     def variables(self) -> tuple[Variable, ...]:
         return tuple(self._vars.values())
-
-    def variable(self, name: str) -> Variable:
-        return self._vars[name]
 
     def has_variable(self, name: str) -> bool:
         return name in self._vars
@@ -420,9 +417,6 @@ class Solution:
     # (objective constant included); None where the backend reports neither
     node_count: Optional[int] = None
     dual_bound: Optional[float] = None
-
-    def value(self, var: str) -> Fraction:
-        return self.values.get(var, _ZERO)
 
 
 INTEGRALITY_TOLERANCE = 1e-6

@@ -17,10 +17,10 @@ from __future__ import annotations
 import enum
 import hashlib
 import json
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import cached_property
-from typing import Iterable, Mapping, Optional
+from typing import Iterable, Optional
 
 MBPS_PER_GBPS = 1000
 
@@ -131,12 +131,6 @@ class TrafficMatrix:
     def __post_init__(self) -> None:
         object.__setattr__(self, "demands", tuple(self.demands))
 
-    def by_id(self, demand_id: str) -> LspDemand:
-        for d in self.demands:
-            if d.id == demand_id:
-                return d
-        raise KeyError(demand_id)
-
 
 @dataclass(frozen=True)
 class Instance:
@@ -194,7 +188,6 @@ class DesignConfig:
     survivability: Survivability = Survivability.NONE
     approach: Approach = Approach.SEQUENTIAL
     q_max: Optional[int] = None        # None: instance value
-    router_interfaces: Optional[int] = None  # None: instance value / derived
     optimality_gap: float = 0.03
     time_limit_seconds: float = 5 * 3600.0
     # False: transit subtracts terminating bandwidth per path, so a protection
@@ -209,8 +202,6 @@ class DesignConfig:
         return self.q_max if self.q_max is not None else instance.max_parallel_lightpaths
 
     def effective_interfaces(self, instance: Instance) -> int:
-        if self.router_interfaces is not None:
-            return self.router_interfaces
         if instance.router_interfaces is not None:
             return instance.router_interfaces
         return 2 * self.effective_q_max(instance) * (len(instance.topology.nodes) - 1)

@@ -12,16 +12,13 @@ still ties the final design back to the stage objectives).
 
 from __future__ import annotations
 
-import threading
 import time
-from concurrent.futures import Future
 from dataclasses import replace
 from fractions import Fraction
 from typing import Callable, Mapping, Optional, Sequence
 
 from . import evaluate
 from .formulation import (
-    ProtectionPlan,
     StageModel,
     build_integrated_protection,
     build_integrated_working,
@@ -272,14 +269,12 @@ class SolveMemo:
     gap and the solver backend and command, so a hit is an equal model. A
     stored solution is reused only when its status does not depend on the
     time limit and its solve fits the caller's stage budget; otherwise the
-    caller solves the model itself. A model that another thread is solving is
-    waited for, not solved twice. A hit still writes the caller's kept
-    artifacts.
+    caller solves the model itself and the first solution stays stored. A hit
+    still writes the caller's kept artifacts.
     """
 
     def __init__(self) -> None:
-        self._lock = threading.Lock()
-        self._solutions: dict[tuple, Future] = {}
+        self._solutions: dict[tuple, Solution] = {}
 
     def solve(self, sm: StageModel, gap: float, budget: float,
               solver: Optional[SolverConfig]) -> Solution:
@@ -287,22 +282,14 @@ class SolveMemo:
         m = sm.model
         key = (m.name, m.variables, m.constraints, m.objective_terms,
                m.objective_constant, gap, config.backend, config.command)
-        fresh: Future = Future()
-        with self._lock:
-            future = self._solutions.setdefault(key, fresh)
-        if future is fresh:
-            try:
-                sol = _solve_stage(sm, gap, budget, solver)
-            except BaseException as exc:
-                future.set_exception(exc)
-                raise
-            future.set_result(sol)
-            return sol
-        sol = future.result()
-        if sol.status in _SETTLED and sol.wall_seconds <= budget:
+        sol = self._solutions.get(key)
+        if (sol is not None and sol.status in _SETTLED
+                and sol.wall_seconds <= budget):
             keep_artifacts(m, sol, config, sm.stage)
             return sol
-        return _solve_stage(sm, gap, budget, solver)
+        sol = _solve_stage(sm, gap, budget, solver)
+        self._solutions.setdefault(key, sol)
+        return sol
 
 
 def _run_stage(
@@ -553,7 +540,7 @@ def run_design(
 
     With ``auto_grow_q`` set, an infeasible stage is retried once with one
     more parallel lightpath slot per node pair. The retry's stages share only
-    the time left of the limit, counting any time spent waiting on the memo.
+    the time left of the limit.
     """
     start = time.perf_counter()
     violations = validate_instance(instance, cfg)

@@ -49,7 +49,6 @@ def design_to_dict(design: Design) -> dict:
             "survivability": cfg.survivability.value,
             "approach": cfg.approach.value,
             "q_max": cfg.q_max,
-            "router_interfaces": cfg.router_interfaces,
             "optimality_gap": cfg.optimality_gap,
             "time_limit_seconds": cfg.time_limit_seconds,
             "transit_double_count": cfg.transit_double_count,
@@ -140,7 +139,6 @@ def design_from_dict(data: dict) -> Design:
             survivability=Survivability(cfg["survivability"]),
             approach=Approach(cfg["approach"]),
             q_max=cfg["q_max"],
-            router_interfaces=cfg["router_interfaces"],
             optimality_gap=cfg["optimality_gap"],
             time_limit_seconds=cfg["time_limit_seconds"],
             transit_double_count=cfg["transit_double_count"],

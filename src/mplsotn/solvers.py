@@ -22,7 +22,6 @@ import sys
 import tempfile
 import time
 from dataclasses import dataclass, replace
-from fractions import Fraction
 from pathlib import Path
 from typing import Optional
 

@@ -80,7 +80,6 @@ def cached_design(instance: Instance, cfg: DesignConfig) -> Design:
         cfg.survivability,
         cfg.approach,
         cfg.q_max,
-        cfg.router_interfaces,
         cfg.optimality_gap,
         cfg.transit_double_count,
         cfg.auto_grow_q,
@@ -115,10 +114,10 @@ EXACT_SPECS: tuple[tuple[str, int, int, int, str], ...] = (
     ("ring", 5, 2, 2, "mixed"),
     ("ring", 5, 3, 2, "mixed"),
     ("ring", 5, 4, 2, "mixed"),
-    ("ring_plus_chords", 4, 1, 3, "mixed"),
-    ("ring_plus_chords", 4, 2, 3, "mixed"),
-    ("ring_plus_chords", 4, 3, 3, "mixed"),
-    ("ring_plus_chords", 4, 4, 3, "mixed"),
+    ("ring_plus_chords", 4, 1, 2, "mixed"),
+    ("ring_plus_chords", 4, 2, 2, "mixed"),
+    ("ring_plus_chords", 4, 3, 2, "mixed"),
+    ("ring_plus_chords", 4, 4, 2, "mixed"),
     ("ring_plus_chords", 5, 1, 3, "uniform"),
     ("ring_plus_chords", 5, 2, 3, "uniform"),
     ("ring_plus_chords", 5, 3, 3, "uniform"),

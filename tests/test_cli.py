@@ -3,6 +3,7 @@
 import csv
 import io
 import json
+import threading
 import time
 
 import pytest
@@ -19,7 +20,7 @@ from mplsotn.cli import (
     main,
 )
 from mplsotn.evaluate import DrillReport, EventOutcome
-from mplsotn.instances import load_instance, save_instance
+from mplsotn.instances import generate_instance, load_instance, save_instance
 from mplsotn.milp import write_model
 from mplsotn.model import Approach, FailureEvent, FailureKind, Violation
 from mplsotn.pipeline import StageInfeasibleError, run_design
@@ -55,6 +56,19 @@ def test_generate_is_deterministic(tmp_path):
     inst = load_instance(a)
     assert inst.name == "ring-plus-chords5-s7"
     assert len(inst.traffic.demands) == 3
+
+
+@pytest.mark.parametrize("kind,n,most", [
+    ("ring", 4, 2),
+    ("ring", 5, 3),
+    ("ring_plus_chords", 4, 2),
+    ("mesh", 4, 6),
+])
+def test_generate_refuses_more_demands_than_the_kind_has(kind, n, most):
+    assert len(generate_instance(kind, n, demand_count=most)
+               .traffic.demands) == most
+    with pytest.raises(ValueError, match=f"at most {most} demands"):
+        generate_instance(kind, n, demand_count=most + 1)
 
 
 def test_generate_to_stdout(capsys):
@@ -338,8 +352,8 @@ def test_compare_all_retries_get_the_time_left_after_a_shared_stage(
     retried = [o.value for o in OPTIONS if o.value != "single"]
     for option in retried:
         manifest = json.loads((out / f"manifest-{option}.json").read_text())
-        # an option's first attempt lasts at least until the shared stage
-        # it waited on came back
+        # an option that began before the shared stage came back spent
+        # that time on its first attempt
         first = max(0.0, shared_end - starts[option])
         assert sum(s["budget_seconds"] for s in manifest["stages"]) <= \
             60 - first
@@ -360,6 +374,21 @@ def test_compare_all_solves_the_working_stage_once(ring4_file, monkeypatch):
         assert main(["run", ring4_file, "--compare-all",
                      "--approach", approach]) == EXIT_OK
         assert len(solved) == len(set(solved)) == distinct
+
+
+def test_compare_all_runs_every_option_on_the_calling_thread(ring4_file,
+                                                             monkeypatch):
+    threads = {}  # option -> the thread that designed it
+    run = cli.run_design
+
+    def recording_run(instance, cfg, **kwargs):
+        threads[cfg.survivability.value] = threading.get_ident()
+        return run(instance, cfg, **kwargs)
+
+    monkeypatch.setattr(cli, "run_design", recording_run)
+    assert main(["run", ring4_file, "--compare-all"]) == EXIT_OK
+    assert list(threads) == [o.value for o in OPTIONS]
+    assert set(threads.values()) == {threading.get_ident()}
 
 
 @pytest.mark.parametrize("name,approach", [

@@ -82,7 +82,6 @@ def test_config_defaults_resolve_against_instance(ring4):
     assert cfg.effective_interfaces(ring4) == 2 * 2 * 3
 
     assert DesignConfig(q_max=1).effective_q_max(ring4) == 1
-    assert DesignConfig(router_interfaces=5).effective_interfaces(ring4) == 5
 
     fixed = make_instance([1, 2, 3], [(1, 2), (2, 3), (1, 3)], [],
                           router_interfaces=7)
@@ -206,8 +205,8 @@ def test_validation_limit_codes():
     assert "bad-capacity" in codes(validate_instance(
         make_instance([1, 2], [(1, 2)], [], lightpath_capacity_mbps=0)))
     assert "bad-slot-limit" in codes(validate_instance(inst, DesignConfig(q_max=0)))
-    assert "bad-interface-limit" in codes(
-        validate_instance(inst, DesignConfig(router_interfaces=0)))
+    assert "bad-interface-limit" in codes(validate_instance(
+        make_instance([1, 2], [(1, 2)], [], router_interfaces=0)))
     assert "bad-gap" in codes(validate_instance(inst, DesignConfig(optimality_gap=1.0)))
     assert "bad-gap" in codes(validate_instance(inst, DesignConfig(optimality_gap=-0.1)))
     assert "bad-time-limit" in codes(

@@ -6,7 +6,6 @@ before being written down.
 
 import dataclasses
 import json
-import threading
 from fractions import Fraction
 
 import pytest
@@ -303,51 +302,6 @@ def test_solve_memo_reuses_only_what_the_time_limit_cannot_change(
     assert stub.calls[-1]["time_limit"] == (30.0 if solves == 1 else 10.0)
 
 
-def test_solve_memo_waits_for_a_model_in_flight(monkeypatch):
-    stub = _StubSolve()
-    entered, release = threading.Event(), threading.Event()
-
-    def slow_solve(model, **kwargs):
-        entered.set()
-        release.wait(10)
-        return stub(model, **kwargs)
-
-    monkeypatch.setattr(pipeline, "solve", slow_solve)
-    memo = SolveMemo()
-    results = []
-
-    def ask():
-        results.append(memo.solve(_knapsack_stage(), 0.0, 10.0, None))
-
-    first = threading.Thread(target=ask)
-    first.start()
-    assert entered.wait(10)
-    second = threading.Thread(target=ask)
-    second.start()
-    second.join(0.1)
-    assert second.is_alive()  # waiting on the first solve, not solving
-    release.set()
-    first.join(10)
-    second.join(10)
-    assert len(stub.calls) == 1
-    assert results[0] is results[1]
-
-
-def test_solve_memo_hands_a_failed_solve_to_later_callers(monkeypatch):
-    calls = []
-
-    def failing_solve(model, **kwargs):
-        calls.append(kwargs)
-        raise ValueError("bad solver command token")
-
-    monkeypatch.setattr(pipeline, "solve", failing_solve)
-    memo = SolveMemo()
-    for _ in range(2):
-        with pytest.raises(ValueError, match="bad solver command token"):
-            memo.solve(_knapsack_stage(), 0.0, 10.0, None)
-    assert len(calls) == 1
-
-
 def test_solve_memo_keeps_artifacts_on_a_hit(tmp_path):
     memo = SolveMemo()
     first = memo.solve(_knapsack_stage(), 0.0, 10.0, SolverConfig(
@@ -501,6 +455,19 @@ def test_load_design_without_search_statistics(tmp_path, ring4):
     assert loaded == dataclasses.replace(design, traces=tuple(
         dataclasses.replace(t, node_count=None, dual_bound=None)
         for t in design.traces))
+
+
+def test_load_design_with_a_config_interface_limit(tmp_path, ring4):
+    # design files written while the config had its own interface limit
+    # still load; the limit the design used is kept on its logical topology
+    design = cached_design(ring4, exact_config(Survivability.SINGLE_LAYER))
+    doc = design_to_dict(design)
+    assert "router_interfaces" not in doc["config"]
+    for limit in (None, design.logical.router_interfaces):
+        doc["config"]["router_interfaces"] = limit
+        path = tmp_path / "old-design.json"
+        path.write_text(json.dumps(doc))
+        assert load_design(path) == design
 
 
 def test_serialize_round_trip_integrated(ring5_chord):
