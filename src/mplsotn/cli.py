@@ -48,18 +48,22 @@ _OPTIONS = [s.value for s in Survivability]
 
 
 def _solver_config(args) -> SolverConfig:
-    command = getattr(args, "solver_cmd", None) or os.environ.get(ENV_SOLVER_COMMAND)
-    backend = getattr(args, "backend", None)
-    if backend is None:
-        backend = "external" if getattr(args, "solver_cmd", None) else "embedded"
-    if backend == "external" and not command:
+    """The one place that resolves --backend, --solver-cmd and the variable.
+
+    A command from either source selects the external solver; ``--backend
+    embedded`` forces HiGHS in process and refuses a ``--solver-cmd`` it
+    would drop; ``--backend external`` with no command runs the bundled one.
+    """
+    command = args.solver_cmd or os.environ.get(ENV_SOLVER_COMMAND) or None
+    if args.backend == "embedded":
+        if args.solver_cmd:
+            raise ValueError("--backend embedded runs no --solver-cmd; drop one")
+        command = None
+    elif args.backend == "external" and command is None:
         command = DEFAULT_EXTERNAL_TEMPLATE
-    keep = getattr(args, "keep_artifacts", None)
-    return SolverConfig(
-        backend=backend,
-        command=command if backend == "external" else None,
-        keep_artifacts_dir=Path(keep) if keep else None,
-    )
+    keep = args.keep_artifacts
+    return SolverConfig(command=command,
+                        keep_artifacts_dir=Path(keep) if keep else None)
 
 
 def _design_config(args, survivability: Survivability) -> DesignConfig:
@@ -256,7 +260,10 @@ def build_parser() -> argparse.ArgumentParser:
                      help="retry once with one more slot if a stage is infeasible")
     run.add_argument("--double-count-transit", action="store_true",
                      help="book protection-path arrivals as transit traffic")
-    run.add_argument("--backend", choices=["embedded", "external"], default=None)
+    run.add_argument("--backend", choices=["embedded", "external"], default=None,
+                     help="embedded: HiGHS in process; external: the solver"
+                          " command, else the bundled LP-file solver (default:"
+                          " external when a command is set)")
     run.add_argument("--solver-cmd", default=None,
                      help="external solver command template with {lp} and {sol}"
                           f" (also read from ${ENV_SOLVER_COMMAND})")

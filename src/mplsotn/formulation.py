@@ -21,12 +21,12 @@ The sequential approach solves four of these in order (working MPLS,
 protection MPLS, lightpath routing, lightpath protection); the integrated
 approach merges each MPLS stage with its optical stage. Constraint rows are
 tagged with functional names (``working-flow``, ``grooming-capacity``, ...)
-for the model linter and kept artifacts.
+for kept artifacts and tests.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Mapping, Optional, Sequence
 
@@ -82,7 +82,6 @@ class StageModel:
     stage: str
     model: MilpModel
     index: VarIndex
-    info: dict = field(default_factory=dict)
 
 
 @dataclass(frozen=True)
@@ -528,12 +527,7 @@ def build_working_mpls(
     _add_slot_limits(m, index, "wb", slots, nodes,
                      cfg.effective_interfaces(instance))
 
-    return StageModel(
-        stage="working-mpls",
-        model=m,
-        index=index,
-        info={"slots": slots},
-    )
+    return StageModel(stage="working-mpls", model=m, index=index)
 
 
 # -- stage II: protection MPLS ------------------------------------------------
@@ -556,10 +550,7 @@ def build_protection_mpls(
     m = MilpModel("protection-mpls")
     index = VarIndex()
     if not plan.protected_demands:
-        return StageModel(
-            stage="protection-mpls", model=m, index=index,
-            info={"slots": ()},
-        )
+        return StageModel(stage="protection-mpls", model=m, index=index)
 
     slots = _slots(instance, cfg)
     nodes = instance.topology.nodes
@@ -601,12 +592,7 @@ def build_protection_mpls(
     _add_slot_limits(m, index, "pb", slots, nodes,
                      cfg.effective_interfaces(instance), occupied)
 
-    return StageModel(
-        stage="protection-mpls",
-        model=m,
-        index=index,
-        info={"slots": slots},
-    )
+    return StageModel(stage="protection-mpls", model=m, index=index)
 
 
 # -- stage III: lightpath routing (sequential) --------------------------------
@@ -706,11 +692,7 @@ def build_lightpath_routing_seq(
                         terms, "<=", 1, tag="pair-link-disjoint",
                     )
 
-    return StageModel(
-        stage="lightpath-routing",
-        model=m,
-        index=index,
-    )
+    return StageModel(stage="lightpath-routing", model=m, index=index)
 
 
 # -- stage IV: lightpath protection (sequential) -------------------------------
@@ -739,8 +721,7 @@ def build_lightpath_protection(
     index = VarIndex()
     protected = plan.protected_carriers(work_slots, spare_slots)
     if not protected:
-        return StageModel(stage="lightpath-protection", model=m, index=index,
-                          info={"protected_carriers": ()})
+        return StageModel(stage="lightpath-protection", model=m, index=index)
 
     w_limit = instance.topology.wavelengths_per_link
     links = instance.topology.links
@@ -795,12 +776,7 @@ def build_lightpath_protection(
                 w_limit - w1[link] - w2[link], tag="wavelength-capacity",
             )
 
-    return StageModel(
-        stage="lightpath-protection",
-        model=m,
-        index=index,
-        info={"protected_carriers": protected},
-    )
+    return StageModel(stage="lightpath-protection", model=m, index=index)
 
 
 # -- integrated stages ---------------------------------------------------------
@@ -814,7 +790,7 @@ def build_integrated_working(
     m = base.model
     index = base.index
     m.name = "integrated-working"
-    slots = base.info["slots"]
+    slots = _slots(instance, cfg)
     arcs = instance.topology.directed_arcs()
     nodes = instance.topology.nodes
 
@@ -830,8 +806,7 @@ def build_integrated_working(
             tag="wavelength-capacity",
         )
 
-    return StageModel(stage="integrated-working", model=m, index=index,
-                      info=base.info)
+    return StageModel(stage="integrated-working", model=m, index=index)
 
 
 def build_integrated_protection(
@@ -855,13 +830,13 @@ def build_integrated_protection(
     )
     if not plan.protected_demands and not plan.protect_work_carriers:
         return StageModel(stage="integrated-protection", model=base.model,
-                          index=base.index, info={"slots": ()})
+                          index=base.index)
 
     # graft the MPLS-layer protection model, then add the optical layer
     m = base.model
     index = base.index
     m.name = "integrated-protection"
-    slots = base.info.get("slots") or _slots(instance, cfg)
+    slots = _slots(instance, cfg)
     arcs = instance.topology.directed_arcs()
     nodes = instance.topology.nodes
     links = instance.topology.links
@@ -923,7 +898,7 @@ def build_integrated_protection(
                         )
 
     # optical protection for fixed work carriers
-    protected_work = tuple(sorted(work_slots)) if plan.protect_work_carriers else ()
+    protected_work = plan.protected_carriers(work_slots, ())
     _add_carrier_protection(
         m, index, protected_work, carrier_routes, arcs, nodes,
         None if plan.brs_sharing else costs.wavelength_cost,
@@ -1024,9 +999,4 @@ def build_integrated_protection(
             tag="wavelength-capacity",
         )
 
-    return StageModel(
-        stage="integrated-protection",
-        model=m,
-        index=index,
-        info={"slots": slots, "protected_work": protected_work},
-    )
+    return StageModel(stage="integrated-protection", model=m, index=index)

@@ -231,8 +231,9 @@ def generate_instance(
     ``ring``: cycle 1..n, demands pair up diametrically opposite nodes.
     ``ring_plus_chords``: cycle plus seeded chords, same demands as ring.
     ``mesh``: cycle plus chords until mean degree reaches 3, demands drawn
-    from all ordered pairs. A ``demand_count`` above the pairs a kind offers
-    (n - n // 2 on a ring, n(n - 1) / 2 on a mesh) raises ``ValueError``.
+    from all ordered pairs. A ``demand_count`` below 1 or above the pairs a
+    kind offers (n - n // 2 on a ring, n(n - 1) / 2 on a mesh) raises
+    ``ValueError``.
     Identical arguments always produce an identical instance.
     """
     if n < 3:
@@ -269,10 +270,10 @@ def generate_instance(
         all_pairs = [(a, b) for a in nodes for b in nodes if a < b]
         rng.shuffle(all_pairs)
         pairs = sorted(all_pairs[:count])
-    if len(pairs) < count:
+    if count < 1 or len(pairs) < count:
         most = n * (n - 1) // 2 if kind == "mesh" else n - n // 2
-        raise ValueError(f"{kind} with {n} nodes has at most {most} demands, "
-                         f"not {count}")
+        raise ValueError(f"{kind} with {n} nodes has at most {most} demands; "
+                         f"ask for 1 to {most}, not {count}")
 
     bws = _bandwidths(rng, len(pairs), bandwidth_profile)
     demands = tuple(

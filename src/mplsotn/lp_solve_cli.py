@@ -1,7 +1,7 @@
 """Subprocess MILP solver over LP files.
 
-Lets the external-process backend work on machines without a system solver:
-reads an LP file, solves it with the embedded backend, writes a plain
+Lets the external-solver path work on machines without a system solver:
+reads an LP file, solves it with HiGHS in process, writes a plain
 variable-value solution file. Also usable standalone for debugging kept
 artifacts.
 """
@@ -13,7 +13,7 @@ import sys
 from pathlib import Path
 
 from .milp import ModelError, parse_lp, write_solution
-from .solvers import BUNDLED_SOLVER_NAME, SolverConfig, solve
+from .solvers import BUNDLED_SOLVER_NAME, solve
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -44,8 +44,7 @@ def main(argv: list[str] | None = None) -> int:
     time_limit = args.time_limit
     if time_limit is not None and time_limit == float("inf"):
         time_limit = None
-    sol = solve(model, gap=args.gap, time_limit=time_limit,
-                solver=SolverConfig(backend="embedded"))
+    sol = solve(model, gap=args.gap, time_limit=time_limit)
     args.output.write_text(write_solution(sol))
     return 0
 

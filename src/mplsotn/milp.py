@@ -13,11 +13,12 @@ from __future__ import annotations
 import enum
 import json
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterable, Mapping, Optional, Sequence
 
-_NAME_RE = re.compile(r"^[A-Za-z_][A-Za-z0-9_.]*$")
+_NAME = r"[A-Za-z_][A-Za-z0-9_.]*"
+_NAME_RE = re.compile(rf"^{_NAME}$")
 
 
 class VarKind(enum.Enum):
@@ -266,138 +267,89 @@ def write_model(m: MilpModel) -> str:
     return "\n".join(lines) + "\n"
 
 
-_TOKEN_RE = re.compile(
-    r"(<=|>=|=|\+|-|[A-Za-z_][A-Za-z0-9_.]*:|[A-Za-z_][A-Za-z0-9_.]*|[0-9]*\.?[0-9]+(?:[eE][+-]?[0-9]+)?)"
-)
-
-
 def _number(token: str) -> Fraction:
-    if re.fullmatch(r"[0-9]+", token):
-        return Fraction(int(token))
-    if "e" in token or "E" in token:
-        return Fraction(float(token)).limit_denominator(10**15)
-    return Fraction(token)
+    # the writer prints an exponent only for a float repr of a non-terminating
+    # fraction; reading it back through float keeps that text stable
+    try:
+        if "e" in token or "E" in token:
+            return Fraction(float(token)).limit_denominator(10**15)
+        return Fraction(token)
+    except ValueError:
+        raise ModelError(f"bad number {token!r}") from None
+
+
+_NUMBER = r"-?[0-9.eE+-]+"
+# a run of signs (glued on or spaced, several multiply), a coefficient, a name
+_TERM_RE = re.compile(
+    rf"\s*((?:[+-]\s*)*)([0-9]*\.?[0-9]+(?:[eE][+-]?[0-9]+)?)?\s*({_NAME})")
+_BOUND_RE = re.compile(rf"({_NUMBER})\s*<=\s*({_NAME})\s*<=\s*({_NUMBER})")
+_ROW_RE = re.compile(rf"({_NAME})\s*:(.*?)(<=|>=|=)\s*({_NUMBER})")
+_SECTIONS = ("minimize", "subject to", "bounds", "generals", "binaries", "end")
+
+
+def _terms(text: str) -> list[tuple[str, Fraction]]:
+    """The signed terms of an LP expression; ``0 __zero__`` stands for none."""
+    terms: list[tuple[str, Fraction]] = []
+    text, pos = text.rstrip(), 0
+    while pos < len(text):
+        mt = _TERM_RE.match(text, pos)
+        if not mt:
+            raise ModelError(f"unreadable terms: {text!r}")
+        signs, coeff, var = mt.groups()
+        c = _number(coeff) if coeff else Fraction(1)
+        if var != "__zero__":
+            terms.append((var, -c if signs.count("-") % 2 else c))
+        pos = mt.end()
+    return terms
 
 
 def parse_lp(text: str) -> MilpModel:
-    """Parse LP text produced by :func:`write_model` (subset of LP format)."""
-    name = "parsed"
-    constant = Fraction(0)
+    """Parse LP text produced by :func:`write_model` (subset of LP format).
+
+    Each section starts at its header line; every row and bound sits on one
+    line, and the objective may span the lines of its section.
+    """
+    name, constant = "parsed", _ZERO
+    sections: dict[str, list[str]] = {}
+    current: Optional[list[str]] = None
     for line in text.splitlines():
         s = line.strip()
-        if s.startswith("\\ model:"):
-            name = s.split(":", 1)[1].strip()
-        elif s.startswith("\\ objective-constant:"):
-            constant = _number(s.split(":", 1)[1].strip())
-
-    # strip comments, join into one token stream per section
-    body = "\n".join(l for l in text.splitlines() if not l.strip().startswith("\\"))
-    sections: dict[str, str] = {}
-    order = ["minimize", "subject to", "bounds", "generals", "binaries", "end"]
-    lowered = body.lower()
-    marks: list[tuple[int, str]] = []
-    for key in order:
-        idx = lowered.find(key)
-        while idx != -1:
-            # section headers sit on their own line
-            line_start = lowered.rfind("\n", 0, idx) + 1
-            if lowered[line_start:idx].strip() == "" and \
-               lowered[idx + len(key):lowered.find("\n", idx) if lowered.find("\n", idx) != -1 else len(lowered)].strip() == "":
-                marks.append((idx, key))
-                break
-            idx = lowered.find(key, idx + 1)
-    marks.sort()
-    for n, (pos, key) in enumerate(marks):
-        end = marks[n + 1][0] if n + 1 < len(marks) else len(body)
-        sections[key] = body[pos + len(key):end]
-
+        if s.startswith("\\"):
+            if s.startswith("\\ model:"):
+                name = s.split(":", 1)[1].strip()
+            elif s.startswith("\\ objective-constant:"):
+                constant = _number(s.split(":", 1)[1].strip())
+        elif s.lower() in _SECTIONS:
+            current = sections.setdefault(s.lower(), [])
+        elif s and current is not None:
+            current.append(s)
     if "minimize" not in sections or "subject to" not in sections:
         raise ModelError("LP text lacks Minimize / Subject To sections")
 
     m = MilpModel(name)
     m.objective_constant = constant
-
-    kinds: dict[str, VarKind] = {}
-    for key, kind in (("generals", VarKind.INTEGER), ("binaries", VarKind.BINARY)):
-        for tok in sections.get(key, "").split():
-            kinds[tok] = kind
-
-    bounds: dict[str, tuple[Fraction, Fraction]] = {}
-    var_order: list[str] = []
-    for line in sections.get("bounds", "").splitlines():
-        s = line.strip()
-        if not s:
-            continue
-        mt = re.fullmatch(
-            r"(-?[0-9.eE+-]+)\s*<=\s*([A-Za-z_][A-Za-z0-9_.]*)\s*<=\s*(-?[0-9.eE+-]+)", s)
+    kinds = {var: VarKind.INTEGER for line in sections.get("generals", ())
+             for var in line.split()}
+    kinds.update((var, VarKind.BINARY) for line in sections.get("binaries", ())
+                 for var in line.split())
+    for s in sections.get("bounds", ()):
+        mt = _BOUND_RE.fullmatch(s)
         if not mt:
             raise ModelError(f"unsupported bounds line: {s!r}")
         lo, var, hi = mt.groups()
-        bounds[var] = (_number(lo), _number(hi))
-        var_order.append(var)
-    for var in var_order:
-        lo, hi = bounds[var]
-        m.add_variable(var, kinds.get(var, VarKind.CONTINUOUS), lo, hi)
+        m.add_variable(var, kinds.get(var, VarKind.CONTINUOUS), _number(lo), _number(hi))
 
-    def expand_signs(tokens: list[str]) -> list[str]:
-        # some writers glue the sign to the term ("-3 x", "-x"); split it off
-        out: list[str] = []
-        for tok in tokens:
-            while len(tok) > 1 and tok[0] in "+-":
-                out.append(tok[0])
-                tok = tok[1:]
-            if tok:
-                out.append(tok)
-        return out
-
-    def parse_terms(tokens: list[str]) -> list[tuple[str, Fraction]]:
-        terms: list[tuple[str, Fraction]] = []
-        sign = Fraction(1)
-        coeff: Optional[Fraction] = None
-        prev_was_sign = False
-        for tok in expand_signs(tokens):
-            if tok in ("+", "-"):
-                s = Fraction(1) if tok == "+" else Fraction(-1)
-                if prev_was_sign:
-                    sign *= s
-                else:
-                    sign, coeff = s, None
-                prev_was_sign = True
-            elif re.fullmatch(r"[0-9]*\.?[0-9]+(?:[eE][+-]?[0-9]+)?", tok):
-                coeff = _number(tok)
-                prev_was_sign = False
-            else:
-                if tok == "__zero__":
-                    sign, coeff, prev_was_sign = Fraction(1), None, False
-                    continue
-                c = sign * (coeff if coeff is not None else Fraction(1))
-                terms.append((tok, c))
-                sign, coeff, prev_was_sign = Fraction(1), None, False
-        return terms
-
-    obj_tokens = sections["minimize"].split()
-    if obj_tokens and obj_tokens[0].endswith(":"):
-        obj_tokens = obj_tokens[1:]
-    elif "obj:" in sections["minimize"]:
-        obj_tokens = sections["minimize"].split("obj:", 1)[1].split()
-    for var, coeff in parse_terms(obj_tokens):
+    # the objective's label, if any, ends at the first colon
+    for var, coeff in _terms(" ".join(sections["minimize"]).split(":", 1)[-1]):
         if not m.has_variable(var):
             m.add_variable(var, VarKind.CONTINUOUS, 0, 0)
         m.add_objective_term(var, coeff)
-
-    for line in sections["subject to"].splitlines():
-        s = line.strip()
-        if not s:
-            continue
-        if ":" not in s:
-            raise ModelError(f"constraint without name: {s!r}")
-        cname, rest = s.split(":", 1)
-        mt = re.search(r"(<=|>=|=)\s*(-?[0-9.eE+-]+)\s*$", rest)
+    for s in sections["subject to"]:
+        mt = _ROW_RE.fullmatch(s)
         if not mt:
-            raise ModelError(f"constraint without comparison: {s!r}")
-        sense, rhs = mt.group(1), _number(mt.group(2))
-        terms = parse_terms(rest[: mt.start()].split())
-        m.add_constraint(cname.strip(), terms, sense, rhs)
+            raise ModelError(f"unsupported constraint line: {s!r}")
+        cname, lhs, sense, rhs = mt.groups()
+        m.add_constraint(cname, _terms(lhs), sense, _number(rhs))
     return m
 
 
@@ -407,14 +359,14 @@ def parse_lp(text: str) -> MilpModel:
 @dataclass(frozen=True)
 class Solution:
     status: SolveStatus
-    objective: Optional[float]
-    values: Mapping[str, Fraction]
-    gap: Optional[float]
+    objective: Optional[float] = None
+    values: Mapping[str, Fraction] = field(default_factory=dict)
+    gap: Optional[float] = None
     wall_seconds: float = 0.0
     solver_name: str = ""
     message: str = ""
     # branch-and-bound nodes and the proven lower bound on ``objective``
-    # (objective constant included); None where the backend reports neither
+    # (objective constant included); None where the solver reports neither
     node_count: Optional[int] = None
     dual_bound: Optional[float] = None
 
@@ -479,92 +431,70 @@ def check_solution(m: MilpModel, values: Mapping[str, Fraction],
     return bad
 
 
+_CBC_STATUS_RE = re.compile(r"(optimal|infeasible|unbounded|stopped)", re.I)
+# statuses that carry a proof; any other incumbent is only an incumbent
+_PROVEN = {"optimal": SolveStatus.OPTIMAL,
+           "feasible-within-gap": SolveStatus.FEASIBLE_WITHIN_GAP}
+_NO_POINT = {"infeasible": SolveStatus.INFEASIBLE,
+             "unbounded": SolveStatus.UNBOUNDED,
+             "error": SolveStatus.ERROR,
+             "no-solver": SolveStatus.ERROR}
+
+
 def read_solution(text: str, m: MilpModel) -> Solution:
     """Parse a solver's variable-value output file.
 
     Two dialects are recognized: the plain format written by the bundled
-    subprocess solver (comment headers plus ``name value`` lines) and the
-    CBC solution format (status line plus ``index name value dual`` rows).
-    Integer variables are snapped within 1e-6; anything farther is an error.
+    subprocess solver (``# status``/``# gap`` headers plus ``name value``
+    lines) and the CBC solution format (status line plus ``index name value
+    dual`` rows). A stated infeasible, unbounded, error or no-solver status
+    carries no point. Integer variables are snapped within 1e-6; anything
+    farther is an error. The objective is always recomputed exactly.
     """
+    lines = [s for s in (line.strip() for line in text.splitlines()) if s]
+    if not lines:
+        return Solution(SolveStatus.ERROR, message="empty solution file")
     raw: dict[str, float] = {}
-    status_hint: Optional[str] = None
-    objective_hint: Optional[float] = None
-    gap_hint: Optional[float] = None
-
-    lines = [l.rstrip("\n") for l in text.splitlines()]
-    non_empty = [l for l in lines if l.strip()]
-    if not non_empty:
-        return Solution(SolveStatus.ERROR, None, {}, None, message="empty solution file")
-
-    first = non_empty[0].strip()
-    cbc_like = bool(re.match(r"^(Optimal|Infeasible|Unbounded|Stopped)", first, re.I)) \
-        and "#" not in first
-    if cbc_like:
-        status_hint = first.split("-")[0].strip().lower()
-        mt = re.search(r"objective value\s+(-?[0-9.eE+]+)", first)
-        if mt:
-            objective_hint = float(mt.group(1))
-        if "infeasible" in first.lower():
-            return Solution(SolveStatus.INFEASIBLE, None, {}, None, message=first)
-        for line in non_empty[1:]:
+    status, gap = "", None
+    cbc = _CBC_STATUS_RE.match(lines[0])
+    if cbc and "#" not in lines[0]:
+        status = cbc.group(1).lower()
+        for line in lines[1:]:
             parts = line.split()
-            if len(parts) >= 3 and re.fullmatch(r"\d+", parts[0]):
+            if len(parts) >= 3 and parts[0].isdigit():
                 raw[parts[1]] = float(parts[2])
     else:
-        for line in lines:
-            s = line.strip()
-            if not s:
-                continue
+        for s in lines:
             if s.startswith("#"):
-                body = s.lstrip("#").strip()
-                if body.startswith("status"):
-                    status_hint = body.split(None, 1)[1].strip() if " " in body else None
-                elif body.startswith("objective"):
+                key, _, value = s.lstrip("#").strip().partition(" ")
+                key, value = key.rstrip(":"), value.strip()
+                if key == "status":
+                    status = value.lower()
+                elif key == "gap":
                     try:
-                        objective_hint = float(body.split(None, 1)[1])
-                    except (IndexError, ValueError):
-                        pass
-                elif body.startswith("gap"):
-                    try:
-                        gap_hint = float(body.split(None, 1)[1])
-                    except (IndexError, ValueError):
+                        gap = float(value)
+                    except ValueError:
                         pass
                 continue
             parts = s.split()
             if len(parts) != 2:
-                return Solution(SolveStatus.ERROR, None, {}, None,
+                return Solution(SolveStatus.ERROR,
                                 message=f"unparseable solution line: {s!r}")
             try:
                 raw[parts[0]] = float(parts[1])
             except ValueError:
-                return Solution(SolveStatus.ERROR, None, {}, None,
-                                message=f"bad value on line: {s!r}")
+                return Solution(SolveStatus.ERROR, message=f"bad value on line: {s!r}")
 
-    if status_hint and status_hint.lower() in ("infeasible",):
-        return Solution(SolveStatus.INFEASIBLE, None, {}, None, message=text[:200])
-
+    if status in _NO_POINT:
+        return Solution(_NO_POINT[status], message=f"solver reported status {status}")
     snapped, problems = snap_values(m, raw)
     if problems:
-        return Solution(SolveStatus.ERROR, None, {}, None,
-                        message="; ".join(problems[:5]))
-
-    exact = m.objective_value(snapped)
-    low = (status_hint or "").lower()
-    if low == "unbounded":
-        return Solution(SolveStatus.UNBOUNDED, None, {}, None)
-    # a point whose file states no proof (no status, CBC's "Stopped", or
-    # "time-limit-feasible") is an incumbent, never an optimum
-    status = {
-        "optimal": SolveStatus.OPTIMAL,
-        "feasible-within-gap": SolveStatus.FEASIBLE_WITHIN_GAP,
-    }.get(low, SolveStatus.TIME_LIMIT_FEASIBLE)
+        return Solution(SolveStatus.ERROR, message="; ".join(problems[:5]))
     return Solution(
-        status=status,
-        objective=float(exact),
+        status=_PROVEN.get(status, SolveStatus.TIME_LIMIT_FEASIBLE),
+        objective=float(m.objective_value(snapped)),
         values=snapped,
-        gap=gap_hint,
-        message="",
+        gap=gap,
     )
 
 

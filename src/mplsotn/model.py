@@ -352,7 +352,7 @@ class StageTrace:
     time_budget_seconds: float
     solver: str = ""
     # branch-and-bound statistics of the stage's solve (see milp.Solution);
-    # None where the backend reports none, as in design files that predate them
+    # None where the solver reports none, as in design files that predate them
     node_count: Optional[int] = None
     dual_bound: Optional[float] = None
 

@@ -266,7 +266,7 @@ class SolveMemo:
 
     ``run_design(..., shared=memo)`` looks each stage model up before solving
     it. The key is the whole model (name, variables, rows, objective) plus the
-    gap and the solver backend and command, so a hit is an equal model. A
+    gap and the solver command, so a hit is an equal model. A
     stored solution is reused only when its status does not depend on the
     time limit and its solve fits the caller's stage budget; otherwise the
     caller solves the model itself and the first solution stays stored. A hit
@@ -281,7 +281,7 @@ class SolveMemo:
         config = solver or SolverConfig()
         m = sm.model
         key = (m.name, m.variables, m.constraints, m.objective_terms,
-               m.objective_constant, gap, config.backend, config.command)
+               m.objective_constant, gap, config.command)
         sol = self._solutions.get(key)
         if (sol is not None and sol.status in _SETTLED
                 and sol.wall_seconds <= budget):
@@ -494,7 +494,7 @@ def _run_integrated(
         )
         carrier_routes.update(_decode_routes(sol, sm, "sr", spare_slots))
         protection_routes = _decode_routes(
-            sol, sm, "pr", sm.info.get("protected_work", ()), lenient=True
+            sol, sm, "pr", plan.protected_carriers(work_slots, ()), lenient=True
         )
         if plan.protect_spare_carriers:
             protection_routes.update(

@@ -1,16 +1,16 @@
-"""Solver backends behind one contract.
+"""Two MILP solvers behind one contract.
 
-``solve`` takes a model plus gap/time limits and returns a ``Solution``. Two
-backends exist: an embedded one (HiGHS through scipy) that needs no external
-binaries, and an external-process one that writes the model to an LP file,
-runs a configurable command template, and reads the solver's variable-value
-output back. The default external command runs the bundled LP-file solver as
+``solve`` takes a model plus gap/time limits and returns a ``Solution``. With
+no command configured it runs HiGHS in process through scipy, which needs no
+external binaries. With a command template it writes the model to an LP file,
+runs the command, and reads the solver's variable-value output back. The
+default external command runs the bundled LP-file solver as
 ``python -m mplsotn.lp_solve_cli`` with the current interpreter, so the
 external path works in a plain checkout with no install and no system solver.
 After ``pip install`` the same solver is also available standalone as the
 ``mplsotn-lp-solve`` console script.
 
-Every incumbent returned by either backend is feasibility-checked against the
+Every incumbent returned by either solver is feasibility-checked against the
 model (1e-6 absolute) before being handed to callers.
 """
 
@@ -68,7 +68,7 @@ OPTIMAL_GAP_EPSILON = 1e-9
 
 @dataclass(frozen=True)
 class SolverConfig:
-    backend: str = "embedded"  # "embedded" | "external"
+    """``command`` None solves with HiGHS in process; a template runs it."""
     command: Optional[str] = None
     keep_artifacts_dir: Optional[Path] = None
 
@@ -88,23 +88,16 @@ def solve(model: MilpModel, *, gap: float = 0.0,
 
     if not model.variables:
         # nothing to decide; the objective is its constant
-        sol = Solution(
-            status=SolveStatus.OPTIMAL,
-            objective=float(model.objective_constant),
-            values={},
-            gap=0.0,
-            solver_name="trivial",
-        )
+        sol = Solution(SolveStatus.OPTIMAL, float(model.objective_constant),
+                       gap=0.0, solver_name="trivial")
         keep_artifacts(model, sol, solver, stage)
         return sol
 
-    if solver.backend == "embedded":
+    if solver.command is None:
         sol = _solve_embedded(model, gap=gap, time_limit=time_limit)
-    elif solver.backend == "external":
-        sol = _solve_external(model, gap=gap, time_limit=time_limit, solver=solver,
-                              stage=stage)
     else:
-        raise ValueError(f"unknown solver backend {solver.backend!r}")
+        sol = _solve_external(model, solver.command, gap=gap,
+                              time_limit=time_limit, stage=stage)
 
     wall = time.perf_counter() - start
     sol = replace(sol, wall_seconds=wall)
@@ -189,33 +182,28 @@ def _solve_embedded(model: MilpModel, *, gap: float,
         options=options,
     )
 
-    solver_name = f"highs(scipy-{scipy.__version__})"
     # search statistics ride on every outcome, the failed ones included;
     # the dual bound is shifted by the objective constant HiGHS never saw
     nodes = getattr(res, "mip_node_count", None)
     bound = getattr(res, "mip_dual_bound", None)
     stats = {
+        "solver_name": f"highs(scipy-{scipy.__version__})",
         "node_count": int(nodes) if nodes is not None else None,
         "dual_bound": (float(bound) + float(model.objective_constant)
                        if bound is not None and np.isfinite(bound) else None),
     }
     if res.status == 2:
-        return Solution(SolveStatus.INFEASIBLE, None, {}, None,
-                        solver_name=solver_name, message=res.message, **stats)
+        return Solution(SolveStatus.INFEASIBLE, message=res.message, **stats)
     if res.status == 3:
-        return Solution(SolveStatus.UNBOUNDED, None, {}, None,
-                        solver_name=solver_name, message=res.message, **stats)
+        return Solution(SolveStatus.UNBOUNDED, message=res.message, **stats)
     if res.x is None:
-        return Solution(SolveStatus.ERROR, None, {}, None,
-                        solver_name=solver_name,
-                        message=f"no incumbent: {res.message}", **stats)
+        return Solution(SolveStatus.ERROR, message=f"no incumbent: {res.message}",
+                        **stats)
 
     raw = {name: float(x) for name, x in zip(names, res.x)}
     snapped, problems = snap_values(model, raw)
     if problems:
-        return Solution(SolveStatus.ERROR, None, {}, None,
-                        solver_name=solver_name,
-                        message="; ".join(problems[:5]), **stats)
+        return Solution(SolveStatus.ERROR, message="; ".join(problems[:5]), **stats)
 
     achieved = getattr(res, "mip_gap", None)
     achieved = float(achieved) if achieved is not None and np.isfinite(achieved) else None
@@ -228,18 +216,10 @@ def _solve_embedded(model: MilpModel, *, gap: float,
     elif res.status == 1:
         status = SolveStatus.TIME_LIMIT_FEASIBLE
     else:
-        return Solution(SolveStatus.ERROR, None, {}, None,
-                        solver_name=solver_name, message=res.message, **stats)
+        return Solution(SolveStatus.ERROR, message=res.message, **stats)
 
-    exact = model.objective_value(snapped)
-    return Solution(
-        status=status,
-        objective=float(exact),
-        values=snapped,
-        gap=achieved,
-        solver_name=solver_name,
-        **stats,
-    )
+    return Solution(status, float(model.objective_value(snapped)), snapped,
+                    achieved, **stats)
 
 
 def _render_command(template: str, *, lp: Path, sol: Path, gap: float,
@@ -259,40 +239,31 @@ def _render_command(template: str, *, lp: Path, sol: Path, gap: float,
     return argv
 
 
-def _solve_external(model: MilpModel, *, gap: float, time_limit: Optional[float],
-                    solver: SolverConfig, stage: str) -> Solution:
-    if not solver.command:
+def _solve_external(model: MilpModel, command: str, *, gap: float,
+                    time_limit: Optional[float], stage: str) -> Solution:
+    if "{lp}" not in command or "{sol}" not in command:
         return Solution(
-            SolveStatus.NO_SOLVER, None, {}, None,
-            message=(
-                "no external solver command configured; pass --solver-cmd or set "
-                f"${ENV_SOLVER_COMMAND}, e.g. {DEFAULT_EXTERNAL_TEMPLATE!r}"
-            ),
-        )
-    if "{lp}" not in solver.command or "{sol}" not in solver.command:
-        return Solution(
-            SolveStatus.NO_SOLVER, None, {}, None,
+            SolveStatus.NO_SOLVER,
             message="solver command template must use {lp} and {sol} placeholders",
         )
 
     # kept artifacts need no copy from here: solve() writes them afterwards
     with tempfile.TemporaryDirectory(prefix="mplsotn-") as tmp:
-        return _run_external(model, Path(tmp), gap=gap, time_limit=time_limit,
-                             command=solver.command, stage=stage)
+        workdir = Path(tmp)
+        lp_path = workdir / f"{stage}.lp"
+        sol_path = workdir / f"{stage}.sol"
+        lp_path.write_text(write_model(model))
+        (workdir / f"{stage}.meta.json").write_text(write_metadata(model))
+        argv = _render_command(command, lp=lp_path, sol=sol_path, gap=gap,
+                               time_limit=time_limit)
+        sol = _run_external(model, argv, sol_path, time_limit)
+    return replace(sol, solver_name=(BUNDLED_SOLVER_NAME
+                                     if command == DEFAULT_EXTERNAL_TEMPLATE
+                                     else Path(argv[0]).name))
 
 
-def _run_external(model: MilpModel, workdir: Path, *, gap: float,
-                  time_limit: Optional[float], command: str,
-                  stage: str) -> Solution:
-    lp_path = workdir / f"{stage}.lp"
-    sol_path = workdir / f"{stage}.sol"
-    lp_path.write_text(write_model(model))
-    (workdir / f"{stage}.meta.json").write_text(write_metadata(model))
-    argv = _render_command(command, lp=lp_path, sol=sol_path, gap=gap,
-                           time_limit=time_limit)
-    solver_name = (BUNDLED_SOLVER_NAME if command == DEFAULT_EXTERNAL_TEMPLATE
-                   else Path(argv[0]).name)
-
+def _run_external(model: MilpModel, argv: list[str], sol_path: Path,
+                  time_limit: Optional[float]) -> Solution:
     try:
         proc = subprocess.run(
             argv,
@@ -301,34 +272,22 @@ def _run_external(model: MilpModel, workdir: Path, *, gap: float,
             timeout=hard_deadline(time_limit),
         )
     except FileNotFoundError:
-        return Solution(
-            SolveStatus.NO_SOLVER, None, {}, None, solver_name=solver_name,
-            message=f"solver executable {argv[0]!r} not found on PATH",
-        )
+        return Solution(SolveStatus.NO_SOLVER,
+                        message=f"solver executable {argv[0]!r} not found on PATH")
     except subprocess.TimeoutExpired:
         if sol_path.exists():
             sol = read_solution(sol_path.read_text(), model)
             if sol.status.has_solution:
-                return Solution(SolveStatus.TIME_LIMIT_FEASIBLE, sol.objective,
-                                sol.values, sol.gap, solver_name=solver_name)
-        return Solution(SolveStatus.ERROR, None, {}, None, solver_name=solver_name,
+                return replace(sol, status=SolveStatus.TIME_LIMIT_FEASIBLE)
+        return Solution(SolveStatus.ERROR,
                         message="external solver exceeded the hard deadline")
 
     if not sol_path.exists():
         detail = (proc.stderr or proc.stdout or "").strip()[:300]
         if proc.returncode != 0:
-            return Solution(SolveStatus.ERROR, None, {}, None, solver_name=solver_name,
+            return Solution(SolveStatus.ERROR,
                             message=f"solver exited {proc.returncode}: {detail}")
-        return Solution(SolveStatus.ERROR, None, {}, None, solver_name=solver_name,
+        return Solution(SolveStatus.ERROR,
                         message=f"solver wrote no solution file: {detail}")
-
-    sol = read_solution(sol_path.read_text(), model)
-    # re-apply the objective constant for dialects that report bare objectives
-    if sol.status.has_solution:
-        exact = model.objective_value(sol.values)
-        sol = Solution(sol.status, float(exact), sol.values, sol.gap,
-                       solver_name=solver_name, message=sol.message)
-    else:
-        sol = Solution(sol.status, sol.objective, sol.values, sol.gap,
-                       solver_name=solver_name, message=sol.message)
-    return sol
+    # read_solution recomputes the objective exactly, constant included
+    return read_solution(sol_path.read_text(), model)

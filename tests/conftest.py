@@ -16,3 +16,10 @@ def ring4_chord():
 @pytest.fixture(scope="session")
 def ring5_chord():
     return desk("five_node_ring_chord")
+
+
+@pytest.fixture(autouse=True)
+def _no_solver_command_from_the_shell(monkeypatch):
+    # the variable alone routes `mplsotn run` to an external solver; tests
+    # that want it set it themselves
+    monkeypatch.delenv("MPLSOTN_SOLVER_CMD", raising=False)

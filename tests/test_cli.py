@@ -58,17 +58,22 @@ def test_generate_is_deterministic(tmp_path):
     assert len(inst.traffic.demands) == 3
 
 
-@pytest.mark.parametrize("kind,n,most", [
-    ("ring", 4, 2),
-    ("ring", 5, 3),
-    ("ring_plus_chords", 4, 2),
-    ("mesh", 4, 6),
+@pytest.mark.parametrize("kind,n,most,asked", [
+    *(pytest.param(kind, n, most, most + 1, id=f"{kind}-{n}-{most}")
+      for kind, n, most in [("ring", 4, 2), ("ring", 5, 3),
+                            ("ring_plus_chords", 4, 2), ("mesh", 4, 6)]),
+    # a count below 1 is refused too, not read as a slice bound
+    pytest.param("mesh", 4, 6, -1, id="mesh-4-asks-minus-1"),
+    pytest.param("ring", 4, 2, -1, id="ring-4-asks-minus-1"),
+    pytest.param("ring", 4, 2, 0, id="ring-4-asks-0"),
+    pytest.param("ring_plus_chords", 4, 2, 0, id="ring_plus_chords-4-asks-0"),
 ])
-def test_generate_refuses_more_demands_than_the_kind_has(kind, n, most):
+def test_generate_refuses_more_demands_than_the_kind_has(kind, n, most, asked):
     assert len(generate_instance(kind, n, demand_count=most)
                .traffic.demands) == most
-    with pytest.raises(ValueError, match=f"at most {most} demands"):
-        generate_instance(kind, n, demand_count=most + 1)
+    with pytest.raises(ValueError, match=f"at most {most} demands; "
+                                         f"ask for 1 to {most}, not {asked}"):
+        generate_instance(kind, n, demand_count=asked)
 
 
 def test_generate_to_stdout(capsys):
@@ -147,6 +152,29 @@ def test_bad_solver_command_token_is_internal_error(ring4_file, capsys):
                  "--solver-cmd", "python3 {lp} {sol} {bogus}"])
     assert code == EXIT_INTERNAL
     assert "bad solver command token '{bogus}'" in capsys.readouterr().err
+
+
+def test_solver_variable_alone_selects_the_external_solver(
+        ring4_file, monkeypatch, capsys):
+    monkeypatch.setenv(ENV_SOLVER_COMMAND, "no-such-milp-binary {lp} {sol}")
+    assert main(["run", ring4_file]) == EXIT_NO_SOLVER
+    assert "no-such-milp-binary" in capsys.readouterr().err
+
+
+def test_backend_embedded_ignores_the_variable_and_refuses_a_command(
+        ring4_file, tmp_path, monkeypatch, capsys):
+    monkeypatch.setenv(ENV_SOLVER_COMMAND, "no-such-milp-binary {lp} {sol}")
+    out = tmp_path / "out"
+    assert main(["run", ring4_file, "--backend", "embedded",
+                 "-o", str(out)]) == EXIT_OK
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert all(s["solver"].startswith("highs") for s in manifest["stages"])
+
+    capsys.readouterr()
+    code = main(["run", ring4_file, "--backend", "embedded",
+                 "--solver-cmd", "my-solver {lp} {sol}"])
+    assert code == EXIT_INTERNAL
+    assert "--backend embedded runs no --solver-cmd" in capsys.readouterr().err
 
 
 def test_external_backend_defaults_to_bundled_solver(ring4_file, tmp_path,

@@ -210,18 +210,29 @@ def crafted_protection_model(option):
         CRAFTED_WORK, CRAFTED_SPARE, CRAFTED_WP, CRAFTED_PP)
 
 
+def crafted_protected_carriers(option, sm):
+    """The carriers the plan protects, each of which the builder routed."""
+    plan = compute_protection_plan(four_node_ring_chord(), cfg_for(option),
+                                   CRAFTED_WP)
+    carriers = plan.protected_carriers(CRAFTED_WORK, CRAFTED_SPARE)
+    assert {slot for (slot, _arc), _name in sm.index.items("pr")} == set(carriers)
+    return carriers
+
+
 def test_lightpath_protection_dedicated_options():
     # every protection lightpath pays its own wavelengths: work carriers
     # cost 3 + 6 + 6, the spare carrier another 6 when the option covers it
-    sm = crafted_protection_model(Survivability.MULTI_SPARE_UNPROTECTED)
-    assert sm.info["protected_carriers"] == tuple(sorted(CRAFTED_WORK))
+    option = Survivability.MULTI_SPARE_UNPROTECTED
+    sm = crafted_protection_model(option)
+    assert crafted_protected_carriers(option, sm) == tuple(sorted(CRAFTED_WORK))
     tags = set(sm.model.tags())
     assert "wavelength-capacity" in tags
     assert "brs-extra" not in tags and "brs-pool-exclusion" not in tags
     assert solved(sm) == 15
 
-    sm = crafted_protection_model(Survivability.MULTI_DOUBLE)
-    assert sm.info["protected_carriers"] == \
+    option = Survivability.MULTI_DOUBLE
+    sm = crafted_protection_model(option)
+    assert crafted_protected_carriers(option, sm) == \
         tuple(sorted(CRAFTED_WORK + CRAFTED_SPARE))
     assert solved(sm) == 21
 

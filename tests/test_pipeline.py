@@ -208,8 +208,7 @@ def test_auto_grow_q_never_reuses_a_given_working_layer(monkeypatch):
 
 def test_missing_external_solver_raises(ring4):
     cfg = DesignConfig(survivability=Survivability.NONE)
-    solver = SolverConfig(backend="external",
-                          command="no-such-milp-binary {lp} {sol}")
+    solver = SolverConfig(command="no-such-milp-binary {lp} {sol}")
     with pytest.raises(SolverUnavailableError):
         run_design(ring4, cfg, solver=solver)
 
@@ -268,10 +267,9 @@ def test_solve_memo_solves_an_equal_model_once(monkeypatch):
 @pytest.mark.parametrize("change,solves", [
     ({"b_weight": 4}, 2),
     ({"gap": 0.01}, 2),
-    ({"solver": SolverConfig(backend="external", command="a {lp} {sol}")}, 2),
-    ({"solver": SolverConfig(backend="external", command="b {lp} {sol}")}, 2),
+    ({"solver": SolverConfig(command="b {lp} {sol}")}, 2),
     ({"solver": SolverConfig(keep_artifacts_dir=None)}, 1),
-], ids=["model", "gap", "backend", "command", "default-config"])
+], ids=["model", "gap", "command", "default-config"])
 def test_solve_memo_keys_on_model_gap_and_solver(monkeypatch, change, solves):
     stub = _StubSolve()
     monkeypatch.setattr(pipeline, "solve", stub)

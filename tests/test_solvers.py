@@ -1,4 +1,4 @@
-"""Embedded and external solver backends behind the one solve() contract."""
+"""HiGHS in process and external LP-file solvers behind the one solve() contract."""
 
 import json
 import shlex
@@ -127,13 +127,8 @@ def test_hard_deadline_adds_slack():
     assert hard_deadline(10.0) == pytest.approx(10.0 * 1.1 + 1.0)
 
 
-def test_unknown_backend_rejected():
-    with pytest.raises(ValueError):
-        solve(knapsack(), solver=SolverConfig(backend="simplex"))
-
-
 def test_external_via_bundled_script():
-    cfg = SolverConfig(backend="external", command=DEFAULT_EXTERNAL_TEMPLATE)
+    cfg = SolverConfig(command=DEFAULT_EXTERNAL_TEMPLATE)
     sol = solve(knapsack(), gap=0.0, solver=cfg)
     assert sol.status is SolveStatus.OPTIMAL
     assert sol.objective == -8.0
@@ -143,16 +138,12 @@ def test_external_via_bundled_script():
 
 
 def test_external_solver_missing_or_misconfigured():
-    missing = SolverConfig(backend="external",
-                           command="definitely-not-a-solver {lp} -o {sol}")
+    missing = SolverConfig(command="definitely-not-a-solver {lp} -o {sol}")
     sol = solve(knapsack(), solver=missing)
     assert sol.status is SolveStatus.NO_SOLVER
     assert "not found" in sol.message
 
-    unset = SolverConfig(backend="external", command=None)
-    assert solve(knapsack(), solver=unset).status is SolveStatus.NO_SOLVER
-
-    bad_template = SolverConfig(backend="external", command="solver-without-slots")
+    bad_template = SolverConfig(command="solver-without-slots")
     sol = solve(knapsack(), solver=bad_template)
     assert sol.status is SolveStatus.NO_SOLVER
     assert "{lp}" in sol.message
@@ -170,11 +161,26 @@ def test_external_incumbents_are_feasibility_checked(tmp_path):
     m.add_variable("x", VarKind.BINARY)
     m.add_objective_term("x", -1)
     m.add_constraint("ban", [("x", 1)], "<=", 0)
-    cfg = SolverConfig(backend="external",
-                       command=f"{sys.executable} {script} {{lp}} {{sol}}")
+    cfg = SolverConfig(command=f"{sys.executable} {script} {{lp}} {{sol}}")
     sol = solve(m, solver=cfg)
     assert sol.status is SolveStatus.ERROR
     assert "infeasible point" in sol.message
+
+
+@pytest.mark.parametrize("stated", ["error", "no-solver"])
+def test_external_error_status_is_an_error(tmp_path, stated):
+    # the bundled solver writes only this header when its own solve fails;
+    # the file has no point, so it is no all-zero incumbent
+    script = tmp_path / "failing.py"
+    script.write_text(
+        "import sys\n"
+        f"open(sys.argv[2], 'w').write('# status {stated}\\n')\n"
+    )
+    cfg = SolverConfig(command=f"{sys.executable} {script} {{lp}} {{sol}}")
+    sol = solve(knapsack(), solver=cfg)
+    assert sol.status is SolveStatus.ERROR
+    assert stated in sol.message
+    assert sol.objective is None and sol.values == {}
 
 
 def test_keep_artifacts_writes_stage_files(tmp_path):
@@ -192,7 +198,7 @@ def test_keep_artifacts_writes_stage_files(tmp_path):
 
 
 def test_keep_artifacts_on_external_backend(tmp_path):
-    cfg = SolverConfig(backend="external", command=DEFAULT_EXTERNAL_TEMPLATE,
+    cfg = SolverConfig(command=DEFAULT_EXTERNAL_TEMPLATE,
                        keep_artifacts_dir=tmp_path)
     sol = solve(knapsack(), solver=cfg, stage="s2")
     assert sol.status is SolveStatus.OPTIMAL
@@ -209,6 +215,6 @@ def test_external_solves_leave_no_temp_dirs(tmp_path, monkeypatch):
         (f"{python} -c pass {{lp}} {{sol}}", SolveStatus.ERROR),  # writes no file
     ]
     for command, status in cases:
-        cfg = SolverConfig(backend="external", command=command)
+        cfg = SolverConfig(command=command)
         assert solve(knapsack(), solver=cfg).status is status, command
         assert list(tmp_path.glob("mplsotn-*")) == [], command
