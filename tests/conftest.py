@@ -1,5 +1,6 @@
 import pytest
 
+from mplsotn.solvers import ENV_SOLVER_COMMAND
 from support import desk
 
 
@@ -22,4 +23,4 @@ def ring5_chord():
 def _no_solver_command_from_the_shell(monkeypatch):
     # the variable alone routes `mplsotn run` to an external solver; tests
     # that want it set it themselves
-    monkeypatch.delenv("MPLSOTN_SOLVER_CMD", raising=False)
+    monkeypatch.delenv(ENV_SOLVER_COMMAND, raising=False)
