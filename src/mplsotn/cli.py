@@ -1,8 +1,8 @@
 """Command line front end.
 
-Exit codes: 0 success, 1 internal error, 2 invalid instance, 3 solver
-missing, 4 infeasible, 5 verification failure, 6 failure drill found an
-unrestorable event or a restoration contention.
+Exit codes: 0 success, 1 internal error, 2 usage error or invalid
+instance, 3 solver missing, 4 infeasible, 5 verification failure, 6 failure
+drill found an unrestorable event or a restoration contention.
 """
 
 from __future__ import annotations
@@ -47,6 +47,10 @@ EXIT_DRILL_FAILED = 6
 _OPTIONS = [s.value for s in Survivability]
 
 
+class UsageError(Exception):
+    """Arguments the parser accepts but the command refuses (exit 2)."""
+
+
 def _solver_config(args) -> SolverConfig:
     """The one place that resolves --backend, --solver-cmd and the variable.
 
@@ -57,7 +61,7 @@ def _solver_config(args) -> SolverConfig:
     command = args.solver_cmd or os.environ.get(ENV_SOLVER_COMMAND) or None
     if args.backend == "embedded":
         if args.solver_cmd:
-            raise ValueError("--backend embedded runs no --solver-cmd; drop one")
+            raise UsageError("--backend embedded runs no --solver-cmd; drop one")
         command = None
     elif args.backend == "external" and command is None:
         command = DEFAULT_EXTERNAL_TEMPLATE
@@ -114,17 +118,20 @@ def _write_outputs(out_dir: Optional[str], design, suffix: str = "") -> None:
 
 def _cmd_generate(args) -> int:
     profile = args.profile
-    if profile not in ("uniform", "mixed"):
-        profile = [float(x) for x in profile.split(",")]
-    instance = generate_instance(
-        args.kind,
-        args.nodes,
-        seed=args.seed,
-        demand_count=args.demands,
-        bandwidth_profile=profile,
-        name=args.name,
-        wavelengths_per_link=args.wavelengths,
-    )
+    try:
+        if profile not in ("uniform", "mixed"):
+            profile = [float(x) for x in profile.split(",")]
+        instance = generate_instance(
+            args.kind,
+            args.nodes,
+            seed=args.seed,
+            demand_count=args.demands,
+            bandwidth_profile=profile,
+            name=args.name,
+            wavelengths_per_link=args.wavelengths,
+        )
+    except ValueError as exc:
+        raise UsageError(str(exc)) from exc
     text = instance_to_json(instance)
     if args.output:
         Path(args.output).write_text(text, encoding="utf-8")
@@ -286,9 +293,12 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    parser = build_parser()
+    args = parser.parse_args(argv)
     try:
         return args.func(args)
+    except UsageError as exc:
+        parser.error(f"{args.command}: {exc}")  # exits 2, as argparse does
     except (PipelineError, ValueError) as exc:
         code, _reason, message = _failure(exc)
         print(message, file=sys.stderr)

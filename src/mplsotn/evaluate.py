@@ -9,7 +9,7 @@ topology.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from fractions import Fraction
 from typing import Mapping, Optional, Sequence
 
@@ -521,22 +521,20 @@ def verify_design(instance: Instance, design: Design) -> tuple[Violation, ...]:
         instance, design.logical.lightpaths, known_routes,
         design.cost_model, opt, design.config.transit_double_count,
     )
-    m = design.metrics
-    for field_name in (
-        "transit_mbps_per_node", "transit_total_mbps", "working_lightpaths",
-        "spare_lightpaths", "protection_lightpaths", "wavelengths_per_link",
-        "wavelength_total", "extra_wavelengths", "spare_wavelengths",
-        "reuse_factor",
-    ):
-        if getattr(m, field_name) != getattr(metrics, field_name):
+    for field in fields(Metrics):
+        declared = getattr(design.metrics, field.name)
+        recount = getattr(metrics, field.name)
+        if declared != recount:
             v.append(Violation("metrics-mismatch",
-                               f"{field_name}: declared {getattr(m, field_name)!r}, "
-                               f"recomputed {getattr(metrics, field_name)!r}"))
-    for field_name in ("transit", "mpls", "optical"):
-        if getattr(design.cost, field_name) != getattr(cost, field_name):
+                               f"{field.name}: declared {declared!r}, "
+                               f"recomputed {recount!r}"))
+    for field in fields(CostBreakdown):
+        declared = getattr(design.cost, field.name)
+        recount = getattr(cost, field.name)
+        if declared != recount:
             v.append(Violation("cost-mismatch",
-                               f"{field_name} cost: declared {getattr(design.cost, field_name)}, "
-                               f"recomputed {getattr(cost, field_name)}"))
+                               f"{field.name} cost: declared {declared}, "
+                               f"recomputed {recount}"))
     return tuple(v)
 
 

@@ -455,7 +455,7 @@ def read_solution(text: str, m: MilpModel) -> Solution:
     if not lines:
         return Solution(SolveStatus.ERROR, message="empty solution file")
     raw: dict[str, float] = {}
-    status, gap = "", None
+    status, gap, message = "", None, ""
     cbc = _CBC_STATUS_RE.match(lines[0])
     if cbc and "#" not in lines[0]:
         status = cbc.group(1).lower()
@@ -470,6 +470,8 @@ def read_solution(text: str, m: MilpModel) -> Solution:
                 key, value = key.rstrip(":"), value.strip()
                 if key == "status":
                     status = value.lower()
+                elif key == "message":
+                    message = value
                 elif key == "gap":
                     try:
                         gap = float(value)
@@ -486,7 +488,9 @@ def read_solution(text: str, m: MilpModel) -> Solution:
                 return Solution(SolveStatus.ERROR, message=f"bad value on line: {s!r}")
 
     if status in _NO_POINT:
-        return Solution(_NO_POINT[status], message=f"solver reported status {status}")
+        reason = f": {message}" if message and status in ("error", "no-solver") else ""
+        return Solution(_NO_POINT[status],
+                        message=f"solver reported status {status}{reason}")
     snapped, problems = snap_values(m, raw)
     if problems:
         return Solution(SolveStatus.ERROR, message="; ".join(problems[:5]))
@@ -501,6 +505,8 @@ def read_solution(text: str, m: MilpModel) -> Solution:
 def write_solution(sol: Solution) -> str:
     """Plain solution text (sparse: zero variables are omitted)."""
     lines = [f"# status {sol.status.value}"]
+    if sol.message:
+        lines.append("# message " + " ".join(sol.message.split()))
     if sol.objective is not None:
         lines.append(f"# objective {sol.objective!r}")
     if sol.gap is not None:

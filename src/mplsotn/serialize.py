@@ -1,221 +1,99 @@
 """Lossless JSON form of a finished design.
 
-Exact rationals are written as fraction strings ("17/10"), never floats, so a
-reloaded design verifies bit-for-bit against the original instance.
+One codec walks the dataclasses of a design: each value type is written as
+an object holding its fields in field order, exact rationals as fraction
+strings ("17/10", never floats, so a reloaded design verifies bit-for-bit
+against the original instance), enums as their values and tuples as
+arrays. Reading follows the annotated field types back. Beyond that walk
+the document has an envelope (``format``, ``instance.{name,hash}``, and
+the logical topology's ``router_interfaces`` and ``lightpaths`` at the
+top level), and ``LspRoute.demand_id`` is written as ``demand``.
+
+Unknown keys are ignored. A missing key is an error, except for the stage
+trace fields added after the format's first files (``_ADDED_AFTER_1``),
+which take their defaults.
 """
 
 from __future__ import annotations
 
+import enum
+import functools
 import json
+import typing
+from dataclasses import fields, is_dataclass
 from fractions import Fraction
 from pathlib import Path
-from typing import Optional, Union
+from typing import Any, Union
 
-from .model import (
-    Approach,
-    CostBreakdown,
-    CostModel,
-    Design,
-    DesignConfig,
-    Lightpath,
-    LightpathRole,
-    LinkWavelengths,
-    LogicalTopology,
-    LspRoute,
-    Metrics,
-    StageTrace,
-    Survivability,
-)
+from .model import Design, LspRoute, StageTrace
 
 FORMAT = "mplsotn-design/1"
 
+_RENAMED = {(LspRoute, "demand_id"): "demand"}
+_ADDED_AFTER_1 = {(StageTrace, "solver"), (StageTrace, "node_count"),
+                  (StageTrace, "dual_bound")}
+_hints = functools.cache(typing.get_type_hints)
 
-def _frac(f: Optional[Fraction]) -> Optional[str]:
-    return None if f is None else str(f)
+
+def _encode(value: Any) -> Any:
+    if is_dataclass(value):
+        return {_RENAMED.get((type(value), f.name), f.name):
+                _encode(getattr(value, f.name)) for f in fields(value)}
+    if isinstance(value, tuple):
+        return [_encode(v) for v in value]
+    if isinstance(value, Fraction):
+        return str(value)
+    if isinstance(value, enum.Enum):
+        return value.value
+    return value
 
 
-def _unfrac(s) -> Optional[Fraction]:
-    return None if s is None else Fraction(s)
+def _decode(tp: Any, data: Any) -> Any:
+    if data is None:
+        return None
+    origin, args = typing.get_origin(tp), typing.get_args(tp)
+    if origin is Union:  # Optional[X]
+        return _decode(args[0], data)
+    if origin is tuple:
+        if args[-1] is Ellipsis:
+            return tuple(_decode(args[0], v) for v in data)
+        return tuple(_decode(a, v) for a, v in zip(args, data, strict=True))
+    if is_dataclass(tp):
+        hints, values = _hints(tp), {}
+        for f in fields(tp):
+            key = _RENAMED.get((tp, f.name), f.name)
+            if key in data:
+                values[f.name] = _decode(hints[f.name], data[key])
+            elif (tp, f.name) not in _ADDED_AFTER_1:
+                raise KeyError(key)
+        return tp(**values)
+    if tp is Fraction or isinstance(tp, type) and issubclass(tp, enum.Enum):
+        return tp(data)
+    return data
 
 
 def design_to_dict(design: Design) -> dict:
-    cfg = design.config
-    cm = design.cost_model
-    m = design.metrics
+    body = _encode(design)
+    logical = body.pop("logical")
     return {
         "format": FORMAT,
-        "instance": {"name": design.instance_name, "hash": design.instance_hash},
-        "config": {
-            "survivability": cfg.survivability.value,
-            "approach": cfg.approach.value,
-            "q_max": cfg.q_max,
-            "optimality_gap": cfg.optimality_gap,
-            "time_limit_seconds": cfg.time_limit_seconds,
-            "transit_double_count": cfg.transit_double_count,
-            "auto_grow_q": cfg.auto_grow_q,
-        },
-        "cost_model": {
-            "router_port_cost": _frac(Fraction(cm.router_port_cost)),
-            "oxc_port_cost": _frac(Fraction(cm.oxc_port_cost)),
-            "transponder_cost": _frac(Fraction(cm.transponder_cost)),
-            "lightpath_capacity_gbps": _frac(Fraction(cm.lightpath_capacity_gbps)),
-        },
-        "router_interfaces": design.logical.router_interfaces,
-        "lightpaths": [
-            {
-                "origin": lp.origin,
-                "termination": lp.termination,
-                "slot": lp.slot,
-                "role": lp.role.value,
-                "route": list(lp.route),
-            }
-            for lp in design.logical.lightpaths
-        ],
-        "lsp_routes": [
-            {
-                "demand": r.demand_id,
-                "working": [list(k) for k in r.working],
-                "protection": (None if r.protection is None
-                               else [list(k) for k in r.protection]),
-            }
-            for r in design.lsp_routes
-        ],
-        "metrics": {
-            "transit_mbps_per_node": [list(t) for t in m.transit_mbps_per_node],
-            "transit_total_mbps": m.transit_total_mbps,
-            "working_lightpaths": m.working_lightpaths,
-            "spare_lightpaths": m.spare_lightpaths,
-            "protection_lightpaths": m.protection_lightpaths,
-            "wavelengths_per_link": [
-                {
-                    "link": list(lw.link),
-                    "work_carrier": lw.work_carrier,
-                    "spare_carrier": lw.spare_carrier,
-                    "protection": lw.protection,
-                    "extra": lw.extra,
-                }
-                for lw in m.wavelengths_per_link
-            ],
-            "wavelength_total": m.wavelength_total,
-            "extra_wavelengths": m.extra_wavelengths,
-            "spare_wavelengths": m.spare_wavelengths,
-            "reuse_factor": _frac(m.reuse_factor),
-        },
-        "cost": {
-            "transit": _frac(design.cost.transit),
-            "mpls": _frac(design.cost.mpls),
-            "optical": _frac(design.cost.optical),
-        },
-        "traces": [
-            {
-                "stage": t.stage,
-                "variables": t.variables,
-                "constraints": t.constraints,
-                "status": t.status,
-                "objective": t.objective,
-                "objective_exact": _frac(t.objective_exact),
-                "gap": t.gap,
-                "wall_seconds": t.wall_seconds,
-                "time_budget_seconds": t.time_budget_seconds,
-                "solver": t.solver,
-                "node_count": t.node_count,
-                "dual_bound": t.dual_bound,
-            }
-            for t in design.traces
-        ],
+        "instance": {"name": body.pop("instance_name"),
+                     "hash": body.pop("instance_hash")},
+        "config": body.pop("config"),
+        "cost_model": body.pop("cost_model"),
+        "router_interfaces": logical["router_interfaces"],
+        "lightpaths": logical["lightpaths"],
+        **body,
     }
 
 
 def design_from_dict(data: dict) -> Design:
     if data.get("format") != FORMAT:
         raise ValueError(f"not a design document (format={data.get('format')!r})")
-    cfg = data["config"]
-    cm = data["cost_model"]
-    m = data["metrics"]
-    return Design(
-        instance_name=data["instance"]["name"],
-        instance_hash=data["instance"]["hash"],
-        config=DesignConfig(
-            survivability=Survivability(cfg["survivability"]),
-            approach=Approach(cfg["approach"]),
-            q_max=cfg["q_max"],
-            optimality_gap=cfg["optimality_gap"],
-            time_limit_seconds=cfg["time_limit_seconds"],
-            transit_double_count=cfg["transit_double_count"],
-            auto_grow_q=cfg["auto_grow_q"],
-        ),
-        cost_model=CostModel(
-            router_port_cost=_unfrac(cm["router_port_cost"]),
-            oxc_port_cost=_unfrac(cm["oxc_port_cost"]),
-            transponder_cost=_unfrac(cm["transponder_cost"]),
-            lightpath_capacity_gbps=_unfrac(cm["lightpath_capacity_gbps"]),
-        ),
-        logical=LogicalTopology(
-            lightpaths=tuple(
-                Lightpath(
-                    origin=lp["origin"],
-                    termination=lp["termination"],
-                    slot=lp["slot"],
-                    role=LightpathRole(lp["role"]),
-                    route=tuple(lp["route"]),
-                )
-                for lp in data["lightpaths"]
-            ),
-            router_interfaces=data["router_interfaces"],
-        ),
-        lsp_routes=tuple(
-            LspRoute(
-                demand_id=r["demand"],
-                working=tuple(tuple(k) for k in r["working"]),
-                protection=(None if r["protection"] is None
-                            else tuple(tuple(k) for k in r["protection"])),
-            )
-            for r in data["lsp_routes"]
-        ),
-        metrics=Metrics(
-            transit_mbps_per_node=tuple(tuple(t) for t in m["transit_mbps_per_node"]),
-            transit_total_mbps=m["transit_total_mbps"],
-            working_lightpaths=m["working_lightpaths"],
-            spare_lightpaths=m["spare_lightpaths"],
-            protection_lightpaths=m["protection_lightpaths"],
-            wavelengths_per_link=tuple(
-                LinkWavelengths(
-                    link=tuple(lw["link"]),
-                    work_carrier=lw["work_carrier"],
-                    spare_carrier=lw["spare_carrier"],
-                    protection=lw["protection"],
-                    extra=lw["extra"],
-                )
-                for lw in m["wavelengths_per_link"]
-            ),
-            wavelength_total=m["wavelength_total"],
-            extra_wavelengths=m["extra_wavelengths"],
-            spare_wavelengths=m["spare_wavelengths"],
-            reuse_factor=_unfrac(m["reuse_factor"]),
-        ),
-        cost=CostBreakdown(
-            transit=_unfrac(data["cost"]["transit"]),
-            mpls=_unfrac(data["cost"]["mpls"]),
-            optical=_unfrac(data["cost"]["optical"]),
-        ),
-        traces=tuple(
-            StageTrace(
-                stage=t["stage"],
-                variables=t["variables"],
-                constraints=t["constraints"],
-                status=t["status"],
-                objective=t["objective"],
-                objective_exact=_unfrac(t["objective_exact"]),
-                gap=t["gap"],
-                wall_seconds=t["wall_seconds"],
-                time_budget_seconds=t["time_budget_seconds"],
-                solver=t.get("solver", ""),
-                node_count=t.get("node_count"),
-                dual_bound=t.get("dual_bound"),
-            )
-            for t in data["traces"]
-        ),
-    )
+    # the logical topology's fields sit at the top level of the document
+    return _decode(Design, {**data, "logical": data,
+                            "instance_name": data["instance"]["name"],
+                            "instance_hash": data["instance"]["hash"]})
 
 
 def save_design(design: Design, path: Union[str, Path]) -> None:

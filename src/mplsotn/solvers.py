@@ -253,7 +253,6 @@ def _solve_external(model: MilpModel, command: str, *, gap: float,
         lp_path = workdir / f"{stage}.lp"
         sol_path = workdir / f"{stage}.sol"
         lp_path.write_text(write_model(model))
-        (workdir / f"{stage}.meta.json").write_text(write_metadata(model))
         argv = _render_command(command, lp=lp_path, sol=sol_path, gap=gap,
                                time_limit=time_limit)
         sol = _run_external(model, argv, sol_path, time_limit)

@@ -170,11 +170,27 @@ def test_backend_embedded_ignores_the_variable_and_refuses_a_command(
     manifest = json.loads((out / "manifest.json").read_text())
     assert all(s["solver"].startswith("highs") for s in manifest["stages"])
 
+    # a usage error: argparse's exit code 2, not the internal-fault code 1
     capsys.readouterr()
-    code = main(["run", ring4_file, "--backend", "embedded",
-                 "--solver-cmd", "my-solver {lp} {sol}"])
-    assert code == EXIT_INTERNAL
+    with pytest.raises(SystemExit) as exited:
+        main(["run", ring4_file, "--backend", "embedded",
+              "--solver-cmd", "my-solver {lp} {sol}"])
+    assert exited.value.code == 2
     assert "--backend embedded runs no --solver-cmd" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["--nodes", "4", "--demands", "-1"], "at most 2 demands"),
+    (["--nodes", "2"], "at least 3 nodes"),
+    (["--nodes", "4", "--profile", "1,x"], "could not convert"),
+])
+def test_generate_refuses_bad_arguments_as_usage_errors(argv, message, capsys):
+    with pytest.raises(SystemExit) as exited:
+        main(["generate", *argv])
+    assert exited.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "mplsotn: error: generate: " in captured.err and message in captured.err
 
 
 def test_external_backend_defaults_to_bundled_solver(ring4_file, tmp_path,

@@ -295,3 +295,22 @@ def test_write_solution_round_trip():
     again = read_solution(text, m)
     assert again.status is SolveStatus.OPTIMAL
     assert again.values == {"x": Fraction(1), "y": Fraction(0), "z": Fraction(1)}
+
+
+def test_write_solution_keeps_a_failure_message():
+    m = small_model()
+    failed = Solution(SolveStatus.ERROR,
+                      message="no incumbent: Time limit reached\nby HiGHS")
+    text = write_solution(failed)
+    assert "# message no incumbent: Time limit reached by HiGHS\n" in text
+    again = read_solution(text, m)
+    assert again.status is SolveStatus.ERROR
+    assert again.message == ("solver reported status error: "
+                             "no incumbent: Time limit reached by HiGHS")
+    assert read_solution("# status no-solver\n# message boom\n", m).message \
+        == "solver reported status no-solver: boom"
+    # a stated infeasible keeps its plain message; a solved file ignores one
+    assert read_solution("# status infeasible\n# message boom\n", m).message \
+        == "solver reported status infeasible"
+    assert read_solution("# status optimal\n# message boom\nx 1\nz 1\n",
+                         m).status is SolveStatus.OPTIMAL

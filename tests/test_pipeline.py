@@ -7,6 +7,7 @@ before being written down.
 import dataclasses
 import json
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -492,4 +493,33 @@ def test_design_from_dict_rejects_foreign_documents(ring4):
     doc = design_to_dict(cached_design(ring4, exact_config(Survivability.NONE)))
     del doc["cost"]
     with pytest.raises((KeyError, ValueError)):
+        design_from_dict(doc)
+
+
+# ring4 design files written by the serializer that listed every key by
+# hand; they pin format 1 byte for byte
+DATA = Path(__file__).parent / "data"
+DESIGN_FILES = sorted(DATA.glob("*.json"))
+
+
+@pytest.mark.parametrize("path", DESIGN_FILES, ids=lambda p: p.stem)
+def test_committed_design_files_load_and_save_byte_for_byte(path, tmp_path):
+    design = load_design(path)
+    assert design.instance_name == "ring4"
+    assert verify_design(support.desk("ring4"), design) == ()
+    again = tmp_path / path.name
+    save_design(design, again)
+    assert again.read_bytes() == path.read_bytes()
+
+
+@pytest.mark.parametrize("drop", ["survivability", "route"])
+def test_missing_keys_are_rejected_even_where_fields_have_defaults(drop):
+    # DesignConfig.survivability and Lightpath.route have defaults, but only
+    # the stage trace fields added after format 1 may be missing
+    doc = json.loads((DATA / "ring4-brs-sequential.json").read_text())
+    if drop == "survivability":
+        del doc["config"]["survivability"]
+    else:
+        del doc["lightpaths"][0]["route"]
+    with pytest.raises(KeyError, match=drop):
         design_from_dict(doc)

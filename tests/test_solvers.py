@@ -206,6 +206,16 @@ def test_keep_artifacts_on_external_backend(tmp_path):
         assert (tmp_path / f"s2{suffix}").exists()
 
 
+def test_external_failure_message_reaches_the_solution():
+    write = ("import sys; open(sys.argv[1], 'w')"
+             ".write('# status error\\n# message boom\\n')")
+    python = shlex.quote(sys.executable)
+    command = f"{python} -c {shlex.quote(write)} {{sol}} {{lp}}"
+    sol = solve(knapsack(), solver=SolverConfig(command=command))
+    assert sol.status is SolveStatus.ERROR
+    assert sol.message == "solver reported status error: boom"
+
+
 def test_external_solves_leave_no_temp_dirs(tmp_path, monkeypatch):
     monkeypatch.setattr(tempfile, "tempdir", str(tmp_path))
     python = shlex.quote(sys.executable)
