@@ -1,8 +1,9 @@
 """Command line front end.
 
-Exit codes: 0 success, 1 internal error, 2 usage error or invalid
-instance, 3 solver missing, 4 infeasible, 5 verification failure, 6 failure
-drill found an unrestorable event or a restoration contention.
+Exit codes: 0 success, 1 internal error, 2 usage error or an invalid
+instance or design file, 3 solver missing, 4 infeasible, 5 verification
+failure, 6 failure drill found an unrestorable event or a restoration
+contention.
 """
 
 from __future__ import annotations
@@ -223,7 +224,15 @@ def _report_compare(args, results) -> int:
 
 def _cmd_export_dot(args) -> int:
     instance = load_instance(args.instance)
-    design = load_design(args.design) if args.design else None
+    design = None
+    if args.design:
+        try:
+            design = load_design(args.design)
+        except (OSError, KeyError, TypeError, ValueError) as exc:
+            detail = f"missing field {exc}" if isinstance(exc, KeyError) else exc
+            print(f"error: cannot read design {args.design}: {detail}",
+                  file=sys.stderr)
+            return EXIT_INVALID_INSTANCE
     text = topology_dot(instance, design)
     if args.output:
         Path(args.output).write_text(text, encoding="utf-8")

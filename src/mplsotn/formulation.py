@@ -26,6 +26,7 @@ for kept artifacts and tests.
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Mapping, Optional, Sequence
@@ -38,6 +39,7 @@ from .model import (
     LightpathKey,
     Link,
     LspDemand,
+    PhysicalTopology,
     Survivability,
     normalized_link,
 )
@@ -782,15 +784,69 @@ def build_lightpath_protection(
 # -- integrated stages ---------------------------------------------------------
 
 
+def shortest_routes(topology: PhysicalTopology) -> dict[Arc, tuple[int, ...]]:
+    """A fewest-hop route for every ordered node pair, the same on every call.
+
+    One breadth-first search from each node, visiting neighbours in sorted
+    order; a pair's route is the path to its target in that search tree.
+    """
+    routes: dict[Arc, tuple[int, ...]] = {}
+    for source in topology.nodes:
+        found = {source: (source,)}
+        queue = deque([source])
+        while queue:
+            node = queue.popleft()
+            for nb in topology.neighbors(node):
+                if nb not in found:
+                    found[nb] = found[node] + (nb,)
+                    queue.append(nb)
+        routes.update(((source, t), r) for t, r in found.items() if t != source)
+    return routes
+
+
+def route_on_shortest_paths(
+    topology: PhysicalTopology, slots: Iterable[Slot]
+) -> Optional[dict[Slot, tuple[int, ...]]]:
+    """Each slot on its ``shortest_routes`` route, or None if a link overflows.
+
+    Routes that fit every link's ``wavelengths_per_link`` are a feasible
+    routing for the full ``integrated-working`` model, at the wavelength cost
+    its relaxation charged.
+    """
+    routes = shortest_routes(topology)
+    carried = {slot: routes[slot[:2]] for slot in slots}
+    loads = _link_loads(topology.links, carried.values())
+    if any(load > topology.wavelengths_per_link for load in loads.values()):
+        return None
+    return carried
+
+
 def build_integrated_working(
-    instance: Instance, cfg: DesignConfig, costs: CostModel
+    instance: Instance, cfg: DesignConfig, costs: CostModel,
+    relaxed: bool = False,
 ) -> StageModel:
-    """Working MPLS layer and its lightpath routes in one model."""
+    """Working MPLS layer and its lightpath routes in one model.
+
+    With ``relaxed`` it builds the route-free relaxation: without the
+    wavelength-capacity rows an open slot's cheapest route is a shortest
+    path, so the route variables project out and each ``wb`` also pays
+    ``wavelength_cost`` per hop of its ``shortest_routes`` route. Its optimum
+    is a lower bound on the full model's, and ``route_on_shortest_paths``
+    tells whether those routes attain it.
+    """
     base = build_working_mpls(instance, cfg, costs)
     m = base.model
     index = base.index
     m.name = "integrated-working"
     slots = _slots(instance, cfg)
+    if relaxed:
+        routes = shortest_routes(instance.topology)
+        for slot in slots:
+            hops = len(routes[slot[:2]]) - 1
+            m.add_objective_term(index.get("wb", slot),
+                                 costs.wavelength_cost * hops)
+        return StageModel(stage="integrated-working", model=m, index=index)
+
     arcs = instance.topology.directed_arcs()
     nodes = instance.topology.nodes
 

@@ -27,6 +27,7 @@ from .formulation import (
     build_protection_mpls,
     build_working_mpls,
     compute_protection_plan,
+    route_on_shortest_paths,
 )
 from .milp import SolveStatus, Solution
 from .model import (
@@ -467,16 +468,40 @@ def _run_integrated(
     instance: Instance,
     cfg: DesignConfig,
     cost_model: CostModel,
-    stage: Callable[[StageModel], Solution],
-    traces: Sequence[StageTrace],
+    stage: Callable[..., Solution],
+    traces: list[StageTrace],
 ) -> Design:
+    """Stage I with its routes, then, if the option asks, stage II.
+
+    Without protection no later stage reads the routes, so stage I first
+    solves the route-free relaxation of ``integrated-working`` and routes
+    every open slot on its shortest path. If those routes fit every link,
+    the design attains the relaxation's bound and is optimal for the full
+    model; at a nonzero gap the reported gap is against that bound, so it
+    overstates the true gap. If a link overflows, the full model is solved
+    with what is left of the stage budget, and its trace replaces the
+    relaxation's.
+    """
     demands = tuple(enumerate(instance.traffic.demands))
-    sm = build_integrated_working(instance, cfg, cost_model)
-    sol = stage(sm)
-    work_slots, working_paths = _decode_layer(
-        sol, sm, "wb", "wd", demands, route_family="wr"
-    )
-    carrier_routes = _decode_routes(sol, sm, "wr", work_slots)
+    carrier_routes = None
+    budget = None
+    if cfg.survivability is Survivability.NONE:
+        sm = build_integrated_working(instance, cfg, cost_model, relaxed=True)
+        work_slots, working_paths = _decode_layer(
+            stage(sm), sm, "wb", "wd", demands
+        )
+        carrier_routes = route_on_shortest_paths(instance.topology, work_slots)
+        if carrier_routes is None:
+            relaxation = traces.pop()
+            budget = max(0.0, relaxation.time_budget_seconds
+                         - relaxation.wall_seconds)
+    if carrier_routes is None:
+        sm = build_integrated_working(instance, cfg, cost_model)
+        sol = stage(sm, budget)
+        work_slots, working_paths = _decode_layer(
+            sol, sm, "wb", "wd", demands, route_family="wr"
+        )
+        carrier_routes = _decode_routes(sol, sm, "wr", work_slots)
 
     spare_slots: tuple[LightpathKey, ...] = ()
     protection_paths: dict[str, tuple[LightpathKey, ...]] = {}
@@ -518,8 +543,10 @@ def _run(
 ) -> Design:
     traces: list[StageTrace] = []
 
-    def stage(sm: StageModel) -> Solution:
-        return _run_stage(sm, cfg, budgets[sm.stage], solver, shared, traces)
+    def stage(sm: StageModel, budget: Optional[float] = None) -> Solution:
+        if budget is None:
+            budget = budgets[sm.stage]
+        return _run_stage(sm, cfg, budget, solver, shared, traces)
 
     runner = (_run_integrated if cfg.approach is Approach.INTEGRATED
               else _run_sequential)

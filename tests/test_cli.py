@@ -412,8 +412,10 @@ def test_compare_all_solves_the_working_stage_once(ring4_file, monkeypatch):
         return solve(model, **kwargs)
 
     monkeypatch.setattr(pipeline, "solve", counting_solve)
-    # lone runs of the five options solve 17 and 9 models
-    for approach, distinct in (("sequential", 7), ("integrated", 4)):
+    # lone runs of the five options solve 17 and 9 models; under the
+    # integrated approach `none` solves stage I's route-free relaxation, a
+    # model of its own, and the four protected options share the full one
+    for approach, distinct in (("sequential", 7), ("integrated", 5)):
         solved.clear()
         assert main(["run", ring4_file, "--compare-all",
                      "--approach", approach]) == EXIT_OK
@@ -497,3 +499,21 @@ def test_export_dot(ring4_file, tmp_path, capsys):
     # plain topology export goes to stdout
     assert main(["export-dot", ring4_file]) == EXIT_OK
     assert capsys.readouterr().out.startswith("graph")
+
+
+@pytest.mark.parametrize("case", ["missing", "envelope-only", "wrong-field",
+                                  "instance-file"])
+def test_export_dot_rejects_an_unreadable_design(case, ring4_file, tmp_path,
+                                                  capsys):
+    design = tmp_path / "design.json"
+    if case == "envelope-only":
+        design.write_text('{"format": "mplsotn-design/1"}')
+    elif case == "wrong-field":
+        design.write_text('{"format": "mplsotn-design/1", "instance": 3}')
+    elif case == "instance-file":
+        design = ring4_file
+    code = main(["export-dot", ring4_file, "--design", str(design)])
+    assert code == EXIT_INVALID_INSTANCE
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: cannot read design {design}: ")
+    assert "Traceback" not in err

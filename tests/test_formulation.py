@@ -18,8 +18,10 @@ from mplsotn.formulation import (
     compute_protection_plan,
     demand_physical_path_links,
     demand_physical_path_nodes,
+    route_on_shortest_paths,
+    shortest_routes,
 )
-from mplsotn.instances import four_node_ring_chord
+from mplsotn.instances import four_node_ring_chord, generate_instance
 from mplsotn.model import (
     DesignConfig,
     Instance,
@@ -30,6 +32,8 @@ from mplsotn.model import (
 )
 from mplsotn.pipeline import default_cost_model
 from mplsotn.solvers import solve
+
+from support import desk, mesh_family
 
 
 def cfg_for(option) -> DesignConfig:
@@ -280,6 +284,63 @@ def test_integrated_working_joins_both_layers(ring4):
     assert {"working-flow", "grooming-capacity", "lightpath-flow",
             "wavelength-capacity"} <= tags
     assert solved(sm) == 23  # lightpath 17 plus two wavelengths
+
+
+@pytest.mark.parametrize("name,optimum", [
+    ("ring4", 23),
+    ("ring4-chord", 20),
+    ("ring5-chord", 46),
+    ("fam-5-s0", Fraction(971, 5)),
+])
+def test_route_free_relaxation_attains_the_full_optimum(name, optimum):
+    inst = mesh_family(5, 0) if name == "fam-5-s0" else desk(name)
+    costs = default_cost_model(inst)
+    full = build_integrated_working(inst, DesignConfig(), costs)
+    relaxed = build_integrated_working(inst, DesignConfig(), costs, relaxed=True)
+    assert relaxed.stage == full.stage == relaxed.model.name == "integrated-working"
+    assert relaxed.index.count("wr") == 0
+    assert "wavelength-capacity" not in set(relaxed.model.tags())
+    assert solved(relaxed) == solved(full) == optimum
+
+
+def _hop_distances(topology) -> dict:
+    """All-pairs hop counts by Floyd-Warshall, independent of any search."""
+    nodes = topology.nodes
+    dist = {(a, b): 0 if a == b else 1 if topology.has_link(a, b) else len(nodes)
+            for a in nodes for b in nodes}
+    for k in nodes:
+        for a in nodes:
+            for b in nodes:
+                dist[a, b] = min(dist[a, b], dist[a, k] + dist[k, b])
+    return dist
+
+
+def test_shortest_routes_are_shortest_and_deterministic():
+    inst = generate_instance("mesh", 8, seed=3, demand_count=4)
+    topo = inst.topology
+    routes = shortest_routes(topo)
+    hops = _hop_distances(topo)
+    assert len(routes) == len(topo.nodes) * (len(topo.nodes) - 1)
+    for (i, j), route in routes.items():
+        assert route[0] == i and route[-1] == j
+        assert len(set(route)) == len(route)
+        assert all(topo.has_link(a, b) for a, b in zip(route, route[1:]))
+        assert len(route) - 1 == hops[i, j]
+    # the same routes on every call, whatever order the links are listed in
+    shuffled = PhysicalTopology(nodes=topo.nodes[::-1], links=topo.links[::-1],
+                                wavelengths_per_link=topo.wavelengths_per_link)
+    assert shortest_routes(topo) == routes == shortest_routes(shuffled)
+
+
+def test_route_on_shortest_paths_checks_every_link(ring4):
+    slots = [(1, 3, 1), (1, 3, 2)]
+    routes = route_on_shortest_paths(ring4.topology, slots)
+    assert routes == {s: shortest_routes(ring4.topology)[(1, 3)] for s in slots}
+    tight = PhysicalTopology(nodes=ring4.topology.nodes,
+                             links=ring4.topology.links, wavelengths_per_link=1)
+    assert route_on_shortest_paths(tight, slots) is None
+    assert route_on_shortest_paths(tight, slots[:1]) == {
+        slots[0]: routes[slots[0]]}
 
 
 def test_physical_path_helpers():

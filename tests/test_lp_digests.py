@@ -4,9 +4,12 @@
 pins the exact model a builder emits. The roster is the three desk instances
 and ``mesh_family(5, 0)`` under every option and approach at gap 0; the mesh
 adds the rows the desk instances never build (``pr2``, ``pairnode2`` and the
-shared-restoration ``brsy``/``brscont``/``brsban`` rows). A refactor of the
-builders leaves every digest unchanged; a deliberate change to a formulation
-updates the pinned values below and says why.
+shared-restoration ``brsy``/``brscont``/``brsban`` rows). Under
+``none/integrated`` the pinned ``integrated-working`` is stage I's route-free
+relaxation: its shortest routes fit every link here, so the full model is
+never solved after it. A refactor of the builders leaves every digest
+unchanged; a deliberate change to a formulation updates the pinned values
+below and says why.
 
 A later stage's model depends on the optimum HiGHS returned for the earlier
 stages, so the pins belong to one solver build (scipy 1.17.1). After a solver
@@ -65,7 +68,7 @@ PINNED = {
     },
     "fam-5-s0/none/integrated": {
         "integrated-working":
-            "0e577a0d3108dcedf366c1dbf22b6ec5e96293c840dfcf72fa5c07e774b8fd80",
+            "a1a9fec427c10b384780bcad3494d31abe1b6cd15a5a5fca2b57af4b03be6a5a",
     },
     "fam-5-s0/none/sequential": {
         "working-mpls":
@@ -135,7 +138,7 @@ PINNED = {
     },
     "ring4-chord/none/integrated": {
         "integrated-working":
-            "51e0520255f5f14f95d4bfd8e55b78035a81ddc8254912550c6cbad28f16c151",
+            "c6e05c6fb4d9a7884b8e44e3740cc77277ce35e776d5150589ec4812aec9c92b",
     },
     "ring4-chord/none/sequential": {
         "working-mpls":
@@ -207,7 +210,7 @@ PINNED = {
     },
     "ring4/none/integrated": {
         "integrated-working":
-            "106f4abaf7bb5d03db295cbcb032fe79a6bb0253bcda52658be8624928ce28f5",
+            "add05bb084cb926690bb4507705452a059c02efe09cdeef282f5072e66aa5f03",
     },
     "ring4/none/sequential": {
         "working-mpls":
@@ -279,7 +282,7 @@ PINNED = {
     },
     "ring5-chord/none/integrated": {
         "integrated-working":
-            "a4d1f483436180d32defc113e7c9fb85963ed7473c0acf9f993692268eabd68c",
+            "3b7d48d94fae5e54b6a03ebea1cbf50a0e4d22e9059c7a1ddc830d6a5db655c4",
     },
     "ring5-chord/none/sequential": {
         "working-mpls":

@@ -140,6 +140,40 @@ def test_integrated_protected_ring4(ring4):
     assert design.cost.total <= sequential.cost.total
 
 
+def _with_wavelengths(inst, count):
+    return dataclasses.replace(inst, topology=dataclasses.replace(
+        inst.topology, wavelengths_per_link=count))
+
+
+def test_integrated_none_falls_back_to_the_full_model_when_a_link_overflows():
+    cfg = exact_config(Survivability.NONE, approach=Approach.INTEGRATED)
+    fam = support.mesh_family(5, 0)
+    certified = run_design(fam, cfg)
+    # two wavelengths a link cannot carry the shortest routes of stage I's
+    # relaxed optimum, so the full model routes the slots instead
+    tight = _with_wavelengths(fam, 2)
+    design = run_design(tight, cfg)
+    assert design.cost.total == certified.cost.total == Fraction(971, 5)
+    assert not verify_design(tight, design)
+    [relaxed], [full] = certified.traces, design.traces
+    assert relaxed.stage == full.stage == "integrated-working"
+    assert relaxed.variables < full.variables
+    assert full.objective_exact == design.cost.total
+    assert full.time_budget_seconds < cfg.time_limit_seconds
+
+
+def test_integrated_none_fallback_reports_an_infeasible_full_model():
+    # the relaxation has no wavelength rows, so it is feasible here: the
+    # infeasible stage is the full model, and its trace replaced the
+    # relaxation's
+    cfg = exact_config(Survivability.NONE, approach=Approach.INTEGRATED)
+    with pytest.raises(StageInfeasibleError) as err:
+        run_design(_with_wavelengths(support.mesh_family(5, 0), 1), cfg)
+    assert err.value.stage == "integrated-working"
+    assert err.value.status == "infeasible"
+    assert [t.stage for t in err.value.traces] == ["integrated-working"]
+
+
 @pytest.mark.xfail(
     raises=DecodeError,
     strict=True,
