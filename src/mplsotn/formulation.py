@@ -281,17 +281,21 @@ def _add_lsp(
     tag: str,
     row_prefix: str,
     banned: frozenset[int] = frozenset(),
+    simple: bool = False,
 ) -> None:
     """One LSP's slot binaries, priced ``coeff``, and its flow rows.
 
     Slots touching a ``banned`` router get no variable, and such a router no
-    row.
+    row. With ``simple`` no slot enters the demand's source or leaves its
+    destination, as on every cycle-free path.
     """
     # each node's flow-row terms, in variable order: +1 out, -1 in
     by_node: dict[int, list[tuple[str, int]]] = {}
     for slot in slots:
         i, j, q = slot
         if i in banned or j in banned:
+            continue
+        if simple and (j == demand.source or i == demand.destination):
             continue
         name = m.add_variable(f"{family}_{k}_{i}_{j}_{q}", VarKind.BINARY)
         index.add(family, (k, *slot), name)
@@ -501,9 +505,16 @@ def brs_needed_spares(
 
 
 def build_working_mpls(
-    instance: Instance, cfg: DesignConfig, costs: CostModel
+    instance: Instance, cfg: DesignConfig, costs: CostModel,
+    simple_paths: bool = False,
 ) -> StageModel:
-    """Logical topology plus working LSP routing, MPLS-layer cost only."""
+    """Logical topology plus working LSP routing, MPLS-layer cost only.
+
+    With ``simple_paths`` no LSP gets a slot into its source or out of its
+    destination. At a non-negative transit price this keeps the optimum
+    value: a flow using such a slot is a path plus cycles, and dropping the
+    cycles breaks no row and costs nothing.
+    """
     m = MilpModel("working-mpls")
     index = VarIndex()
     slots = _slots(instance, cfg)
@@ -514,13 +525,14 @@ def build_working_mpls(
     for k, d in enumerate(demands):
         coeff = _transit_coeff(costs, d)
         _add_lsp(m, index, "wd", k, d, slots, nodes, coeff,
-                 "working-flow", "wflow")
+                 "working-flow", "wflow", simple=simple_paths)
         # arrival at the destination is not transit
         m.add_objective_constant(-coeff)
     for slot in slots:
         terms = [
-            (index.get("wd", (k, *slot)), d.bandwidth_mbps)
+            (name, d.bandwidth_mbps)
             for k, d in enumerate(demands)
+            if (name := index.get("wd", (k, *slot)))
         ]
         terms.append((index.get("wb", slot), -instance.lightpath_capacity_mbps))
         m.add_constraint(
@@ -830,11 +842,14 @@ def build_integrated_working(
     With ``relaxed`` it builds the route-free relaxation: without the
     wavelength-capacity rows an open slot's cheapest route is a shortest
     path, so the route variables project out and each ``wb`` also pays
-    ``wavelength_cost`` per hop of its ``shortest_routes`` route. Its optimum
-    is a lower bound on the full model's, and ``route_on_shortest_paths``
-    tells whether those routes attain it.
+    ``wavelength_cost`` per hop of its ``shortest_routes`` route. The
+    relaxation also omits every LSP slot into its demand's source or out of
+    its destination (see ``build_working_mpls``), which leaves its optimum
+    value unchanged; sequential stage I and the full model keep those slots.
+    Its optimum is a lower bound on the full model's, and
+    ``route_on_shortest_paths`` tells whether those routes attain it.
     """
-    base = build_working_mpls(instance, cfg, costs)
+    base = build_working_mpls(instance, cfg, costs, simple_paths=relaxed)
     m = base.model
     index = base.index
     m.name = "integrated-working"

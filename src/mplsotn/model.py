@@ -166,6 +166,15 @@ class CostModel:
         for name in ("router_port_cost", "oxc_port_cost", "transponder_cost",
                      "lightpath_capacity_gbps"):
             object.__setattr__(self, name, Fraction(getattr(self, name)))
+        # the stage models rest on non-negative prices (a negative transit
+        # price rewards cycles) and divide by the capacity
+        for name in ("router_port_cost", "oxc_port_cost", "transponder_cost"):
+            if getattr(self, name) < 0:
+                raise ValueError(f"{name} must be non-negative, "
+                                 f"got {getattr(self, name)}")
+        if self.lightpath_capacity_gbps <= 0:
+            raise ValueError("lightpath_capacity_gbps must be positive, "
+                             f"got {self.lightpath_capacity_gbps}")
 
     @property
     def lightpath_cost(self) -> Fraction:

@@ -303,6 +303,21 @@ def test_route_free_relaxation_attains_the_full_optimum(name, optimum):
     assert solved(relaxed) == solved(full) == optimum
 
 
+@pytest.mark.parametrize("name", ["ring4", "ring5-chord", "fam-5-s0"])
+def test_relaxation_omits_lsp_slots_no_simple_path_uses(name):
+    inst = mesh_family(5, 0) if name == "fam-5-s0" else desk(name)
+    costs = default_cost_model(inst)
+    demands = inst.traffic.demands
+    sequential = build_working_mpls(inst, DesignConfig(), costs)
+    relaxed = build_integrated_working(inst, DesignConfig(), costs, relaxed=True)
+    slots = [slot for slot, _name in sequential.index.items("wb")]
+    assert sequential.index.count("wd") == len(demands) * len(slots)
+    kept = [(k, *slot) for k, d in enumerate(demands) for slot in slots
+            if slot[1] != d.source and slot[0] != d.destination]
+    assert [key for key, _name in relaxed.index.items("wd")] == kept
+    assert len(kept) < len(demands) * len(slots)
+
+
 def _hop_distances(topology) -> dict:
     """All-pairs hop counts by Floyd-Warshall, independent of any search."""
     nodes = topology.nodes

@@ -6,7 +6,8 @@ and ``mesh_family(5, 0)`` under every option and approach at gap 0; the mesh
 adds the rows the desk instances never build (``pr2``, ``pairnode2`` and the
 shared-restoration ``brsy``/``brscont``/``brsban`` rows). Under
 ``none/integrated`` the pinned ``integrated-working`` is stage I's route-free
-relaxation: its shortest routes fit every link here, so the full model is
+relaxation, without the LSP slots into a demand's source or out of its
+destination: its shortest routes fit every link here, so the full model is
 never solved after it. A refactor of the builders leaves every digest
 unchanged; a deliberate change to a formulation updates the pinned values
 below and says why.
@@ -68,7 +69,7 @@ PINNED = {
     },
     "fam-5-s0/none/integrated": {
         "integrated-working":
-            "a1a9fec427c10b384780bcad3494d31abe1b6cd15a5a5fca2b57af4b03be6a5a",
+            "f6cbbc5f462d06eacf30d4db3bfa3d5c6ac9f1da03de1066f4823a02bbf7a1fd",
     },
     "fam-5-s0/none/sequential": {
         "working-mpls":
@@ -138,7 +139,7 @@ PINNED = {
     },
     "ring4-chord/none/integrated": {
         "integrated-working":
-            "c6e05c6fb4d9a7884b8e44e3740cc77277ce35e776d5150589ec4812aec9c92b",
+            "a6b4c9d54b8ad4bfdd5cb034da96716014d7f01093de635f23372d9f63d26bbf",
     },
     "ring4-chord/none/sequential": {
         "working-mpls":
@@ -210,7 +211,7 @@ PINNED = {
     },
     "ring4/none/integrated": {
         "integrated-working":
-            "add05bb084cb926690bb4507705452a059c02efe09cdeef282f5072e66aa5f03",
+            "2ffea5c41d41f76f489ba822ef200f2ea73a92c012ad377542f49352f962e61d",
     },
     "ring4/none/sequential": {
         "working-mpls":
@@ -282,7 +283,7 @@ PINNED = {
     },
     "ring5-chord/none/integrated": {
         "integrated-working":
-            "3b7d48d94fae5e54b6a03ebea1cbf50a0e4d22e9059c7a1ddc830d6a5db655c4",
+            "cf4c655ab0773c9c9c5c1b2ebe0a887e820c88f35248b6d2c3bb13cc0dea9a3e",
     },
     "ring5-chord/none/sequential": {
         "working-mpls":

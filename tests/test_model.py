@@ -105,6 +105,20 @@ def test_cost_model_unit_prices_are_exact():
     assert custom.lightpath_cost == Fraction(37, 2)
     assert custom.wavelength_cost == Fraction(7, 2)
     assert custom.transit_cost_per_gbps == Fraction(9, 40)
+    free = CostModel(router_port_cost=0, oxc_port_cost=0, transponder_cost=0)
+    assert free.lightpath_cost == free.wavelength_cost == 0
+
+
+@pytest.mark.parametrize("field,value", [
+    ("router_port_cost", -8),
+    ("oxc_port_cost", Fraction(-1, 2)),
+    ("transponder_cost", -1),
+    ("lightpath_capacity_gbps", 0),
+    ("lightpath_capacity_gbps", -10),
+])
+def test_cost_model_rejects_negative_prices_and_empty_capacity(field, value):
+    with pytest.raises(ValueError, match=field):
+        CostModel(**{field: value})
 
 
 def test_lightpath_route_accessors():

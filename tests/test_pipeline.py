@@ -162,6 +162,20 @@ def test_integrated_none_falls_back_to_the_full_model_when_a_link_overflows():
     assert full.time_budget_seconds < cfg.time_limit_seconds
 
 
+def test_integrated_none_certifies_the_relaxation_on_a_ladder_mesh():
+    # the 10-node mesh of perfbench's ladder-integrated workload: the pruned
+    # relaxation's shortest routes fit, so the full model is never solved
+    inst = generate_instance("mesh", 10, seed=1, demand_count=10,
+                             bandwidth_profile="mixed")
+    design = run_design(
+        inst, exact_config(Survivability.NONE, approach=Approach.INTEGRATED))
+    [trace] = design.traces
+    assert trace.stage == "integrated-working"
+    assert trace.variables == 1640
+    assert design.cost.total == trace.objective_exact == 218
+    assert not verify_design(inst, design)
+
+
 def test_integrated_none_fallback_reports_an_infeasible_full_model():
     # the relaxation has no wavelength rows, so it is feasible here: the
     # infeasible stage is the full model, and its trace replaced the
