@@ -10,9 +10,7 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
-from dataclasses import replace
 from pathlib import Path
 from typing import Optional
 
@@ -35,7 +33,7 @@ from .pipeline import (
     run_design,
 )
 from .serialize import load_design, save_design
-from .solvers import DEFAULT_EXTERNAL_TEMPLATE, ENV_SOLVER_COMMAND, SolverConfig
+from .solvers import SolverConfig
 
 EXIT_OK = 0
 EXIT_INTERNAL = 1
@@ -50,25 +48,6 @@ _OPTIONS = [s.value for s in Survivability]
 
 class UsageError(Exception):
     """Arguments the parser accepts but the command refuses (exit 2)."""
-
-
-def _solver_config(args) -> SolverConfig:
-    """The one place that resolves --backend, --solver-cmd and the variable.
-
-    A command from either source selects the external solver; ``--backend
-    embedded`` forces HiGHS in process and refuses a ``--solver-cmd`` it
-    would drop; ``--backend external`` with no command runs the bundled one.
-    """
-    command = args.solver_cmd or os.environ.get(ENV_SOLVER_COMMAND) or None
-    if args.backend == "embedded":
-        if args.solver_cmd:
-            raise UsageError("--backend embedded runs no --solver-cmd; drop one")
-        command = None
-    elif args.backend == "external" and command is None:
-        command = DEFAULT_EXTERNAL_TEMPLATE
-    keep = args.keep_artifacts
-    return SolverConfig(command=command,
-                        keep_artifacts_dir=Path(keep) if keep else None)
 
 
 def _design_config(args, survivability: Survivability) -> DesignConfig:
@@ -147,7 +126,8 @@ def _cmd_run(args) -> int:
         return _cmd_compare(instance, args)
     survivability = Survivability(args.survivability)
     design, violations, drill = _run_one(
-        instance, _design_config(args, survivability), _solver_config(args))
+        instance, _design_config(args, survivability),
+        SolverConfig(keep_artifacts_dir=args.keep_artifacts))
     _write_outputs(args.output_dir, design)
     sys.stdout.write(report.design_summary(design, drill.summary()))
     if violations:
@@ -176,14 +156,12 @@ def _cmd_compare(instance: Instance, args) -> int:
     code is the highest of any option.
     """
     configs = [_design_config(args, s) for s in Survivability]
-    solver = _solver_config(args)
+    keep = args.keep_artifacts
     shared = SolveMemo()
 
     def run_option(cfg: DesignConfig):
-        own = solver
-        if solver.keep_artifacts_dir is not None:
-            own = replace(solver, keep_artifacts_dir=(
-                solver.keep_artifacts_dir / cfg.survivability.value))
+        own = SolverConfig(keep_artifacts_dir=(
+            keep / cfg.survivability.value if keep is not None else None))
         try:
             return cfg, _run_one(instance, cfg, own, shared)
         except (PipelineError, ValueError) as exc:
@@ -276,14 +254,7 @@ def build_parser() -> argparse.ArgumentParser:
                      help="retry once with one more slot if a stage is infeasible")
     run.add_argument("--double-count-transit", action="store_true",
                      help="book protection-path arrivals as transit traffic")
-    run.add_argument("--backend", choices=["embedded", "external"], default=None,
-                     help="embedded: HiGHS in process; external: the solver"
-                          " command, else the bundled LP-file solver (default:"
-                          " external when a command is set)")
-    run.add_argument("--solver-cmd", default=None,
-                     help="external solver command template with {lp} and {sol}"
-                          f" (also read from ${ENV_SOLVER_COMMAND})")
-    run.add_argument("--keep-artifacts", default=None, metavar="DIR",
+    run.add_argument("--keep-artifacts", type=Path, default=None, metavar="DIR",
                      help="keep LP files, solver output, and metadata in DIR")
     run.add_argument("--compare-all", action="store_true",
                      help="run every survivability option and tabulate")

@@ -2,10 +2,9 @@
 
 A model is an ordered collection of named variables, tagged linear
 constraints, and a minimization objective with an affine constant. Models are
-written to LP-format text for external solvers; the writer is deterministic
-(variables and rows appear in insertion order) so identical builds yield
-byte-identical files. A matching parser reads the files back, which both
-round-trip-tests the writer and powers the bundled subprocess solver.
+written to LP-format text, which any LP-reading solver accepts; the writer is
+deterministic (variables and rows appear in insertion order) so identical
+builds yield byte-identical files.
 """
 
 from __future__ import annotations
@@ -17,8 +16,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterable, Mapping, Optional, Sequence
 
-_NAME = r"[A-Za-z_][A-Za-z0-9_.]*"
-_NAME_RE = re.compile(rf"^{_NAME}$")
+_NAME_RE = re.compile(r"^[A-Za-z_][A-Za-z0-9_.]*$")
 
 
 class VarKind(enum.Enum):
@@ -239,7 +237,7 @@ def write_model(m: MilpModel) -> str:
     """Deterministic LP-format text for the model.
 
     The objective constant is not representable in LP files; it is recorded
-    as a comment and re-applied when solutions are read back.
+    as a comment, and ``objective_value`` adds it back.
     """
     lines: list[str] = [f"\\ model: {m.name}"]
     if m.objective_constant != 0:
@@ -248,8 +246,7 @@ def write_model(m: MilpModel) -> str:
     lines.append(f" obj: {_terms_text(m.objective_terms)}")
     lines.append("Subject To")
     for c in m.constraints:
-        sense = {"<=": "<=", ">=": ">=", "=": "="}[c.sense]
-        lines.append(f" {c.name}: {_terms_text(c.terms)} {sense} {format_coefficient(c.rhs)}")
+        lines.append(f" {c.name}: {_terms_text(c.terms)} {c.sense} {format_coefficient(c.rhs)}")
     lines.append("Bounds")
     for v in m.variables:
         lines.append(f" {format_coefficient(v.lower)} <= {v.name} <= {format_coefficient(v.upper)}")
@@ -265,92 +262,6 @@ def write_model(m: MilpModel) -> str:
             lines.append(f" {name}")
     lines.append("End")
     return "\n".join(lines) + "\n"
-
-
-def _number(token: str) -> Fraction:
-    # the writer prints an exponent only for a float repr of a non-terminating
-    # fraction; reading it back through float keeps that text stable
-    try:
-        if "e" in token or "E" in token:
-            return Fraction(float(token)).limit_denominator(10**15)
-        return Fraction(token)
-    except ValueError:
-        raise ModelError(f"bad number {token!r}") from None
-
-
-_NUMBER = r"-?[0-9.eE+-]+"
-# a run of signs (glued on or spaced, several multiply), a coefficient, a name
-_TERM_RE = re.compile(
-    rf"\s*((?:[+-]\s*)*)([0-9]*\.?[0-9]+(?:[eE][+-]?[0-9]+)?)?\s*({_NAME})")
-_BOUND_RE = re.compile(rf"({_NUMBER})\s*<=\s*({_NAME})\s*<=\s*({_NUMBER})")
-_ROW_RE = re.compile(rf"({_NAME})\s*:(.*?)(<=|>=|=)\s*({_NUMBER})")
-_SECTIONS = ("minimize", "subject to", "bounds", "generals", "binaries", "end")
-
-
-def _terms(text: str) -> list[tuple[str, Fraction]]:
-    """The signed terms of an LP expression; ``0 __zero__`` stands for none."""
-    terms: list[tuple[str, Fraction]] = []
-    text, pos = text.rstrip(), 0
-    while pos < len(text):
-        mt = _TERM_RE.match(text, pos)
-        if not mt:
-            raise ModelError(f"unreadable terms: {text!r}")
-        signs, coeff, var = mt.groups()
-        c = _number(coeff) if coeff else Fraction(1)
-        if var != "__zero__":
-            terms.append((var, -c if signs.count("-") % 2 else c))
-        pos = mt.end()
-    return terms
-
-
-def parse_lp(text: str) -> MilpModel:
-    """Parse LP text produced by :func:`write_model` (subset of LP format).
-
-    Each section starts at its header line; every row and bound sits on one
-    line, and the objective may span the lines of its section.
-    """
-    name, constant = "parsed", _ZERO
-    sections: dict[str, list[str]] = {}
-    current: Optional[list[str]] = None
-    for line in text.splitlines():
-        s = line.strip()
-        if s.startswith("\\"):
-            if s.startswith("\\ model:"):
-                name = s.split(":", 1)[1].strip()
-            elif s.startswith("\\ objective-constant:"):
-                constant = _number(s.split(":", 1)[1].strip())
-        elif s.lower() in _SECTIONS:
-            current = sections.setdefault(s.lower(), [])
-        elif s and current is not None:
-            current.append(s)
-    if "minimize" not in sections or "subject to" not in sections:
-        raise ModelError("LP text lacks Minimize / Subject To sections")
-
-    m = MilpModel(name)
-    m.objective_constant = constant
-    kinds = {var: VarKind.INTEGER for line in sections.get("generals", ())
-             for var in line.split()}
-    kinds.update((var, VarKind.BINARY) for line in sections.get("binaries", ())
-                 for var in line.split())
-    for s in sections.get("bounds", ()):
-        mt = _BOUND_RE.fullmatch(s)
-        if not mt:
-            raise ModelError(f"unsupported bounds line: {s!r}")
-        lo, var, hi = mt.groups()
-        m.add_variable(var, kinds.get(var, VarKind.CONTINUOUS), _number(lo), _number(hi))
-
-    # the objective's label, if any, ends at the first colon
-    for var, coeff in _terms(" ".join(sections["minimize"]).split(":", 1)[-1]):
-        if not m.has_variable(var):
-            m.add_variable(var, VarKind.CONTINUOUS, 0, 0)
-        m.add_objective_term(var, coeff)
-    for s in sections["subject to"]:
-        mt = _ROW_RE.fullmatch(s)
-        if not mt:
-            raise ModelError(f"unsupported constraint line: {s!r}")
-        cname, lhs, sense, rhs = mt.groups()
-        m.add_constraint(cname, _terms(lhs), sense, _number(rhs))
-    return m
 
 
 # -- solutions ----------------------------------------------------------------
@@ -378,7 +289,7 @@ FEASIBILITY_TOLERANCE = 1e-6
 def snap_values(m: MilpModel, raw: Mapping[str, float]) -> tuple[dict, list[str]]:
     """Round integer variables within tolerance; report ones that will not snap.
 
-    Missing variables default to zero (solvers omit zeros in sparse output).
+    Missing variables default to zero.
     """
     snapped: dict[str, Fraction] = {}
     problems: list[str] = []
@@ -429,77 +340,6 @@ def check_solution(m: MilpModel, values: Mapping[str, Fraction],
         elif c.sense == "=" and lhs != rhs and abs(lhs - rhs) > tol:
             bad.append(f"row {c.name}: {lhs} != {rhs}")
     return bad
-
-
-_CBC_STATUS_RE = re.compile(r"(optimal|infeasible|unbounded|stopped)", re.I)
-# statuses that carry a proof; any other incumbent is only an incumbent
-_PROVEN = {"optimal": SolveStatus.OPTIMAL,
-           "feasible-within-gap": SolveStatus.FEASIBLE_WITHIN_GAP}
-_NO_POINT = {"infeasible": SolveStatus.INFEASIBLE,
-             "unbounded": SolveStatus.UNBOUNDED,
-             "error": SolveStatus.ERROR,
-             "no-solver": SolveStatus.ERROR}
-
-
-def read_solution(text: str, m: MilpModel) -> Solution:
-    """Parse a solver's variable-value output file.
-
-    Two dialects are recognized: the plain format written by the bundled
-    subprocess solver (``# status``/``# gap`` headers plus ``name value``
-    lines) and the CBC solution format (status line plus ``index name value
-    dual`` rows). A stated infeasible, unbounded, error or no-solver status
-    carries no point. Integer variables are snapped within 1e-6; anything
-    farther is an error. The objective is always recomputed exactly.
-    """
-    lines = [s for s in (line.strip() for line in text.splitlines()) if s]
-    if not lines:
-        return Solution(SolveStatus.ERROR, message="empty solution file")
-    raw: dict[str, float] = {}
-    status, gap, message = "", None, ""
-    cbc = _CBC_STATUS_RE.match(lines[0])
-    if cbc and "#" not in lines[0]:
-        status = cbc.group(1).lower()
-        for line in lines[1:]:
-            parts = line.split()
-            if len(parts) >= 3 and parts[0].isdigit():
-                raw[parts[1]] = float(parts[2])
-    else:
-        for s in lines:
-            if s.startswith("#"):
-                key, _, value = s.lstrip("#").strip().partition(" ")
-                key, value = key.rstrip(":"), value.strip()
-                if key == "status":
-                    status = value.lower()
-                elif key == "message":
-                    message = value
-                elif key == "gap":
-                    try:
-                        gap = float(value)
-                    except ValueError:
-                        pass
-                continue
-            parts = s.split()
-            if len(parts) != 2:
-                return Solution(SolveStatus.ERROR,
-                                message=f"unparseable solution line: {s!r}")
-            try:
-                raw[parts[0]] = float(parts[1])
-            except ValueError:
-                return Solution(SolveStatus.ERROR, message=f"bad value on line: {s!r}")
-
-    if status in _NO_POINT:
-        reason = f": {message}" if message and status in ("error", "no-solver") else ""
-        return Solution(_NO_POINT[status],
-                        message=f"solver reported status {status}{reason}")
-    snapped, problems = snap_values(m, raw)
-    if problems:
-        return Solution(SolveStatus.ERROR, message="; ".join(problems[:5]))
-    return Solution(
-        status=_PROVEN.get(status, SolveStatus.TIME_LIMIT_FEASIBLE),
-        objective=float(m.objective_value(snapped)),
-        values=snapped,
-        gap=gap,
-    )
 
 
 def write_solution(sol: Solution) -> str:

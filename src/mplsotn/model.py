@@ -17,6 +17,7 @@ from __future__ import annotations
 import enum
 import hashlib
 import json
+import math
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import cached_property
@@ -243,22 +244,6 @@ class Lightpath:
         return tuple(self.route[1:-1])
 
 
-def complement_route(lp: Lightpath) -> Lightpath:
-    """The mirror lightpath of the reverse direction pair.
-
-    Every lightpath is provisioned as a bidirectional pair; the complement
-    terminates on the same equipment and traverses the same fibers backwards.
-    Counting rules elsewhere count each pair once.
-    """
-    return Lightpath(
-        origin=lp.termination,
-        termination=lp.origin,
-        slot=lp.slot,
-        role=lp.role,
-        route=tuple(reversed(lp.route)),
-    )
-
-
 @dataclass(frozen=True)
 class LogicalTopology:
     lightpaths: tuple[Lightpath, ...]
@@ -383,25 +368,6 @@ class Design:
             if r.demand_id == demand_id:
                 return r
         raise KeyError(demand_id)
-
-    def mirrored_lightpaths(self) -> tuple[Lightpath, ...]:
-        """Reverse-direction half of every provisioned pair."""
-        return tuple(complement_route(lp) for lp in self.logical.lightpaths)
-
-    def mirrored_lsp_routes(self) -> tuple[LspRoute, ...]:
-        """Reverse-direction LSPs over the complementary lightpaths."""
-        out = []
-        for r in self.lsp_routes:
-            out.append(
-                LspRoute(
-                    demand_id=r.demand_id + "/rev",
-                    working=tuple((j, i, q) for i, j, q in reversed(r.working)),
-                    protection=None if r.protection is None else tuple(
-                        (j, i, q) for i, j, q in reversed(r.protection)
-                    ),
-                )
-            )
-        return tuple(out)
 
 
 @dataclass(frozen=True)
@@ -577,8 +543,10 @@ def validate_instance(instance: Instance, cfg: Optional[DesignConfig] = None
 
     if not (0.0 <= cfg.optimality_gap < 1.0):
         out.append(Violation("bad-gap", f"optimality gap must be in [0, 1), got {cfg.optimality_gap}"))
-    if cfg.time_limit_seconds <= 0:
-        out.append(Violation("bad-time-limit", "time limit must be positive"))
+    if not (0 < cfg.time_limit_seconds < math.inf):
+        out.append(Violation("bad-time-limit",
+                             "time limit must be a positive finite number of seconds, "
+                             f"got {cfg.time_limit_seconds}"))
 
     return tuple(out)
 

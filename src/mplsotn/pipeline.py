@@ -267,11 +267,11 @@ class SolveMemo:
 
     ``run_design(..., shared=memo)`` looks each stage model up before solving
     it. The key is the whole model (name, variables, rows, objective) plus the
-    gap and the solver command, so a hit is an equal model. A
-    stored solution is reused only when its status does not depend on the
-    time limit and its solve fits the caller's stage budget; otherwise the
-    caller solves the model itself and the first solution stays stored. A hit
-    still writes the caller's kept artifacts.
+    gap, so a hit is an equal model. A stored solution is reused only when
+    its status does not depend on the time limit and its solve fits the
+    caller's stage budget; otherwise the caller solves the model itself and
+    the first solution stays stored. A hit still writes the caller's kept
+    artifacts.
     """
 
     def __init__(self) -> None:
@@ -282,7 +282,7 @@ class SolveMemo:
         config = solver or SolverConfig()
         m = sm.model
         key = (m.name, m.variables, m.constraints, m.objective_terms,
-               m.objective_constant, gap, config.command)
+               m.objective_constant, gap)
         sol = self._solutions.get(key)
         if (sol is not None and sol.status in _SETTLED
                 and sol.wall_seconds <= budget):

@@ -76,30 +76,6 @@ def option_rows(entries: Sequence[tuple[str, Union[Design, str]]]) -> list[dict]
     return rows
 
 
-def approach_rows(
-    entries: Sequence[tuple[str, Design, Design]]
-) -> list[dict]:
-    """Sequential next to integrated, with absolute and relative gains."""
-    rows = []
-    for label, seq, integ in entries:
-        cost_saving = (seq.cost.total - integ.cost.total) / seq.cost.total \
-            if seq.cost.total else Fraction(0)
-        lam_seq = seq.metrics.wavelength_total
-        lam_int = integ.metrics.wavelength_total
-        lam_saving = Fraction(lam_seq - lam_int, lam_seq) if lam_seq else Fraction(0)
-        rows.append({
-            "option": label,
-            "cost_sequential": format_money(seq.cost.total),
-            "cost_integrated": format_money(integ.cost.total),
-            "cost_saving": format_percent(cost_saving),
-            "wavelengths_sequential": str(lam_seq),
-            "wavelengths_integrated": str(lam_int),
-            "wavelengths_saved": str(lam_seq - lam_int),
-            "wavelength_saving": format_percent(lam_saving),
-        })
-    return rows
-
-
 _OPTION_COLUMNS = [
     ("option", "option"),
     ("total_cost", "total cost"),
@@ -107,16 +83,6 @@ _OPTION_COLUMNS = [
     ("lightpaths", "lightpaths (spare)"),
     ("wavelengths", "wavelengths (extra)"),
     ("saving", "saving"),
-]
-_APPROACH_COLUMNS = [
-    ("option", "option"),
-    ("cost_sequential", "cost seq"),
-    ("cost_integrated", "cost integrated"),
-    ("cost_saving", "cost saving"),
-    ("wavelengths_sequential", "wavelengths seq"),
-    ("wavelengths_integrated", "wavelengths integrated"),
-    ("wavelengths_saved", "saved"),
-    ("wavelength_saving", "wavelength saving"),
 ]
 
 
@@ -152,14 +118,6 @@ def option_table(entries: Sequence[tuple[str, Union[Design, str]]],
     if fmt == "csv":
         return _csv_table(rows, _OPTION_COLUMNS)
     return _text_table(rows, _OPTION_COLUMNS)
-
-
-def approach_table(entries: Sequence[tuple[str, Design, Design]],
-                   fmt: str = "text") -> str:
-    rows = approach_rows(entries)
-    if fmt == "csv":
-        return _csv_table(rows, _APPROACH_COLUMNS)
-    return _text_table(rows, _APPROACH_COLUMNS)
 
 
 def design_summary(design: Design, drill_summary: Optional[dict] = None) -> str:

@@ -1,34 +1,31 @@
-"""Two MILP solvers behind one contract.
+"""One MILP solver behind one contract: HiGHS in process, through scipy.
 
-``solve`` takes a model plus gap/time limits and returns a ``Solution``. With
-no command configured it runs HiGHS in process through scipy, which needs no
-external binaries. With a command template it writes the model to an LP file,
-runs the command, and reads the solver's variable-value output back. The
-default external command runs the bundled LP-file solver as
-``python -m mplsotn.lp_solve_cli`` with the current interpreter, so the
-external path works in a plain checkout with no install and no system solver.
-After ``pip install`` the same solver is also available standalone as the
-``mplsotn-lp-solve`` console script.
+``solve`` takes a model plus gap/time limits and returns a ``Solution``.
+Every incumbent HiGHS returns is feasibility-checked against the model
+(1e-6 absolute) before being handed to callers. ``keep_artifacts`` writes a
+stage's LP text, metadata and solution, so a model can still be run through
+another solver by hand.
 
-Every incumbent returned by either solver is feasibility-checked against the
-model (1e-6 absolute) before being handed to callers.
+scipy is imported when this module loads. Without it no solve can run, and
+every solve reports ``NO_SOLVER`` instead of the import failing.
 """
 
 from __future__ import annotations
 
-import shlex
-import subprocess
-import sys
-import tempfile
 import time
 from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Optional
 
-import numpy as np
-import scipy
-import scipy.sparse
-from scipy.optimize import Bounds, LinearConstraint, milp as scipy_milp
+_NO_SCIPY = "HiGHS needs scipy, which could not be imported"
+try:
+    import numpy as np
+    import scipy
+    import scipy.sparse
+    from scipy.optimize import Bounds, LinearConstraint, milp as scipy_milp
+except ImportError as exc:
+    scipy_milp = None
+    _NO_SCIPY += f" ({exc})"
 
 from .milp import (
     MilpModel,
@@ -36,47 +33,19 @@ from .milp import (
     SolveStatus,
     VarKind,
     check_solution,
-    read_solution,
     snap_values,
     write_metadata,
     write_model,
     write_solution,
 )
 
-ENV_SOLVER_COMMAND = "MPLSOTN_SOLVER_CMD"
-
-# The bundled LP-file solver's name: its console script, its argparse prog,
-# and the solver name stages report when they run the default template.
-BUNDLED_SOLVER_NAME = "mplsotn-lp-solve"
-
-# Template placeholders: {lp} input model, {sol} output file, plus the
-# requested {gap} and {time_limit}. The default runs the bundled solver with
-# this interpreter, so it needs no install; the child imports mplsotn from the
-# inherited PYTHONPATH or from site-packages, as the parent does.
-DEFAULT_EXTERNAL_TEMPLATE = (
-    f"{shlex.quote(sys.executable)} -m mplsotn.lp_solve_cli "
-    "{lp} -o {sol} --gap {gap} --time-limit {time_limit}"
-)
-
-# Solvers may overshoot their deadline while wrapping up; this is the slack
-# the driver (and the tests) allow on top of a stage's time budget.
-TIME_LIMIT_SLACK_FRACTION = 0.10
-TIME_LIMIT_SLACK_FLOOR_SECONDS = 1.0
-
 OPTIMAL_GAP_EPSILON = 1e-9
 
 
 @dataclass(frozen=True)
 class SolverConfig:
-    """``command`` None solves with HiGHS in process; a template runs it."""
-    command: Optional[str] = None
+    """Where each stage's LP, metadata and solution files go; None keeps none."""
     keep_artifacts_dir: Optional[Path] = None
-
-
-def hard_deadline(time_limit: Optional[float]) -> Optional[float]:
-    if time_limit is None:
-        return None
-    return time_limit * (1 + TIME_LIMIT_SLACK_FRACTION) + TIME_LIMIT_SLACK_FLOOR_SECONDS
 
 
 def solve(model: MilpModel, *, gap: float = 0.0,
@@ -93,11 +62,10 @@ def solve(model: MilpModel, *, gap: float = 0.0,
         keep_artifacts(model, sol, solver, stage)
         return sol
 
-    if solver.command is None:
-        sol = _solve_embedded(model, gap=gap, time_limit=time_limit)
+    if scipy_milp is None:
+        sol = Solution(SolveStatus.NO_SOLVER, message=_NO_SCIPY)
     else:
-        sol = _solve_external(model, solver.command, gap=gap,
-                              time_limit=time_limit, stage=stage)
+        sol = _solve_embedded(model, gap=gap, time_limit=time_limit)
 
     wall = time.perf_counter() - start
     sol = replace(sol, wall_seconds=wall)
@@ -221,72 +189,3 @@ def _solve_embedded(model: MilpModel, *, gap: float,
     return Solution(status, float(model.objective_value(snapped)), snapped,
                     achieved, **stats)
 
-
-def _render_command(template: str, *, lp: Path, sol: Path, gap: float,
-                    time_limit: Optional[float]) -> list[str]:
-    fields = {
-        "lp": str(lp),
-        "sol": str(sol),
-        "gap": repr(float(gap)),
-        "time_limit": repr(float(time_limit)) if time_limit is not None else "inf",
-    }
-    argv = []
-    for token in shlex.split(template):
-        try:
-            argv.append(token.format(**fields))
-        except (KeyError, IndexError) as exc:
-            raise ValueError(f"bad solver command token {token!r}: {exc}") from exc
-    return argv
-
-
-def _solve_external(model: MilpModel, command: str, *, gap: float,
-                    time_limit: Optional[float], stage: str) -> Solution:
-    if "{lp}" not in command or "{sol}" not in command:
-        return Solution(
-            SolveStatus.NO_SOLVER,
-            message="solver command template must use {lp} and {sol} placeholders",
-        )
-
-    # kept artifacts need no copy from here: solve() writes them afterwards
-    with tempfile.TemporaryDirectory(prefix="mplsotn-") as tmp:
-        workdir = Path(tmp)
-        lp_path = workdir / f"{stage}.lp"
-        sol_path = workdir / f"{stage}.sol"
-        lp_path.write_text(write_model(model))
-        argv = _render_command(command, lp=lp_path, sol=sol_path, gap=gap,
-                               time_limit=time_limit)
-        sol = _run_external(model, argv, sol_path, time_limit)
-    return replace(sol, solver_name=(BUNDLED_SOLVER_NAME
-                                     if command == DEFAULT_EXTERNAL_TEMPLATE
-                                     else Path(argv[0]).name))
-
-
-def _run_external(model: MilpModel, argv: list[str], sol_path: Path,
-                  time_limit: Optional[float]) -> Solution:
-    try:
-        proc = subprocess.run(
-            argv,
-            capture_output=True,
-            text=True,
-            timeout=hard_deadline(time_limit),
-        )
-    except FileNotFoundError:
-        return Solution(SolveStatus.NO_SOLVER,
-                        message=f"solver executable {argv[0]!r} not found on PATH")
-    except subprocess.TimeoutExpired:
-        if sol_path.exists():
-            sol = read_solution(sol_path.read_text(), model)
-            if sol.status.has_solution:
-                return replace(sol, status=SolveStatus.TIME_LIMIT_FEASIBLE)
-        return Solution(SolveStatus.ERROR,
-                        message="external solver exceeded the hard deadline")
-
-    if not sol_path.exists():
-        detail = (proc.stderr or proc.stdout or "").strip()[:300]
-        if proc.returncode != 0:
-            return Solution(SolveStatus.ERROR,
-                            message=f"solver exited {proc.returncode}: {detail}")
-        return Solution(SolveStatus.ERROR,
-                        message=f"solver wrote no solution file: {detail}")
-    # read_solution recomputes the objective exactly, constant included
-    return read_solution(sol_path.read_text(), model)

@@ -1,6 +1,5 @@
 import pytest
 
-from mplsotn.solvers import ENV_SOLVER_COMMAND
 from support import desk
 
 
@@ -18,9 +17,3 @@ def ring4_chord():
 def ring5_chord():
     return desk("five_node_ring_chord")
 
-
-@pytest.fixture(autouse=True)
-def _no_solver_command_from_the_shell(monkeypatch):
-    # the variable alone routes `mplsotn run` to an external solver; tests
-    # that want it set it themselves
-    monkeypatch.delenv(ENV_SOLVER_COMMAND, raising=False)

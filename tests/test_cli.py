@@ -3,12 +3,16 @@
 import csv
 import io
 import json
+import os
+import subprocess
+import sys
 import threading
 import time
+from pathlib import Path
 
 import pytest
 
-from mplsotn import cli, evaluate, pipeline
+from mplsotn import cli, evaluate, pipeline, solvers
 from mplsotn.cli import (
     EXIT_DRILL_FAILED,
     EXIT_INFEASIBLE,
@@ -23,9 +27,8 @@ from mplsotn.evaluate import DrillReport, EventOutcome
 from mplsotn.instances import generate_instance, load_instance, save_instance
 from mplsotn.milp import write_model
 from mplsotn.model import Approach, FailureEvent, FailureKind, Violation
-from mplsotn.pipeline import StageInfeasibleError, run_design
+from mplsotn.pipeline import PipelineError, StageInfeasibleError, run_design
 from mplsotn.serialize import load_design
-from mplsotn.solvers import ENV_SOLVER_COMMAND
 
 from support import OPTIONS, desk, exact_config, mesh_family
 
@@ -140,43 +143,38 @@ def test_unsurvivable_instance_rejected(chain_file, capsys):
     assert "not-biconnected" in capsys.readouterr().err
 
 
-def test_bogus_external_solver(ring4_file, capsys):
-    code = main(["run", ring4_file,
-                 "--solver-cmd", "no-such-milp-binary {lp} {sol}"])
-    assert code == EXIT_NO_SOLVER
-    assert "solver unavailable" in capsys.readouterr().err
+def test_run_without_scipy_exits_3(ring4_file):
+    tests = Path(__file__).resolve().parent
+    code = ("import sys\n"
+            "sys.modules['scipy'] = None\n"
+            "from mplsotn.cli import main\n"
+            "sys.exit(main(['run', sys.argv[1]]))\n")
+    env = dict(os.environ, PYTHONPATH=str(tests.parent / "src"))
+    done = subprocess.run([sys.executable, "-c", code, ring4_file], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert done.returncode == EXIT_NO_SOLVER, done.stderr
+    assert "solver unavailable: HiGHS needs scipy" in done.stderr
 
 
-def test_bad_solver_command_token_is_internal_error(ring4_file, capsys):
-    code = main(["run", ring4_file,
-                 "--solver-cmd", "python3 {lp} {sol} {bogus}"])
-    assert code == EXIT_INTERNAL
-    assert "bad solver command token '{bogus}'" in capsys.readouterr().err
+def test_pipeline_fault_is_internal_error(ring4_file, monkeypatch, capsys):
+    def broken(instance, cfg, **kwargs):
+        raise PipelineError("decoder lost a lightpath")
+
+    monkeypatch.setattr(cli, "run_design", broken)
+    assert main(["run", ring4_file]) == EXIT_INTERNAL
+    assert "error: decoder lost a lightpath" in capsys.readouterr().err
 
 
-def test_solver_variable_alone_selects_the_external_solver(
-        ring4_file, monkeypatch, capsys):
-    monkeypatch.setenv(ENV_SOLVER_COMMAND, "no-such-milp-binary {lp} {sol}")
-    assert main(["run", ring4_file]) == EXIT_NO_SOLVER
-    assert "no-such-milp-binary" in capsys.readouterr().err
-
-
-def test_backend_embedded_ignores_the_variable_and_refuses_a_command(
-        ring4_file, tmp_path, monkeypatch, capsys):
-    monkeypatch.setenv(ENV_SOLVER_COMMAND, "no-such-milp-binary {lp} {sol}")
+@pytest.mark.parametrize("limit", ["nan", "inf"])
+@pytest.mark.parametrize("extra", [[], ["--compare-all"]], ids=["run", "compare"])
+def test_non_finite_time_limit_is_rejected(ring4_file, tmp_path, capsys,
+                                           limit, extra):
     out = tmp_path / "out"
-    assert main(["run", ring4_file, "--backend", "embedded",
-                 "-o", str(out)]) == EXIT_OK
-    manifest = json.loads((out / "manifest.json").read_text())
-    assert all(s["solver"].startswith("highs") for s in manifest["stages"])
-
-    # a usage error: argparse's exit code 2, not the internal-fault code 1
-    capsys.readouterr()
-    with pytest.raises(SystemExit) as exited:
-        main(["run", ring4_file, "--backend", "embedded",
-              "--solver-cmd", "my-solver {lp} {sol}"])
-    assert exited.value.code == 2
-    assert "--backend embedded runs no --solver-cmd" in capsys.readouterr().err
+    code = main(["run", ring4_file, f"--time-limit={limit}", "-o", str(out),
+                 *extra])
+    assert code == EXIT_INVALID_INSTANCE
+    assert "bad-time-limit" in capsys.readouterr().err
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("argv, message", [
@@ -191,17 +189,6 @@ def test_generate_refuses_bad_arguments_as_usage_errors(argv, message, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert "mplsotn: error: generate: " in captured.err and message in captured.err
-
-
-def test_external_backend_defaults_to_bundled_solver(ring4_file, tmp_path,
-                                                     monkeypatch):
-    monkeypatch.delenv(ENV_SOLVER_COMMAND, raising=False)
-    out = tmp_path / "out"
-    code = main(["run", ring4_file, "--backend", "external",
-                 "--survivability", "none", "-o", str(out)])
-    assert code == EXIT_OK
-    manifest = json.loads((out / "manifest.json").read_text())
-    assert [s["solver"] for s in manifest["stages"]] == ["mplsotn-lp-solve"] * 2
 
 
 def test_infeasible_instance_exit_code(infeasible_file, capsys):
@@ -327,15 +314,15 @@ def test_compare_all_validates_each_option(chain_file, capsys):
         assert f"failed[{option}]: invalid instance: not-biconnected" in err
 
 
-def test_compare_all_reports_a_failed_shared_stage_on_every_row(ring4_file,
-                                                                capsys):
-    code = main(["run", ring4_file, "--compare-all", "--format", "csv",
-                 "--solver-cmd", "no-such-milp-binary {lp} {sol}"])
+def test_compare_all_reports_a_failed_shared_stage_on_every_row(
+        ring4_file, monkeypatch, capsys):
+    monkeypatch.setattr(solvers, "scipy_milp", None)  # as if scipy were missing
+    code = main(["run", ring4_file, "--compare-all", "--format", "csv"])
     assert code == EXIT_NO_SOLVER
     out, err = capsys.readouterr()
     assert {r[1] for r in _csv_rows_of(out).values()} == {
         "failed: solver unavailable"}
-    assert err.count("solver unavailable: solver executable") == len(OPTIONS)
+    assert err.count("solver unavailable: HiGHS needs scipy") == len(OPTIONS)
 
 
 @pytest.fixture
@@ -374,11 +361,14 @@ def test_compare_all_retries_get_the_time_left_after_a_shared_stage(
         ring3_hot_file, tmp_path, monkeypatch):
     starts = {}  # option -> when its first attempt began
     failed = []  # when the shared stage I came back infeasible
-    run, solve = cli.run_design, pipeline.solve
+    validate, solve = pipeline.validate_instance, pipeline.solve
 
-    def timed_run(instance, cfg, **kwargs):
+    def timed_validate(instance, cfg):
+        # run_design reads its clock just before it validates, and reaches
+        # its retry only after the shared solve returns: both marks fall on
+        # the side of the bound that holds
         starts[cfg.survivability.value] = time.perf_counter()
-        return run(instance, cfg, **kwargs)
+        return validate(instance, cfg)
 
     def timed_solve(model, **kwargs):
         sol = solve(model, **kwargs)
@@ -386,7 +376,7 @@ def test_compare_all_retries_get_the_time_left_after_a_shared_stage(
             failed.append(time.perf_counter())
         return sol
 
-    monkeypatch.setattr(cli, "run_design", timed_run)
+    monkeypatch.setattr(pipeline, "validate_instance", timed_validate)
     monkeypatch.setattr(pipeline, "solve", timed_solve)
     out = tmp_path / "out"
     main(["run", ring3_hot_file, "--compare-all", "--auto-grow-q",

@@ -1,4 +1,4 @@
-"""Model container, LP text round trips, and solution file parsing."""
+"""Model container, LP text as HiGHS reads it, and solution files."""
 
 from fractions import Fraction
 
@@ -14,12 +14,12 @@ from mplsotn.milp import (
     as_fraction,
     check_solution,
     format_coefficient,
-    parse_lp,
-    read_solution,
     snap_values,
     write_model,
     write_solution,
 )
+
+from highs_lp import assert_highs_reads_the_model, highs_view
 
 
 def small_model() -> MilpModel:
@@ -104,108 +104,54 @@ def test_format_coefficient_terminating_and_not():
     assert format_coefficient(Fraction(1, 3)) == repr(1 / 3)
 
 
-def test_write_parse_write_identity_small():
+def test_highs_reads_the_written_small_model():
     m = small_model()
-    text = write_model(m)
-    again = parse_lp(text)
-    assert write_model(again) == text
-    assert again.name == "toy"
-    assert again.objective_constant == Fraction(7, 10)
-    assert again.objective_terms == m.objective_terms
-    assert [(c.name, c.terms, c.sense, c.rhs) for c in again.constraints] == \
-           [(c.name, c.terms, c.sense, c.rhs) for c in m.constraints]
-    assert {v.name: (v.kind, v.lower, v.upper) for v in again.variables} == \
-           {v.name: (v.kind, v.lower, v.upper) for v in m.variables}
+    text = assert_highs_reads_the_model(m)
+    # the constant HiGHS does not see is kept as a comment
+    assert text.startswith("\\ model: toy\n\\ objective-constant: 0.7\n")
 
 
 def test_nonterminating_coefficient_survives_textually():
-    # 1/3 has no exact decimal; the parsed model differs by < 1e-12 but its
-    # LP text is stable, which is what artifact reproducibility needs
+    # 1/3 has no exact decimal; its float repr reads back as the same float
     m = MilpModel("third")
     m.add_variable("x", VarKind.CONTINUOUS, 0, 1)
     m.add_objective_term("x", Fraction(1, 3))
     m.add_constraint("r", [("x", 1)], "<=", 1)
-    text = write_model(m)
-    again = parse_lp(text)
-    assert write_model(again) == text
-    got = dict(again.objective_terms)["x"]
-    assert abs(float(got) - 1 / 3) < 1e-12
+    text = assert_highs_reads_the_model(m)
+    assert highs_view(text)["columns"]["x"][3] == 1 / 3
 
 
 def test_negative_leading_objective_term():
     # the first objective term may be negative; the writer must emit a sign
-    # the parser reads back, not fold it into the variable name
+    # a reader takes as one, not fold it into the variable name
     m = MilpModel("neg")
     m.add_variable("wd_d1_1_2", VarKind.BINARY)
     m.add_variable("u", VarKind.CONTINUOUS, 0, 10)
     m.add_objective_term("wd_d1_1_2", -1)
     m.add_objective_term("u", Fraction(1, 2))
     m.add_constraint("only", [("wd_d1_1_2", -1), ("u", 1)], ">=", 0)
-    text = write_model(m)
+    text = assert_highs_reads_the_model(m)
     assert " obj: - wd_d1_1_2 + 0.5 u" in text
-    again = parse_lp(text)
-    assert dict(again.objective_terms)["wd_d1_1_2"] == Fraction(-1)
-    assert again.constraints[0].terms[0] == ("wd_d1_1_2", Fraction(-1))
 
 
-def test_write_parse_write_identity_real(ring4):
+def test_highs_reads_the_written_working_mpls_model(ring4):
     from mplsotn.formulation import build_working_mpls
     from mplsotn.model import DesignConfig
     from mplsotn.pipeline import default_cost_model
 
     sm = build_working_mpls(ring4, DesignConfig(), default_cost_model(ring4))
-    text = write_model(sm.model)
-    assert write_model(parse_lp(text)) == text
-
-
-def test_parse_handles_glued_and_doubled_signs():
-    text = "\n".join([
-        "Minimize",
-        " obj: -3 x + - 2 y - -1 z",
-        "Subject To",
-        " r: x + -y >= -2",
-        "Bounds",
-        " 0 <= x <= 1",
-        " 0 <= y <= 1",
-        " 0 <= z <= 1",
-        "End",
-    ])
-    m = parse_lp(text)
-    assert dict(m.objective_terms) == {
-        "x": Fraction(-3), "y": Fraction(-2), "z": Fraction(1)}
-    (row,) = m.constraints
-    assert dict(row.terms) == {"x": Fraction(1), "y": Fraction(-1)}
-    assert row.rhs == Fraction(-2)
+    assert sm.model.objective_constant != 0
+    assert_highs_reads_the_model(sm.model)
 
 
 def test_parse_empty_objective_placeholder():
     m = MilpModel("void")
     m.add_variable("x", VarKind.BINARY)
     m.add_constraint("r", [("x", 1)], "<=", 1)
-    text = write_model(m)
-    assert "0 __zero__" in text
-    again = parse_lp(text)
-    assert again.objective_terms == ()
-    assert write_model(again) == text
-
-
-def test_parse_rejects_malformed_text():
-    with pytest.raises(ModelError):
-        parse_lp("Bounds\n 0 <= x <= 1\nEnd\n")
-    base = ["Minimize", " obj: x", "Subject To", " r: x <= 1",
-            "Bounds", " 0 <= x <= 1", "End"]
-    bad_bounds = list(base)
-    bad_bounds[5] = " x free"
-    with pytest.raises(ModelError):
-        parse_lp("\n".join(bad_bounds))
-    nameless = list(base)
-    nameless[3] = " x <= 1"
-    with pytest.raises(ModelError):
-        parse_lp("\n".join(nameless))
-    senseless = list(base)
-    senseless[3] = " r: x"
-    with pytest.raises(ModelError):
-        parse_lp("\n".join(senseless))
+    m.add_constraint("nothing", [("x", 2), ("x", -2)], ">=", -1)
+    text = assert_highs_reads_the_model(m)
+    assert " obj: 0 __zero__\n" in text
+    assert " nothing: 0 __zero__ >= -1\n" in text
 
 
 def test_snap_values_tolerance():
@@ -240,77 +186,22 @@ def test_check_solution_reports_all_failures():
                               "y": Fraction(0), "z": Fraction(1)}) == []
 
 
-def test_read_solution_plain_dialect():
-    m = small_model()
-    sol = read_solution(
-        "# status optimal\n# objective 2.0\n# gap 0.0\nx 1\nz 1\n", m)
-    assert sol.status is SolveStatus.OPTIMAL
-    assert sol.values["x"] == 1 and sol.values["y"] == 0
-    # objective recomputed exactly from values, not trusted from the header
-    assert sol.objective == float(m.objective_value(sol.values))
-
-    sol = read_solution("# status feasible-within-gap\n# gap 0.01\nx 1\nz 1\n", m)
-    assert sol.status is SolveStatus.FEASIBLE_WITHIN_GAP
-    assert sol.gap == 0.01
-
-    sol = read_solution("# status time-limit-feasible\nx 1\nz 1\n", m)
-    assert sol.status is SolveStatus.TIME_LIMIT_FEASIBLE
-
-    sol = read_solution("# status infeasible\n", m)
-    assert sol.status is SolveStatus.INFEASIBLE
-
-    # a file that states no status claims no proof
-    assert read_solution("x 1\n", m).status is SolveStatus.TIME_LIMIT_FEASIBLE
-
-    assert read_solution("", m).status is SolveStatus.ERROR
-    assert read_solution("x 1 2 3\n", m).status is SolveStatus.ERROR
-    assert read_solution("x one\n", m).status is SolveStatus.ERROR
-    assert read_solution("x 0.5\n", m).status is SolveStatus.ERROR  # binary off-grid
-
-
-def test_read_solution_cbc_dialect():
-    m = small_model()
-    text = ("Optimal - objective value 2.0\n"
-            "      0 x        1                0\n"
-            "      2 z        1                0\n")
-    sol = read_solution(text, m)
-    assert sol.status is SolveStatus.OPTIMAL
-    assert sol.values["x"] == 1 and sol.values["z"] == 1
-
-    assert read_solution("Infeasible - objective value 0\n", m).status \
-        is SolveStatus.INFEASIBLE
-    stopped = read_solution(
-        "Stopped on time limit - objective value 2.0\n      0 x  1  0\n"
-        "      2 z  1  0\n", m)
-    assert stopped.status is SolveStatus.TIME_LIMIT_FEASIBLE
-
-
-def test_write_solution_round_trip():
-    m = small_model()
-    first = Solution(status=SolveStatus.OPTIMAL, objective=2.0,
-                     values={"x": Fraction(1), "y": Fraction(0), "z": Fraction(1)},
-                     gap=0.0)
-    text = write_solution(first)
-    assert "y " not in text  # sparse: zeros omitted
-    again = read_solution(text, m)
-    assert again.status is SolveStatus.OPTIMAL
-    assert again.values == {"x": Fraction(1), "y": Fraction(0), "z": Fraction(1)}
+def test_write_solution_lines():
+    sol = Solution(status=SolveStatus.OPTIMAL, objective=2.0,
+                   values={"x": Fraction(1), "y": Fraction(0),
+                           "z": Fraction(-5, 4)},
+                   gap=0.0)
+    # sparse: zero values are omitted
+    assert write_solution(sol) == ("# status optimal\n# objective 2.0\n"
+                                   "# gap 0.0\nx 1\nz -1.25\n")
+    bare = Solution(SolveStatus.TIME_LIMIT_FEASIBLE, values={"x": Fraction(1, 3)})
+    assert write_solution(bare) == f"# status time-limit-feasible\nx {1 / 3!r}\n"
 
 
 def test_write_solution_keeps_a_failure_message():
-    m = small_model()
     failed = Solution(SolveStatus.ERROR,
                       message="no incumbent: Time limit reached\nby HiGHS")
-    text = write_solution(failed)
-    assert "# message no incumbent: Time limit reached by HiGHS\n" in text
-    again = read_solution(text, m)
-    assert again.status is SolveStatus.ERROR
-    assert again.message == ("solver reported status error: "
-                             "no incumbent: Time limit reached by HiGHS")
-    assert read_solution("# status no-solver\n# message boom\n", m).message \
-        == "solver reported status no-solver: boom"
-    # a stated infeasible keeps its plain message; a solved file ignores one
-    assert read_solution("# status infeasible\n# message boom\n", m).message \
-        == "solver reported status infeasible"
-    assert read_solution("# status optimal\n# message boom\nx 1\nz 1\n",
-                         m).status is SolveStatus.OPTIMAL
+    # the message is folded onto its one header line
+    assert write_solution(failed) == (
+        "# status error\n# message no incumbent: Time limit reached by HiGHS\n")
+    assert write_solution(Solution(SolveStatus.NO_SOLVER)) == "# status no-solver\n"

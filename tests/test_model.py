@@ -26,7 +26,6 @@ from mplsotn.model import (
     Survivability,
     TrafficMatrix,
     canonical_instance_dict,
-    complement_route,
     instance_hash,
     normalized_link,
     validate_instance,
@@ -128,11 +127,6 @@ def test_lightpath_route_accessors():
     assert lp.route_links == ((1, 3), (2, 3), (2, 4))
     assert lp.transit_nodes == (3, 2)
 
-    mirror = complement_route(lp)
-    assert mirror.route == (4, 2, 3, 1)
-    assert mirror.key == (4, 1, 0)
-    assert set(mirror.route_links) == set(lp.route_links)
-
 
 def test_logical_topology_role_partition():
     work = Lightpath(1, 2, 0, LightpathRole.WORK_CARRIER, (1, 2))
@@ -223,8 +217,9 @@ def test_validation_limit_codes():
         make_instance([1, 2], [(1, 2)], [], router_interfaces=0)))
     assert "bad-gap" in codes(validate_instance(inst, DesignConfig(optimality_gap=1.0)))
     assert "bad-gap" in codes(validate_instance(inst, DesignConfig(optimality_gap=-0.1)))
-    assert "bad-time-limit" in codes(
-        validate_instance(inst, DesignConfig(time_limit_seconds=0.0)))
+    for limit in (0.0, float("nan"), float("inf")):
+        assert "bad-time-limit" in codes(
+            validate_instance(inst, DesignConfig(time_limit_seconds=limit)))
 
 
 def test_validation_demand_codes():
@@ -249,7 +244,7 @@ def test_validation_demand_codes():
     assert len(reversed_msgs) == 2  # both f and g
 
 
-def test_design_route_lookup_and_mirrors(ring4):
+def test_design_route_lookup(ring4):
     from support import exact_config, cached_design
 
     design = cached_design(ring4, exact_config(Survivability.SINGLE_LAYER))
@@ -257,17 +252,6 @@ def test_design_route_lookup_and_mirrors(ring4):
     assert design.route_for(demand.id).demand_id == demand.id
     with pytest.raises(KeyError):
         design.route_for("nope")
-
-    mirrors = design.mirrored_lightpaths()
-    assert len(mirrors) == len(design.logical.lightpaths)
-    for fwd, rev in zip(design.logical.lightpaths, mirrors):
-        assert rev.origin == fwd.termination and rev.termination == fwd.origin
-        assert rev.route == tuple(reversed(fwd.route))
-
-    for fwd, rev in zip(design.lsp_routes, design.mirrored_lsp_routes()):
-        assert rev.demand_id == fwd.demand_id + "/rev"
-        assert rev.working == tuple((j, i, q) for i, j, q in reversed(fwd.working))
-        assert (rev.protection is None) == (fwd.protection is None)
 
 
 def test_approach_values_round_trip():

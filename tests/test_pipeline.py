@@ -11,7 +11,7 @@ from pathlib import Path
 
 import pytest
 
-from mplsotn import pipeline
+from mplsotn import pipeline, solvers
 from mplsotn.evaluate import verify_design
 from mplsotn.formulation import StageModel, VarIndex
 from mplsotn.instances import generate_instance
@@ -255,11 +255,12 @@ def test_auto_grow_q_never_reuses_a_given_working_layer(monkeypatch):
     assert design.traces[0].variables > plain.traces[0].variables
 
 
-def test_missing_external_solver_raises(ring4):
+def test_missing_external_solver_raises(ring4, monkeypatch):
+    # HiGHS comes from scipy; without scipy there is no solver at all
+    monkeypatch.setattr(solvers, "scipy_milp", None)
     cfg = DesignConfig(survivability=Survivability.NONE)
-    solver = SolverConfig(command="no-such-milp-binary {lp} {sol}")
-    with pytest.raises(SolverUnavailableError):
-        run_design(ring4, cfg, solver=solver)
+    with pytest.raises(SolverUnavailableError, match="scipy"):
+        run_design(ring4, cfg)
 
 
 def test_run_design_validates_instance(ring4):
@@ -316,9 +317,8 @@ def test_solve_memo_solves_an_equal_model_once(monkeypatch):
 @pytest.mark.parametrize("change,solves", [
     ({"b_weight": 4}, 2),
     ({"gap": 0.01}, 2),
-    ({"solver": SolverConfig(command="b {lp} {sol}")}, 2),
     ({"solver": SolverConfig(keep_artifacts_dir=None)}, 1),
-], ids=["model", "gap", "command", "default-config"])
+], ids=["model", "gap", "default-config"])
 def test_solve_memo_keys_on_model_gap_and_solver(monkeypatch, change, solves):
     stub = _StubSolve()
     monkeypatch.setattr(pipeline, "solve", stub)

@@ -7,10 +7,8 @@ from fractions import Fraction
 import pytest
 
 from mplsotn.evaluate import failure_drill
-from mplsotn.model import Approach, Survivability
+from mplsotn.model import Survivability
 from mplsotn.report import (
-    approach_rows,
-    approach_table,
     design_summary,
     format_money,
     format_percent,
@@ -87,30 +85,6 @@ def test_option_table_csv_parses(ring4):
                        "lightpaths", "wavelengths", "saving"]
     assert len(rows) == 1 + len(OPTIONS)
     assert rows[2][0] == "single" and rows[2][5] == "-"
-
-
-def test_approach_rows_ring4(ring4):
-    seq = cached_design(ring4, exact_config(Survivability.MULTI_DOUBLE))
-    integ = cached_design(ring4, exact_config(
-        Survivability.MULTI_DOUBLE, approach=Approach.INTEGRATED))
-    row, = approach_rows([("double", seq, integ)])
-    assert row == {
-        "option": "double",
-        "cost_sequential": "29", "cost_integrated": "29",
-        "cost_saving": "0.0 %",
-        "wavelengths_sequential": "4", "wavelengths_integrated": "4",
-        "wavelengths_saved": "0", "wavelength_saving": "0.0 %",
-    }
-
-
-def test_approach_table_csv(ring4):
-    seq = cached_design(ring4, exact_config(Survivability.MULTI_DOUBLE))
-    integ = cached_design(ring4, exact_config(
-        Survivability.MULTI_DOUBLE, approach=Approach.INTEGRATED))
-    text = approach_table([("double", seq, integ)], fmt="csv")
-    rows = list(csv.reader(io.StringIO(text)))
-    assert len(rows) == 2
-    assert rows[0][0] == "option" and len(rows[0]) == 8
 
 
 def test_design_summary_single_layer(ring4):

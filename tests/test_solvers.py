@@ -1,23 +1,14 @@
-"""HiGHS in process and external LP-file solvers behind the one solve() contract."""
+"""In-process HiGHS behind the solve() contract."""
 
 import json
-import shlex
-import sys
-import tempfile
 from fractions import Fraction
-from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
-import pytest
 
 from mplsotn import solvers
 from mplsotn.milp import MilpModel, SolveStatus, VarKind
-from mplsotn.solvers import (
-    DEFAULT_EXTERNAL_TEMPLATE,
-    SolverConfig,
-    hard_deadline,
-    solve,
-)
+from mplsotn.solvers import SolverConfig, solve
 
 
 def knapsack() -> MilpModel:
@@ -122,65 +113,33 @@ def test_embedded_assembly_matches_per_term_floats(monkeypatch):
     assert same(seen["constraints"].ub, hi)
 
 
-def test_hard_deadline_adds_slack():
-    assert hard_deadline(None) is None
-    assert hard_deadline(10.0) == pytest.approx(10.0 * 1.1 + 1.0)
-
-
-def test_external_via_bundled_script():
-    cfg = SolverConfig(command=DEFAULT_EXTERNAL_TEMPLATE)
-    sol = solve(knapsack(), gap=0.0, solver=cfg)
-    assert sol.status is SolveStatus.OPTIMAL
-    assert sol.objective == -8.0
-    assert sol.solver_name == "mplsotn-lp-solve"
-    # the solution file format carries no search statistics
-    assert sol.node_count is None and sol.dual_bound is None
-
-
-def test_external_solver_missing_or_misconfigured():
-    missing = SolverConfig(command="definitely-not-a-solver {lp} -o {sol}")
-    sol = solve(knapsack(), solver=missing)
-    assert sol.status is SolveStatus.NO_SOLVER
-    assert "not found" in sol.message
-
-    bad_template = SolverConfig(command="solver-without-slots")
-    sol = solve(knapsack(), solver=bad_template)
-    assert sol.status is SolveStatus.NO_SOLVER
-    assert "{lp}" in sol.message
-
-
-def test_external_incumbents_are_feasibility_checked(tmp_path):
+def test_incumbents_are_feasibility_checked(monkeypatch):
     # a "solver" that always answers x=1 against a model that forbids it
-    script = tmp_path / "liar.py"
-    script.write_text(
-        "import sys\n"
-        "out = sys.argv[2]\n"
-        "open(out, 'w').write('# status optimal\\nx 1\\n')\n"
-    )
+    def liar(**kwargs):
+        return SimpleNamespace(status=0, x=np.ones(len(kwargs["c"])),
+                               message="stub", mip_gap=0.0)
+
+    monkeypatch.setattr(solvers, "scipy_milp", liar)
     m = MilpModel("guarded")
     m.add_variable("x", VarKind.BINARY)
     m.add_objective_term("x", -1)
     m.add_constraint("ban", [("x", 1)], "<=", 0)
-    cfg = SolverConfig(command=f"{sys.executable} {script} {{lp}} {{sol}}")
-    sol = solve(m, solver=cfg)
+    sol = solve(m)
     assert sol.status is SolveStatus.ERROR
     assert "infeasible point" in sol.message
-
-
-@pytest.mark.parametrize("stated", ["error", "no-solver"])
-def test_external_error_status_is_an_error(tmp_path, stated):
-    # the bundled solver writes only this header when its own solve fails;
-    # the file has no point, so it is no all-zero incumbent
-    script = tmp_path / "failing.py"
-    script.write_text(
-        "import sys\n"
-        f"open(sys.argv[2], 'w').write('# status {stated}\\n')\n"
-    )
-    cfg = SolverConfig(command=f"{sys.executable} {script} {{lp}} {{sol}}")
-    sol = solve(knapsack(), solver=cfg)
-    assert sol.status is SolveStatus.ERROR
-    assert stated in sol.message
     assert sol.objective is None and sol.values == {}
+
+
+def test_missing_scipy_is_no_solver(monkeypatch, tmp_path):
+    # an import that failed leaves scipy_milp unset
+    monkeypatch.setattr(solvers, "scipy_milp", None)
+    cfg = SolverConfig(keep_artifacts_dir=tmp_path)
+    sol = solve(knapsack(), solver=cfg, stage="s1")
+    assert sol.status is SolveStatus.NO_SOLVER
+    assert "scipy" in sol.message
+    assert (tmp_path / "s1.sol").read_text().startswith("# status no-solver\n")
+    # a model with nothing to decide needs no solver
+    assert solve(MilpModel("empty")).status is SolveStatus.OPTIMAL
 
 
 def test_keep_artifacts_writes_stage_files(tmp_path):
@@ -196,35 +155,3 @@ def test_keep_artifacts_writes_stage_files(tmp_path):
     body = (base / "working-mpls.sol").read_text()
     assert "# status optimal" in body and "a 1" in body
 
-
-def test_keep_artifacts_on_external_backend(tmp_path):
-    cfg = SolverConfig(command=DEFAULT_EXTERNAL_TEMPLATE,
-                       keep_artifacts_dir=tmp_path)
-    sol = solve(knapsack(), solver=cfg, stage="s2")
-    assert sol.status is SolveStatus.OPTIMAL
-    for suffix in (".lp", ".meta.json", ".sol"):
-        assert (tmp_path / f"s2{suffix}").exists()
-
-
-def test_external_failure_message_reaches_the_solution():
-    write = ("import sys; open(sys.argv[1], 'w')"
-             ".write('# status error\\n# message boom\\n')")
-    python = shlex.quote(sys.executable)
-    command = f"{python} -c {shlex.quote(write)} {{sol}} {{lp}}"
-    sol = solve(knapsack(), solver=SolverConfig(command=command))
-    assert sol.status is SolveStatus.ERROR
-    assert sol.message == "solver reported status error: boom"
-
-
-def test_external_solves_leave_no_temp_dirs(tmp_path, monkeypatch):
-    monkeypatch.setattr(tempfile, "tempdir", str(tmp_path))
-    python = shlex.quote(sys.executable)
-    cases = [
-        (DEFAULT_EXTERNAL_TEMPLATE, SolveStatus.OPTIMAL),
-        ("definitely-not-a-solver {lp} -o {sol}", SolveStatus.NO_SOLVER),
-        (f"{python} -c pass {{lp}} {{sol}}", SolveStatus.ERROR),  # writes no file
-    ]
-    for command, status in cases:
-        cfg = SolverConfig(command=command)
-        assert solve(knapsack(), solver=cfg).status is status, command
-        assert list(tmp_path.glob("mplsotn-*")) == [], command
