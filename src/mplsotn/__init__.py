@@ -38,10 +38,15 @@ from .pipeline import (
     PipelineError,
     SolverUnavailableError,
     StageInfeasibleError,
-    manifest_dict,
     run_design,
 )
-from .serialize import design_from_dict, design_to_dict, load_design, save_design
+from .serialize import (
+    design_from_dict,
+    design_to_dict,
+    load_design,
+    manifest_dict,
+    save_design,
+)
 from .solvers import SolverConfig
 
 __version__ = "0.1.0"

@@ -29,10 +29,9 @@ from .pipeline import (
     SolveMemo,
     SolverUnavailableError,
     StageInfeasibleError,
-    manifest_dict,
     run_design,
 )
-from .serialize import load_design, save_design
+from .serialize import load_design, manifest_dict, save_design
 from .solvers import SolverConfig
 
 EXIT_OK = 0

@@ -41,7 +41,7 @@ from .model import (
     LspDemand,
     PhysicalTopology,
     Survivability,
-    normalized_link,
+    route_links,
 )
 
 Slot = LightpathKey
@@ -398,17 +398,13 @@ def _link_terms(
     return out
 
 
-def _links_of_route(route: tuple[int, ...]) -> tuple[Link, ...]:
-    return tuple(normalized_link(a, b) for a, b in zip(route, route[1:]))
-
-
 def _link_loads(
     links: Iterable[Link], routes: Iterable[tuple[int, ...]]
 ) -> dict[Link, int]:
     """How many of ``routes`` cross each link."""
     loads = {link: 0 for link in links}
     for route in routes:
-        for link in _links_of_route(route):
+        for link in route_links(route):
             loads[link] += 1
     return loads
 
@@ -444,7 +440,7 @@ def _add_carrier_protection(
             m, index, "pr", slot, arcs, nodes, "protection-lightpath-flow",
             "plproute", cost=cost, avoid=frozenset(route[1:-1]),
         )
-        for link in _links_of_route(route):
+        for link in route_links(route):
             terms = _link_terms(index, "pr", (slot,), link)
             if terms:
                 m.add_constraint(
@@ -470,11 +466,7 @@ def demand_physical_path_links(
     demand_path: Sequence[Slot],
     routes: Mapping[Slot, tuple[int, ...]],
 ) -> tuple[Link, ...]:
-    out: list[Link] = []
-    for slot in demand_path:
-        route = routes[slot]
-        out.extend(normalized_link(a, b) for a, b in zip(route, route[1:]))
-    return tuple(out)
+    return tuple(link for slot in demand_path for link in route_links(routes[slot]))
 
 
 def brs_needed_spares(
@@ -496,8 +488,8 @@ def brs_needed_spares(
                 route = spare_routes.get(slot)
                 if not route or node in route:
                     continue
-                for a, b in zip(route, route[1:]):
-                    out.setdefault((node, normalized_link(a, b)), set()).add(slot)
+                for link in route_links(route):
+                    out.setdefault((node, link), set()).add(slot)
     return {key: len(slots) for key, slots in out.items()}
 
 

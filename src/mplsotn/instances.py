@@ -51,6 +51,8 @@ def gbps_to_mbps(value, what: str) -> int:
         gbps = Decimal(str(value))
     except InvalidOperation:
         raise _bad("bad-field", f"{what}: cannot parse {value!r}") from None
+    if not gbps.is_finite():
+        raise _bad("bad-field", f"{what} must be finite, got {value!r}")
     mbps = gbps * MBPS_PER_GBPS
     if mbps != mbps.to_integral_value():
         raise _bad("bad-field",

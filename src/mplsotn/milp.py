@@ -118,9 +118,6 @@ class MilpModel:
     def variables(self) -> tuple[Variable, ...]:
         return tuple(self._vars.values())
 
-    def has_variable(self, name: str) -> bool:
-        return name in self._vars
-
     # -- constraints and objective ------------------------------------------
 
     def add_constraint(self, name: str, terms: Iterable[tuple[str, object]],

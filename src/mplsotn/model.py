@@ -75,6 +75,11 @@ def normalized_link(a: int, b: int) -> Link:
     return (a, b) if a < b else (b, a)
 
 
+def route_links(route: tuple[int, ...]) -> tuple[Link, ...]:
+    """The links a node sequence crosses, in order."""
+    return tuple(normalized_link(a, b) for a, b in zip(route, route[1:]))
+
+
 @dataclass(frozen=True)
 class PhysicalTopology:
     nodes: tuple[int, ...]
@@ -235,9 +240,7 @@ class Lightpath:
 
     @property
     def route_links(self) -> tuple[Link, ...]:
-        return tuple(
-            normalized_link(a, b) for a, b in zip(self.route, self.route[1:])
-        )
+        return route_links(self.route)
 
     @property
     def transit_nodes(self) -> tuple[int, ...]:
@@ -263,12 +266,6 @@ class LogicalTopology:
             lp for lp in self.lightpaths
             if lp.role is LightpathRole.OPTICAL_PROTECTION
         )
-
-    def carrier_by_key(self, key: LightpathKey) -> Lightpath:
-        for lp in self.lightpaths:
-            if lp.key == key and lp.role is not LightpathRole.OPTICAL_PROTECTION:
-                return lp
-        raise KeyError(key)
 
     def protection_by_key(self, key: LightpathKey) -> Optional[Lightpath]:
         for lp in self.lightpaths:
@@ -362,12 +359,6 @@ class Design:
     metrics: Metrics
     cost: CostBreakdown
     traces: tuple[StageTrace, ...]
-
-    def route_for(self, demand_id: str) -> LspRoute:
-        for r in self.lsp_routes:
-            if r.demand_id == demand_id:
-                return r
-        raise KeyError(demand_id)
 
 
 @dataclass(frozen=True)
@@ -501,7 +492,8 @@ def validate_instance(instance: Instance, cfg: Optional[DesignConfig] = None
                              f"lightpath capacity must be positive, got {instance.lightpath_capacity_mbps} Mbps"))
     if cfg.effective_q_max(instance) < 1:
         out.append(Violation("bad-slot-limit", "max parallel lightpaths must be >= 1"))
-    if cfg.effective_interfaces(instance) < 1:
+    # the default, 2 * q_max * (N - 1), is positive whenever the checks above pass
+    if instance.router_interfaces is not None and instance.router_interfaces < 1:
         out.append(Violation("bad-interface-limit", "router interface count must be >= 1"))
 
     if not out:

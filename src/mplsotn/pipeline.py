@@ -585,51 +585,3 @@ def run_design(
     budgets = allocate_budgets(
         instance, replace(grown, time_limit_seconds=remaining))
     return _run(instance, grown, cm, solver, shared, budgets)
-
-
-def manifest_dict(design: Design) -> dict:
-    """Reproducibility record: what ran, how long, how close to optimal."""
-    return {
-        "instance": {"name": design.instance_name, "hash": design.instance_hash},
-        "configuration": {
-            "survivability": design.config.survivability.value,
-            "approach": design.config.approach.value,
-            "optimality_gap": design.config.optimality_gap,
-            "time_limit_seconds": design.config.time_limit_seconds,
-            "transit_double_count": design.config.transit_double_count,
-        },
-        "cost": {
-            "transit": str(design.cost.transit),
-            "mpls": str(design.cost.mpls),
-            "optical": str(design.cost.optical),
-            "total": str(design.cost.total),
-            "total_float": float(design.cost.total),
-        },
-        "metrics": {
-            "transit_gbps": float(design.metrics.transit_total_gbps),
-            "working_lightpaths": design.metrics.working_lightpaths,
-            "spare_lightpaths": design.metrics.spare_lightpaths,
-            "protection_lightpaths": design.metrics.protection_lightpaths,
-            "wavelength_total": design.metrics.wavelength_total,
-            "extra_wavelengths": design.metrics.extra_wavelengths,
-            "reuse_factor": (None if design.metrics.reuse_factor is None
-                             else float(design.metrics.reuse_factor)),
-        },
-        "stages": [
-            {
-                "stage": t.stage,
-                "variables": t.variables,
-                "constraints": t.constraints,
-                "status": t.status,
-                "objective": t.objective,
-                "achieved_gap": t.gap,
-                "wall_seconds": round(t.wall_seconds, 6),
-                "budget_seconds": round(t.time_budget_seconds, 6),
-                "solver": t.solver,
-                "node_count": t.node_count,
-                "dual_bound": t.dual_bound,
-            }
-            for t in design.traces
-        ],
-        "wall_seconds_total": round(sum(t.wall_seconds for t in design.traces), 6),
-    }

@@ -1,4 +1,4 @@
-"""Lossless JSON form of a finished design.
+"""JSON documents of a finished design: the lossless design file and the manifest.
 
 One codec walks the dataclasses of a design: each value type is written as
 an object holding its fields in field order, exact rationals as fraction
@@ -12,6 +12,10 @@ top level), and ``LspRoute.demand_id`` is written as ``demand``.
 Unknown keys are ignored. A missing key is an error, except for the stage
 trace fields added after the format's first files (``_ADDED_AFTER_1``),
 which take their defaults.
+
+The manifest is the reproducibility record of a run. Its blocks are the
+same codec's form of the parts of a design that say what ran and what it
+took, so they carry the design file's field names and exact values.
 """
 
 from __future__ import annotations
@@ -94,6 +98,19 @@ def design_from_dict(data: dict) -> Design:
     return _decode(Design, {**data, "logical": data,
                             "instance_name": data["instance"]["name"],
                             "instance_hash": data["instance"]["hash"]})
+
+
+def manifest_dict(design: Design) -> dict:
+    """Reproducibility record: what ran, how long, how close to optimal."""
+    return {
+        "instance": {"name": design.instance_name, "hash": design.instance_hash},
+        "configuration": _encode(design.config),
+        "cost_model": _encode(design.cost_model),
+        "cost": {**_encode(design.cost), "total": str(design.cost.total)},
+        "metrics": _encode(design.metrics),
+        "stages": _encode(design.traces),
+        "wall_seconds_total": sum(t.wall_seconds for t in design.traces),
+    }
 
 
 def save_design(design: Design, path: Union[str, Path]) -> None:

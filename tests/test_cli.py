@@ -99,6 +99,44 @@ def test_run_writes_design_and_manifest(ring4_file, tmp_path, capsys):
     assert "failure drill   12/12 events restorable" in stdout
 
 
+MANIFEST_KEYS = [
+    "instance", "instance.name", "instance.hash",
+    "configuration", "configuration.survivability", "configuration.approach",
+    "configuration.q_max", "configuration.optimality_gap",
+    "configuration.time_limit_seconds", "configuration.transit_double_count",
+    "configuration.auto_grow_q",
+    "cost_model", "cost_model.router_port_cost", "cost_model.oxc_port_cost",
+    "cost_model.transponder_cost", "cost_model.lightpath_capacity_gbps",
+    "cost", "cost.transit", "cost.mpls", "cost.optical", "cost.total",
+    "metrics", "metrics.transit_mbps_per_node", "metrics.transit_total_mbps",
+    "metrics.working_lightpaths", "metrics.spare_lightpaths",
+    "metrics.protection_lightpaths", "metrics.wavelengths_per_link",
+    "metrics.wavelength_total", "metrics.extra_wavelengths",
+    "metrics.spare_wavelengths", "metrics.reuse_factor",
+    "stages", "stages[].stage", "stages[].variables", "stages[].constraints",
+    "stages[].status", "stages[].objective", "stages[].objective_exact",
+    "stages[].gap", "stages[].wall_seconds", "stages[].time_budget_seconds",
+    "stages[].solver", "stages[].node_count", "stages[].dual_bound",
+    "wall_seconds_total",
+]
+
+
+def test_manifest_key_paths(ring4_file, tmp_path):
+    # keys only: the values include wall times
+    out = tmp_path / "out"
+    assert main(["run", ring4_file, "--survivability", "brs",
+                 "-o", str(out)]) == EXIT_OK
+    manifest = json.loads((out / "manifest.json").read_text())
+    paths = []
+    for key, block in manifest.items():
+        paths.append(key)
+        if isinstance(block, list):
+            key, block = f"{key}[]", block[0]
+        if isinstance(block, dict):
+            paths.extend(f"{key}.{sub}" for sub in block)
+    assert paths == MANIFEST_KEYS
+
+
 def test_run_keep_artifacts(ring4_file, tmp_path):
     art = tmp_path / "artifacts"
     code = main(["run", ring4_file, "--survivability", "none",
@@ -177,10 +215,28 @@ def test_non_finite_time_limit_is_rejected(ring4_file, tmp_path, capsys,
     assert not out.exists()
 
 
+@pytest.mark.parametrize("value", ["inf", "-inf", "NaN"])
+@pytest.mark.parametrize("field", ["demand", "lightpath_capacity_gbps"])
+def test_run_refuses_a_non_finite_bandwidth(field, value, tmp_path, capsys):
+    path = tmp_path / "ring4.json"
+    save_instance(desk("ring4"), path)
+    doc = json.loads(path.read_text(encoding="utf-8"))
+    if field == "demand":
+        doc["demands"][0]["bandwidth_gbps"] = value
+    else:
+        doc["lightpath_capacity_gbps"] = value
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    assert main(["run", str(path)]) == EXIT_INVALID_INSTANCE
+    err = capsys.readouterr().err
+    assert "bad-field" in err and "must be finite" in err
+
+
 @pytest.mark.parametrize("argv, message", [
     (["--nodes", "4", "--demands", "-1"], "at most 2 demands"),
     (["--nodes", "2"], "at least 3 nodes"),
     (["--nodes", "4", "--profile", "1,x"], "could not convert"),
+    *((["--nodes", "4", f"--profile={value}"], "profile bandwidth must be finite")
+      for value in ("inf", "-inf", "NaN")),
 ])
 def test_generate_refuses_bad_arguments_as_usage_errors(argv, message, capsys):
     with pytest.raises(SystemExit) as exited:
@@ -232,7 +288,7 @@ def test_auto_grow_q_retry_gets_the_time_left(infeasible_file, tmp_path,
     assert sum(c[1] for c in retry) <= 60 - first_wall
     manifest = json.loads((out / "manifest.json").read_text())
     assert manifest["configuration"]["time_limit_seconds"] == 60
-    assert sum(s["budget_seconds"] for s in manifest["stages"]) < 60
+    assert sum(s["time_budget_seconds"] for s in manifest["stages"]) < 60
 
 
 def test_verification_failure_exit_code(ring4_file, monkeypatch, capsys):
@@ -389,7 +445,7 @@ def test_compare_all_retries_get_the_time_left_after_a_shared_stage(
         # an option that began before the shared stage came back spent
         # that time on its first attempt
         first = max(0.0, shared_end - starts[option])
-        assert sum(s["budget_seconds"] for s in manifest["stages"]) <= \
+        assert sum(s["time_budget_seconds"] for s in manifest["stages"]) <= \
             60 - first
 
 

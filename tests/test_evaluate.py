@@ -314,15 +314,17 @@ def test_drill_single_layer_switches_to_protection_path(ring4):
     assert s["events"] == 12 and s["restorable_events"] == 12
     assert s["unrestored_pairs"] == 0 and s["contention_events"] == 0
 
-    working_link = design.logical.carrier_by_key(
-        design.route_for("d1").working[0]).route_links[0]
+    (route,) = design.lsp_routes
+    first_hop = route.working[0]
+    working_link = next(lp for lp in design.logical.carriers()
+                        if lp.key == first_hop).route_links[0]
     outcome = drill_event(ring4, design,
                           FailureEvent(FailureKind.LINK, link=working_link))
     assert outcome.mpls_recovered == ("d1",)
     assert outcome.optical_recovered == ()
 
     iface = FailureEvent(FailureKind.INTERFACE,
-                         lightpath=design.route_for("d1").working[0], end=1)
+                         lightpath=first_hop, end=1)
     outcome = drill_event(ring4, design, iface)
     assert outcome.mpls_recovered == ("d1",)
 
