@@ -47,7 +47,6 @@ from .serialize import (
     manifest_dict,
     save_design,
 )
-from .solvers import SolverConfig
 
 __version__ = "0.1.0"
 
@@ -64,7 +63,6 @@ __all__ = [
     "LspDemand",
     "PhysicalTopology",
     "PipelineError",
-    "SolverConfig",
     "SolverUnavailableError",
     "StageInfeasibleError",
     "Survivability",

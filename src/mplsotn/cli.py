@@ -23,6 +23,7 @@ from .model import (
     Instance,
     InvalidInstanceError,
     Survivability,
+    instance_hash,
 )
 from .pipeline import (
     PipelineError,
@@ -32,7 +33,6 @@ from .pipeline import (
     run_design,
 )
 from .serialize import load_design, manifest_dict, save_design
-from .solvers import SolverConfig
 
 EXIT_OK = 0
 EXIT_INTERNAL = 1
@@ -61,9 +61,9 @@ def _design_config(args, survivability: Survivability) -> DesignConfig:
     )
 
 
-def _run_one(instance: Instance, cfg: DesignConfig, solver: SolverConfig,
+def _run_one(instance: Instance, cfg: DesignConfig, keep: Optional[Path],
              shared: Optional[SolveMemo] = None):
-    design = run_design(instance, cfg, solver=solver, shared=shared)
+    design = run_design(instance, cfg, keep_artifacts_dir=keep, shared=shared)
     violations = evaluate.verify_design(instance, design)
     drill = evaluate.failure_drill(instance, design)
     return design, violations, drill
@@ -125,8 +125,7 @@ def _cmd_run(args) -> int:
         return _cmd_compare(instance, args)
     survivability = Survivability(args.survivability)
     design, violations, drill = _run_one(
-        instance, _design_config(args, survivability),
-        SolverConfig(keep_artifacts_dir=args.keep_artifacts))
+        instance, _design_config(args, survivability), args.keep_artifacts)
     _write_outputs(args.output_dir, design)
     sys.stdout.write(report.design_summary(design, drill.summary()))
     if violations:
@@ -159,8 +158,7 @@ def _cmd_compare(instance: Instance, args) -> int:
     shared = SolveMemo()
 
     def run_option(cfg: DesignConfig):
-        own = SolverConfig(keep_artifacts_dir=(
-            keep / cfg.survivability.value if keep is not None else None))
+        own = keep / cfg.survivability.value if keep is not None else None
         try:
             return cfg, _run_one(instance, cfg, own, shared)
         except (PipelineError, ValueError) as exc:
@@ -209,6 +207,10 @@ def _cmd_export_dot(args) -> int:
             detail = f"missing field {exc}" if isinstance(exc, KeyError) else exc
             print(f"error: cannot read design {args.design}: {detail}",
                   file=sys.stderr)
+            return EXIT_INVALID_INSTANCE
+        if design.instance_hash != instance_hash(instance):
+            print(f"error: design {args.design} was built for a different "
+                  f"instance than {args.instance}", file=sys.stderr)
             return EXIT_INVALID_INSTANCE
     text = topology_dot(instance, design)
     if args.output:

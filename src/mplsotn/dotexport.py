@@ -25,8 +25,9 @@ def topology_dot(instance: Instance, design: Optional[Design] = None) -> str:
     end nodes (blue working, green spare, red optical protection) labeled
     with its slot and physical route.
     """
+    name = instance.name.replace("\\", "\\\\").replace('"', '\\"')
     lines = [
-        f'graph "{instance.name}" {{',
+        f'graph "{name}" {{',
         "  node [shape=circle fontname=Helvetica];",
         "  edge [fontname=Helvetica fontsize=10];",
     ]

@@ -177,9 +177,6 @@ class MilpModel:
     def tags(self) -> tuple[str, ...]:
         return tuple(sorted({c.tag for c in self._constraints if c.tag}))
 
-    def rows_with_tag(self, tag: str) -> tuple[Constraint, ...]:
-        return tuple(c for c in self._constraints if c.tag == tag)
-
     def metadata(self) -> dict:
         """Row tags and variable kinds, serialized next to LP artifacts."""
         return {

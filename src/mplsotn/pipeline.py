@@ -15,6 +15,7 @@ from __future__ import annotations
 import time
 from dataclasses import replace
 from fractions import Fraction
+from pathlib import Path
 from typing import Callable, Mapping, Optional, Sequence
 
 from . import evaluate
@@ -48,7 +49,7 @@ from .model import (
     instance_hash,
     validate_instance,
 )
-from .solvers import SolverConfig, keep_artifacts, solve
+from .solvers import keep_artifacts, solve
 
 S_WORK = "working-mpls"
 S_PROT = "protection-mpls"
@@ -135,6 +136,33 @@ def _is_one(values: Mapping[str, Fraction], name: Optional[str]) -> bool:
     return name is not None and values.get(name, 0) == 1
 
 
+def _walk(stage: str, what: str, outgoing: dict[int, list[tuple]],
+          start: int, end: int, lenient: bool = False) -> list[tuple]:
+    """The arcs of the one simple path from ``start`` to ``end``.
+
+    ``outgoing`` maps a node to its selected arcs, each a tuple whose second
+    entry is the node it enters, and is consumed. Arcs left over once ``end``
+    is reached are an error unless ``lenient``.
+    """
+    arcs = []
+    visited = {start}
+    cur = start
+    while cur != end:
+        nxt = outgoing.pop(cur, [])
+        if len(nxt) != 1:
+            raise DecodeError(f"{stage}: {what} branches at node {cur}: "
+                              f"{len(nxt)} outgoing arcs, expected 1")
+        arc = nxt[0]
+        cur = arc[1]
+        if cur in visited:
+            raise DecodeError(f"{stage}: {what} revisits node {cur}")
+        visited.add(cur)
+        arcs.append(arc)
+    if outgoing and not lenient:
+        raise DecodeError(f"{stage}: {what} has disconnected flow")
+    return arcs
+
+
 def decode_slot_path(
     sol: Solution,
     sm: StageModel,
@@ -144,30 +172,11 @@ def decode_slot_path(
     destination: int,
 ) -> tuple[LightpathKey, ...]:
     """Selected slot arcs of one LSP -> its ordered logical path."""
-    outgoing: dict[int, list[tuple[int, int]]] = {}
-    for (_k, i, j, q), name in sm.index.group(family, k):
+    outgoing: dict[int, list[tuple]] = {}
+    for key, name in sm.index.group(family, k):
         if _is_one(sol.values, name):
-            outgoing.setdefault(i, []).append((j, q))
-
-    path: list[LightpathKey] = []
-    visited = {source}
-    cur = source
-    while cur != destination:
-        nxt = outgoing.pop(cur, [])
-        if len(nxt) != 1:
-            raise DecodeError(
-                f"{sm.stage}: LSP {k} flow at router {cur} has "
-                f"{len(nxt)} outgoing arcs, expected 1"
-            )
-        j, q = nxt[0]
-        if j in visited:
-            raise DecodeError(f"{sm.stage}: LSP {k} path revisits router {j}")
-        path.append((cur, j, q))
-        visited.add(j)
-        cur = j
-    if any(outgoing.values()):
-        raise DecodeError(f"{sm.stage}: LSP {k} solution has disconnected flow")
-    return tuple(path)
+            outgoing.setdefault(key[1], []).append(key[1:])
+    return tuple(_walk(sm.stage, f"LSP {k}", outgoing, source, destination))
 
 
 def decode_route(
@@ -178,29 +187,13 @@ def decode_route(
     lenient: bool = False,
 ) -> tuple[int, ...]:
     """Selected physical arcs of one lightpath -> its node route."""
-    origin, termination, _q = slot
-    outgoing: dict[int, list[int]] = {}
-    for (_s, (a, b)), name in sm.index.group(family, slot):
+    outgoing: dict[int, list[tuple]] = {}
+    for (_s, arc), name in sm.index.group(family, slot):
         if _is_one(sol.values, name):
-            outgoing.setdefault(a, []).append(b)
-
-    route = [origin]
-    visited = {origin}
-    cur = origin
-    while cur != termination:
-        nxt = outgoing.pop(cur, [])
-        if len(nxt) != 1:
-            raise DecodeError(
-                f"{sm.stage}: lightpath {slot} route branches at node {cur}"
-            )
-        cur = nxt[0]
-        if cur in visited:
-            raise DecodeError(f"{sm.stage}: lightpath {slot} route revisits {cur}")
-        visited.add(cur)
-        route.append(cur)
-    if any(outgoing.values()) and not lenient:
-        raise DecodeError(f"{sm.stage}: lightpath {slot} has disconnected flow")
-    return tuple(route)
+            outgoing.setdefault(arc[0], []).append(arc)
+    arcs = _walk(sm.stage, f"lightpath {slot}", outgoing, slot[0], slot[1],
+                 lenient)
+    return (slot[0], *(b for _a, b in arcs))
 
 
 def _decode_routes(
@@ -256,12 +249,6 @@ _SETTLED = frozenset({
 })
 
 
-def _solve_stage(sm: StageModel, gap: float, budget: float,
-                 solver: Optional[SolverConfig]) -> Solution:
-    return solve(sm.model, gap=gap, time_limit=budget, solver=solver,
-                 stage=sm.stage)
-
-
 class SolveMemo:
     """Stage solutions by model content, for runs that build the same models.
 
@@ -278,17 +265,17 @@ class SolveMemo:
         self._solutions: dict[tuple, Solution] = {}
 
     def solve(self, sm: StageModel, gap: float, budget: float,
-              solver: Optional[SolverConfig]) -> Solution:
-        config = solver or SolverConfig()
+              keep_dir: Optional[Path]) -> Solution:
         m = sm.model
         key = (m.name, m.variables, m.constraints, m.objective_terms,
                m.objective_constant, gap)
         sol = self._solutions.get(key)
         if (sol is not None and sol.status in _SETTLED
                 and sol.wall_seconds <= budget):
-            keep_artifacts(m, sol, config, sm.stage)
+            keep_artifacts(m, sol, keep_dir, sm.stage)
             return sol
-        sol = _solve_stage(sm, gap, budget, solver)
+        sol = solve(m, gap=gap, time_limit=budget, keep_dir=keep_dir,
+                    stage=sm.stage)
         self._solutions.setdefault(key, sol)
         return sol
 
@@ -297,13 +284,14 @@ def _run_stage(
     sm: StageModel,
     cfg: DesignConfig,
     budget: float,
-    solver: Optional[SolverConfig],
+    keep_dir: Optional[Path],
     shared: Optional[SolveMemo],
     traces: list[StageTrace],
 ) -> Solution:
     gap = cfg.optimality_gap
-    sol = (shared.solve(sm, gap, budget, solver) if shared is not None
-           else _solve_stage(sm, gap, budget, solver))
+    sol = (shared.solve(sm, gap, budget, keep_dir) if shared is not None
+           else solve(sm.model, gap=gap, time_limit=budget, keep_dir=keep_dir,
+                      stage=sm.stage))
     exact = sm.model.objective_value(sol.values) if sol.status.has_solution else None
     traces.append(StageTrace(
         stage=sm.stage,
@@ -341,19 +329,16 @@ def _materialize(
     protection_routes: Mapping[LightpathKey, tuple[int, ...]],
     traces: Sequence[StageTrace],
 ) -> Design:
-    lightpaths: list[Lightpath] = []
-    for slot in sorted(work_slots):
-        lightpaths.append(Lightpath(slot[0], slot[1], slot[2],
-                                    LightpathRole.WORK_CARRIER,
-                                    carrier_routes[slot]))
-    for slot in sorted(spare_slots):
-        lightpaths.append(Lightpath(slot[0], slot[1], slot[2],
-                                    LightpathRole.SPARE_CARRIER,
-                                    carrier_routes[slot]))
-    for slot in sorted(protection_routes):
-        lightpaths.append(Lightpath(slot[0], slot[1], slot[2],
-                                    LightpathRole.OPTICAL_PROTECTION,
-                                    protection_routes[slot]))
+    lightpaths = tuple(
+        Lightpath(*slot, role, routes[slot])
+        for role, slots, routes in (
+            (LightpathRole.WORK_CARRIER, work_slots, carrier_routes),
+            (LightpathRole.SPARE_CARRIER, spare_slots, carrier_routes),
+            (LightpathRole.OPTICAL_PROTECTION, protection_routes,
+             protection_routes),
+        )
+        for slot in sorted(slots)
+    )
     routes = tuple(
         LspRoute(
             demand_id=d.id,
@@ -363,7 +348,7 @@ def _materialize(
         for d in instance.traffic.demands
     )
     logical = LogicalTopology(
-        lightpaths=tuple(lightpaths),
+        lightpaths=lightpaths,
         router_interfaces=cfg.effective_interfaces(instance),
     )
     metrics, cost = evaluate.compute_metrics(
@@ -537,7 +522,7 @@ def _run(
     instance: Instance,
     cfg: DesignConfig,
     cost_model: CostModel,
-    solver: Optional[SolverConfig],
+    keep_dir: Optional[Path],
     shared: Optional[SolveMemo],
     budgets: Mapping[str, float],
 ) -> Design:
@@ -546,7 +531,7 @@ def _run(
     def stage(sm: StageModel, budget: Optional[float] = None) -> Solution:
         if budget is None:
             budget = budgets[sm.stage]
-        return _run_stage(sm, cfg, budget, solver, shared, traces)
+        return _run_stage(sm, cfg, budget, keep_dir, shared, traces)
 
     runner = (_run_integrated if cfg.approach is Approach.INTEGRATED
               else _run_sequential)
@@ -557,10 +542,13 @@ def run_design(
     instance: Instance,
     cfg: DesignConfig,
     cost_model: Optional[CostModel] = None,
-    solver: Optional[SolverConfig] = None,
+    keep_artifacts_dir: Optional[Path] = None,
     shared: Optional[SolveMemo] = None,
 ) -> Design:
     """Validate, optimize stage by stage, decode, and account.
+
+    With ``keep_artifacts_dir``, each stage's LP text, metadata and solution
+    are written there under the stage's name.
 
     With ``shared``, a stage model already solved through the same memo,
     by this run or another, is not solved again (see ``SolveMemo``).
@@ -575,7 +563,7 @@ def run_design(
         raise InvalidInstanceError(violations)
     cm = cost_model if cost_model is not None else default_cost_model(instance)
     try:
-        return _run(instance, cfg, cm, solver, shared,
+        return _run(instance, cfg, cm, keep_artifacts_dir, shared,
                     allocate_budgets(instance, cfg))
     except StageInfeasibleError:
         remaining = cfg.time_limit_seconds - (time.perf_counter() - start)
@@ -584,4 +572,4 @@ def run_design(
     grown = cfg.grown(instance)
     budgets = allocate_budgets(
         instance, replace(grown, time_limit_seconds=remaining))
-    return _run(instance, grown, cm, solver, shared, budgets)
+    return _run(instance, grown, cm, keep_artifacts_dir, shared, budgets)

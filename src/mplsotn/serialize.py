@@ -92,6 +92,8 @@ def design_to_dict(design: Design) -> dict:
 
 
 def design_from_dict(data: dict) -> Design:
+    if not isinstance(data, dict):
+        raise ValueError(f"not a design document (a JSON {type(data).__name__})")
     if data.get("format") != FORMAT:
         raise ValueError(f"not a design document (format={data.get('format')!r})")
     # the logical topology's fields sit at the top level of the document

@@ -13,7 +13,7 @@ every solve reports ``NO_SOLVER`` instead of the import failing.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, replace
+from dataclasses import replace
 from pathlib import Path
 from typing import Optional
 
@@ -42,50 +42,36 @@ from .milp import (
 OPTIMAL_GAP_EPSILON = 1e-9
 
 
-@dataclass(frozen=True)
-class SolverConfig:
-    """Where each stage's LP, metadata and solution files go; None keeps none."""
-    keep_artifacts_dir: Optional[Path] = None
-
-
 def solve(model: MilpModel, *, gap: float = 0.0,
           time_limit: Optional[float] = None,
-          solver: Optional[SolverConfig] = None,
+          keep_dir: Optional[Path] = None,
           stage: str = "model") -> Solution:
-    solver = solver or SolverConfig()
+    """Solve ``model``; with ``keep_dir``, keep its files there under ``stage``."""
     start = time.perf_counter()
-
     if not model.variables:
         # nothing to decide; the objective is its constant
         sol = Solution(SolveStatus.OPTIMAL, float(model.objective_constant),
                        gap=0.0, solver_name="trivial")
-        keep_artifacts(model, sol, solver, stage)
-        return sol
-
-    if scipy_milp is None:
-        sol = Solution(SolveStatus.NO_SOLVER, message=_NO_SCIPY)
     else:
-        sol = _solve_embedded(model, gap=gap, time_limit=time_limit)
-
-    wall = time.perf_counter() - start
-    sol = replace(sol, wall_seconds=wall)
-
-    if sol.status.has_solution:
-        bad = check_solution(model, sol.values)
+        sol = (Solution(SolveStatus.NO_SOLVER, message=_NO_SCIPY)
+               if scipy_milp is None
+               else _solve_embedded(model, gap=gap, time_limit=time_limit))
+        sol = replace(sol, wall_seconds=time.perf_counter() - start)
+        bad = check_solution(model, sol.values) if sol.status.has_solution else []
         if bad:
             sol = replace(
                 sol, status=SolveStatus.ERROR, objective=None, values={}, gap=None,
                 message="solver returned an infeasible point: " + "; ".join(bad[:5]),
             )
-    keep_artifacts(model, sol, solver, stage)
+    keep_artifacts(model, sol, keep_dir, stage)
     return sol
 
 
-def keep_artifacts(model: MilpModel, sol: Solution, solver: SolverConfig,
+def keep_artifacts(model: MilpModel, sol: Solution, directory: Optional[Path],
                    stage: str) -> None:
-    if solver.keep_artifacts_dir is None:
+    if directory is None:
         return
-    d = Path(solver.keep_artifacts_dir)
+    d = Path(directory)
     d.mkdir(parents=True, exist_ok=True)
     (d / f"{stage}.lp").write_text(write_model(model))
     (d / f"{stage}.meta.json").write_text(write_metadata(model))
@@ -121,15 +107,8 @@ def _solve_embedded(model: MilpModel, *, gap: float,
             cols.append(index[var])
             data.append(float(coeff))
         rhs = float(con.rhs)
-        if con.sense == "<=":
-            lo.append(-np.inf)
-            hi.append(rhs)
-        elif con.sense == ">=":
-            lo.append(rhs)
-            hi.append(np.inf)
-        else:
-            lo.append(rhs)
-            hi.append(rhs)
+        lo.append(-np.inf if con.sense == "<=" else rhs)
+        hi.append(np.inf if con.sense == ">=" else rhs)
 
     n_rows = len(model_rows)
     matrix = scipy.sparse.csr_matrix(

@@ -1,9 +1,11 @@
-"""The module attributes the benchmark's tracer wraps must exist.
+"""The module attributes the benchmark's tracer wraps must exist and be used.
 
 ``perfbench/tracing.py`` replaces attributes such as ``mplsotn.pipeline.solve``
 from outside the package. A rename inside ``src/`` would only show up as a
-crash of a traced benchmark run; this test reads the tracer's target list and
-fails instead.
+crash of a traced benchmark run, and a call that goes around a wrapped
+attribute, or drops the ``stage=`` keyword the tracer reads, would only show
+up as per-layer metrics that read 0. These tests load the tracer and fail
+instead.
 """
 
 import importlib
@@ -11,16 +13,39 @@ import importlib.util
 import sys
 from pathlib import Path
 
+import pytest
+
+from mplsotn import Survivability, pipeline
+
+from support import desk, exact_config
+
 TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
 
 
-def test_every_traced_attribute_resolves(monkeypatch):
+@pytest.fixture
+def tracing(monkeypatch):
     spec = importlib.util.spec_from_file_location("perfbench_tracing", TRACING)
-    tracing = importlib.util.module_from_spec(spec)
+    module = importlib.util.module_from_spec(spec)
     # its dataclasses look their module up while the file executes
-    monkeypatch.setitem(sys.modules, spec.name, tracing)
-    spec.loader.exec_module(tracing)
+    monkeypatch.setitem(sys.modules, spec.name, module)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_every_traced_attribute_resolves(tracing):
     assert tracing.TARGETS
     missing = [f"{module}.{attr}" for module, attr, *_ in tracing.TARGETS
                if not callable(getattr(importlib.import_module(module), attr, None))]
     assert missing == []
+
+
+def test_a_traced_run_solves_and_decodes_through_the_wrapped_seams(tracing):
+    tracer = tracing.Tracer()
+    with tracer.installed():
+        pipeline.run_design(desk("ring4"),
+                            exact_config(Survivability.MULTI_INTERLAYER_BRS))
+    solves = [s for s in tracer.spans if s.name == "solvers.solve"]
+    assert [s.stage for s in solves] == [
+        "working-mpls", "protection-mpls", "lightpath-routing",
+        "lightpath-protection"]
+    assert any(s.name == "pipeline.decode" for s in tracer.spans)

@@ -8,6 +8,7 @@ import subprocess
 import sys
 import threading
 import time
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -548,11 +549,13 @@ def test_export_dot(ring4_file, tmp_path, capsys):
 
 
 @pytest.mark.parametrize("case", ["missing", "envelope-only", "wrong-field",
-                                  "instance-file"])
+                                  "instance-file", "array"])
 def test_export_dot_rejects_an_unreadable_design(case, ring4_file, tmp_path,
                                                   capsys):
     design = tmp_path / "design.json"
-    if case == "envelope-only":
+    if case == "array":
+        design.write_text('[{"format": "mplsotn-design/1"}]')
+    elif case == "envelope-only":
         design.write_text('{"format": "mplsotn-design/1"}')
     elif case == "wrong-field":
         design.write_text('{"format": "mplsotn-design/1", "instance": 3}')
@@ -563,3 +566,24 @@ def test_export_dot_rejects_an_unreadable_design(case, ring4_file, tmp_path,
     err = capsys.readouterr().err
     assert err.startswith(f"error: cannot read design {design}: ")
     assert "Traceback" not in err
+
+
+def test_export_dot_rejects_a_design_for_another_instance(ring4_file, tmp_path,
+                                                          capsys):
+    out, ring6 = tmp_path / "run", tmp_path / "ring6.json"
+    assert main(["run", ring4_file, "-o", str(out)]) == EXIT_OK
+    assert main(["generate", "--nodes", "6", "-o", str(ring6)]) == EXIT_OK
+    capsys.readouterr()
+    code = main(["export-dot", str(ring6), "--design", str(out / "design.json")])
+    assert code == EXIT_INVALID_INSTANCE
+    captured = capsys.readouterr()
+    assert "was built for a different instance" in captured.err
+    assert captured.out == ""
+
+
+def test_export_dot_escapes_the_graph_name(tmp_path, capsys):
+    path = tmp_path / "named.json"
+    save_instance(replace(desk("ring4"), name='lab "A" net\\'), path)
+    assert main(["export-dot", str(path)]) == EXIT_OK
+    first = capsys.readouterr().out.splitlines()[0]
+    assert first == 'graph "lab \\"A\\" net\\\\" {'

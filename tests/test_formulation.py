@@ -101,8 +101,9 @@ def test_working_stage_structure(ring4):
     assert sm.index.count("wd") == 24  # one demand over every logical arc
     assert sorted(sm.model.tags()) == [
         "grooming-capacity", "interface-limit", "slot-symmetry", "working-flow"]
-    assert len(sm.model.rows_with_tag("interface-limit")) == 4  # one per router
-    assert len(sm.model.rows_with_tag("slot-symmetry")) == 12
+    row_tags = [c.tag for c in sm.model.constraints]
+    assert row_tags.count("interface-limit") == 4  # one per router
+    assert row_tags.count("slot-symmetry") == 12
 
 
 def test_working_stage_optimum_ring4(ring4):
@@ -251,7 +252,7 @@ def test_lightpath_protection_shared_restoration():
     # router 2's failure activates d1's protection LSP on the spare carrier
     # over the chord; the (1,3) carrier's protection lightpath cannot take
     # the pooled wavelength there for the same event
-    (row,) = sm.model.rows_with_tag("brs-pool-exclusion")
+    (row,) = [c for c in sm.model.constraints if c.tag == "brs-pool-exclusion"]
     assert row.name == "brscont_n2_l1_3"
     assert row.rhs == 0  # one pooled wavelength, one needed by MPLS recovery
 

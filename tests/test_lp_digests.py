@@ -25,7 +25,6 @@ from support import OPTIONS, desk, exact_config, mesh_family
 
 from mplsotn.model import Approach, Survivability
 from mplsotn.pipeline import DecodeError, StageInfeasibleError, run_design
-from mplsotn.solvers import SolverConfig
 
 INSTANCES = {
     "ring4": lambda: desk("ring4"),
@@ -336,8 +335,7 @@ def test_stage_lp_digests(key, tmp_path):
     name, option, approach = key.split("/")
     cfg = exact_config(Survivability(option), Approach(approach))
     try:
-        run_design(INSTANCES[name](), cfg,
-                   solver=SolverConfig(keep_artifacts_dir=tmp_path))
+        run_design(INSTANCES[name](), cfg, keep_artifacts_dir=tmp_path)
     except (StageInfeasibleError, DecodeError):
         pass  # the stages solved before the failure still kept their models
     digests = {

@@ -80,7 +80,7 @@ def test_constraint_terms_fold_and_drop_zeros():
 def test_tags_and_metadata():
     m = small_model()
     assert m.tags() == ("cap",)
-    assert [c.name for c in m.rows_with_tag("cap")] == ["r1", "r3"]
+    assert [c.name for c in m.constraints if c.tag == "cap"] == ["r1", "r3"]
     meta = m.metadata()
     assert meta["model"] == "toy"
     assert meta["objective_constant"] == "7/10"

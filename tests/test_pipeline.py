@@ -37,7 +37,6 @@ from mplsotn.serialize import (
     manifest_dict,
     save_design,
 )
-from mplsotn.solvers import SolverConfig
 
 import support
 from support import OPTIONS, cached_design, exact_config
@@ -317,15 +316,17 @@ def test_solve_memo_solves_an_equal_model_once(monkeypatch):
 @pytest.mark.parametrize("change,solves", [
     ({"b_weight": 4}, 2),
     ({"gap": 0.01}, 2),
-    ({"solver": SolverConfig(keep_artifacts_dir=None)}, 1),
-], ids=["model", "gap", "default-config"])
-def test_solve_memo_keys_on_model_gap_and_solver(monkeypatch, change, solves):
+    ({"keep_dir": "kept"}, 1),
+], ids=["model", "gap", "keep-directory"])
+def test_solve_memo_keys_on_model_gap_and_solver(monkeypatch, tmp_path, change,
+                                                 solves):
     stub = _StubSolve()
     monkeypatch.setattr(pipeline, "solve", stub)
     memo = SolveMemo()
     memo.solve(_knapsack_stage(), 0.0, 10.0, None)
+    keep = tmp_path / change["keep_dir"] if "keep_dir" in change else None
     memo.solve(_knapsack_stage(change.get("b_weight", 3)),
-               change.get("gap", 0.0), 10.0, change.get("solver"))
+               change.get("gap", 0.0), 10.0, keep)
     assert len(stub.calls) == solves
 
 
@@ -351,11 +352,10 @@ def test_solve_memo_reuses_only_what_the_time_limit_cannot_change(
 
 def test_solve_memo_keeps_artifacts_on_a_hit(tmp_path):
     memo = SolveMemo()
-    first = memo.solve(_knapsack_stage(), 0.0, 10.0, SolverConfig(
-        keep_artifacts_dir=tmp_path / "first"))
+    first = memo.solve(_knapsack_stage(), 0.0, 10.0, tmp_path / "first")
     assert first.status is SolveStatus.OPTIMAL
-    assert memo.solve(_knapsack_stage(), 0.0, 10.0, SolverConfig(
-        keep_artifacts_dir=tmp_path / "second")) is first
+    assert memo.solve(_knapsack_stage(), 0.0, 10.0,
+                      tmp_path / "second") is first
     for name in ("knap.lp", "knap.meta.json", "knap.sol"):
         assert (tmp_path / "second" / name).read_bytes() == \
             (tmp_path / "first" / name).read_bytes()

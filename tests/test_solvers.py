@@ -8,7 +8,7 @@ import numpy as np
 
 from mplsotn import solvers
 from mplsotn.milp import MilpModel, SolveStatus, VarKind
-from mplsotn.solvers import SolverConfig, solve
+from mplsotn.solvers import solve
 
 
 def knapsack() -> MilpModel:
@@ -133,8 +133,7 @@ def test_incumbents_are_feasibility_checked(monkeypatch):
 def test_missing_scipy_is_no_solver(monkeypatch, tmp_path):
     # an import that failed leaves scipy_milp unset
     monkeypatch.setattr(solvers, "scipy_milp", None)
-    cfg = SolverConfig(keep_artifacts_dir=tmp_path)
-    sol = solve(knapsack(), solver=cfg, stage="s1")
+    sol = solve(knapsack(), keep_dir=tmp_path, stage="s1")
     assert sol.status is SolveStatus.NO_SOLVER
     assert "scipy" in sol.message
     assert (tmp_path / "s1.sol").read_text().startswith("# status no-solver\n")
@@ -143,8 +142,7 @@ def test_missing_scipy_is_no_solver(monkeypatch, tmp_path):
 
 
 def test_keep_artifacts_writes_stage_files(tmp_path):
-    cfg = SolverConfig(keep_artifacts_dir=tmp_path / "art")
-    sol = solve(knapsack(), solver=cfg, stage="working-mpls")
+    sol = solve(knapsack(), keep_dir=tmp_path / "art", stage="working-mpls")
     assert sol.status is SolveStatus.OPTIMAL
 
     base = tmp_path / "art"
