@@ -195,6 +195,37 @@ def test_run_without_scipy_exits_3(ring4_file):
     assert "solver unavailable: HiGHS needs scipy" in done.stderr
 
 
+def test_run_without_the_highs_binding_exits_3(ring4_file, tmp_path):
+    # a scipy that imports but bundles no HiGHS binding
+    (tmp_path / "scipy").mkdir()
+    (tmp_path / "scipy" / "__init__.py").write_text('__version__ = "0.0"\n')
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(tmp_path), str(src)]))
+    done = subprocess.run([sys.executable, "-m", "mplsotn.cli", "run", ring4_file],
+                          env=env, capture_output=True, text=True, timeout=120)
+    assert done.returncode == EXIT_NO_SOLVER, done.stderr
+    assert "solver unavailable: HiGHS needs scipy" in done.stderr
+    assert "no HiGHS binding _core*" in done.stderr
+    assert "Traceback" not in done.stderr
+
+
+def test_run_starts_without_scipy_optimize(ring4_file):
+    # HiGHS is loaded from its file: neither scipy.optimize nor scipy.sparse
+    # is imported, which keeps about 0.6 s off every cold start
+    code = ("import sys\n"
+            "from mplsotn.cli import main\n"
+            "code = main(['run', sys.argv[1], '--gap', '0'])\n"
+            "print('loaded:', sorted({'scipy.optimize', 'scipy.sparse'}"
+            " & set(sys.modules)))\n"
+            "sys.exit(code)\n")
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = dict(os.environ, PYTHONPATH=str(src))
+    done = subprocess.run([sys.executable, "-c", code, ring4_file], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert done.returncode == EXIT_OK, done.stderr
+    assert done.stdout.splitlines()[-1] == "loaded: []"
+
+
 def test_pipeline_fault_is_internal_error(ring4_file, monkeypatch, capsys):
     def broken(instance, cfg, **kwargs):
         raise PipelineError("decoder lost a lightpath")

@@ -1,14 +1,22 @@
 """In-process HiGHS behind the solve() contract."""
 
 import json
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
+import pytest
+from scipy.optimize import Bounds, LinearConstraint, milp
 
-from mplsotn import solvers
+from mplsotn import Survivability, pipeline, solvers
 from mplsotn.milp import MilpModel, SolveStatus, VarKind
 from mplsotn.solvers import solve
+
+from support import desk, exact_config
 
 
 def knapsack() -> MilpModel:
@@ -52,11 +60,31 @@ def test_embedded_dual_bound_includes_objective_constant():
     assert sol.dual_bound == 2.5
 
 
-def test_embedded_reports_infeasible():
+def infeasible_model() -> MilpModel:
     m = MilpModel("bad")
     m.add_variable("x", VarKind.BINARY)
     m.add_constraint("lo", [("x", 1)], ">=", 2)
-    assert solve(m).status is SolveStatus.INFEASIBLE
+    return m
+
+
+def unbounded_model() -> MilpModel:
+    # HiGHS reads a bound of 1e20 or more as infinite
+    m = MilpModel("up")
+    m.add_variable("x", VarKind.INTEGER, upper=10**21)
+    m.add_variable("y", VarKind.INTEGER, upper=10**21)
+    m.add_objective_term("x", -1)
+    m.add_objective_term("y", 1)
+    m.add_constraint("ray", [("x", 1), ("y", -2)], "<=", 3)
+    m.add_constraint("floor", [("x", 1), ("y", 1)], ">=", 2)
+    return m
+
+
+def test_embedded_reports_infeasible():
+    assert solve(infeasible_model()).status is SolveStatus.INFEASIBLE
+
+
+def test_embedded_reports_unbounded():
+    assert solve(unbounded_model()).status is SolveStatus.UNBOUNDED
 
 
 def mixed_coefficient_model() -> MilpModel:
@@ -75,18 +103,8 @@ def mixed_coefficient_model() -> MilpModel:
     return m
 
 
-def test_embedded_assembly_matches_per_term_floats(monkeypatch):
-    m = mixed_coefficient_model()
-    seen = {}
-
-    def capture(**kwargs):
-        seen.update(kwargs)
-        return real(**kwargs)
-
-    real = solvers.scipy_milp
-    monkeypatch.setattr(solvers, "scipy_milp", capture)
-    assert solve(m, gap=0.0).status is SolveStatus.OPTIMAL
-
+def per_term_arrays(m: MilpModel) -> dict:
+    """The model as dense float arrays, one ``float()`` per term."""
     names = [v.name for v in m.variables]
     col = {name: i for i, name in enumerate(names)}
     c = np.zeros(len(names))
@@ -99,18 +117,147 @@ def test_embedded_assembly_matches_per_term_floats(monkeypatch):
             matrix[r, col[var]] = float(coeff)
         lo.append(-np.inf if con.sense == "<=" else float(con.rhs))
         hi.append(np.inf if con.sense == ">=" else float(con.rhs))
+    return {
+        "c": c,
+        "integrality": [0 if v.kind is VarKind.CONTINUOUS else 1
+                        for v in m.variables],
+        "col_lower": [float(v.lower) for v in m.variables],
+        "col_upper": [float(v.upper) for v in m.variables],
+        "matrix": matrix,
+        "row_lower": lo,
+        "row_upper": hi,
+    }
 
-    def same(got, want):
-        got = np.asarray(got, dtype=float)
-        want = np.asarray(want, dtype=float)
-        return got.shape == want.shape and got.tobytes() == want.tobytes()
 
-    assert same(seen["c"], c)
-    assert same(seen["bounds"].lb, [float(v.lower) for v in m.variables])
-    assert same(seen["bounds"].ub, [float(v.upper) for v in m.variables])
-    assert same(seen["constraints"].A.toarray(), matrix)
-    assert same(seen["constraints"].lb, lo)
-    assert same(seen["constraints"].ub, hi)
+def same(got, want) -> bool:
+    got = np.asarray(got, dtype=float)
+    want = np.asarray(want, dtype=float)
+    return got.shape == want.shape and got.tobytes() == want.tobytes()
+
+
+def solve_capturing_seam(m: MilpModel, monkeypatch, gap: float = 0.0):
+    """``solve(m)`` plus the keywords and result of its one HiGHS call."""
+    seen = []
+
+    def capture(**kwargs):
+        seen.append((kwargs, real(**kwargs)))
+        return seen[-1][1]
+
+    real = solvers.scipy_milp
+    monkeypatch.setattr(solvers, "scipy_milp", capture)
+    sol = solve(m, gap=gap)
+    (kwargs, result), = seen
+    return sol, kwargs, result
+
+
+def test_embedded_assembly_matches_per_term_floats(monkeypatch):
+    m = mixed_coefficient_model()
+    sol, seen, _ = solve_capturing_seam(m, monkeypatch)
+    assert sol.status is SolveStatus.OPTIMAL
+    want = per_term_arrays(m)
+
+    # the dense matrix the column-wise arrays describe, rows ascending
+    start, index = seen["start"], seen["index"]
+    got = np.zeros_like(want["matrix"])
+    for j in range(len(want["c"])):
+        rows = list(index[start[j]:start[j + 1]])
+        assert rows == sorted(rows)
+        for k in range(start[j], start[j + 1]):
+            got[index[k], j] = seen["value"][k]
+
+    assert same(seen["c"], want["c"])
+    assert same(seen["col_lower"], want["col_lower"])
+    assert same(seen["col_upper"], want["col_upper"])
+    assert same(got, want["matrix"])
+    assert len(seen["value"]) == sum(len(con.terms) for con in m.constraints)
+    assert same(seen["row_lower"], want["row_lower"])
+    assert same(seen["row_upper"], want["row_upper"])
+
+
+def milp_reference(m: MilpModel, gap: float = 0.0):
+    """``m`` through ``scipy.optimize.milp``, the reference HiGHS route."""
+    a = per_term_arrays(m)
+    constraints = (LinearConstraint(a["matrix"], a["row_lower"], a["row_upper"])
+                   if a["row_lower"] else [])
+    return milp(c=a["c"], integrality=a["integrality"],
+                bounds=Bounds(a["col_lower"], a["col_upper"]),
+                constraints=constraints, options={"mip_rel_gap": gap})
+
+
+@pytest.fixture(scope="module")
+def ring4_brs_models() -> dict[str, MilpModel]:
+    models = {}
+    real = pipeline.solve
+
+    def capture(model, **kwargs):
+        models[kwargs["stage"]] = model
+        return real(model, **kwargs)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(pipeline, "solve", capture)
+        pipeline.run_design(desk("ring4"),
+                            exact_config(Survivability.MULTI_INTERLAYER_BRS))
+    assert not models["protection-mpls"].variables
+    return models
+
+
+PARITY_MODELS = {
+    "mixed": mixed_coefficient_model,
+    "knapsack": knapsack,
+    "infeasible": infeasible_model,
+    "unbounded": unbounded_model,
+}
+# ring4's protection-mpls model has no variables and never reaches HiGHS
+RING4_STAGES = ("working-mpls", "lightpath-routing", "lightpath-protection")
+
+
+@pytest.mark.parametrize("name", [*PARITY_MODELS, *RING4_STAGES])
+def test_highs_answers_as_scipy_milp_does(name, ring4_brs_models, monkeypatch):
+    m = (PARITY_MODELS[name]() if name in PARITY_MODELS
+         else ring4_brs_models[name])
+    sol, _, got = solve_capturing_seam(m, monkeypatch)
+    want = milp_reference(m)
+    assert want.status == {"infeasible": 2, "unbounded": 3}.get(name, 0)
+
+    assert got.status == want.status
+    assert (got.x is None) == (want.x is None)
+    if want.x is not None:
+        assert got.x.tobytes() == want.x.tobytes()
+    assert got.mip_node_count == want.mip_node_count
+    assert repr(got.mip_dual_bound) == repr(want.mip_dual_bound)
+    assert repr(got.mip_gap) == repr(want.mip_gap)
+    assert sol.node_count == want.mip_node_count
+
+
+# each order loads the binding once and both sides solve through it
+IMPORT_ORDERS = {
+    "mplsotn-first": ("from mplsotn import solvers\n"
+                      "assert 'scipy.optimize' not in sys.modules\n"
+                      "import scipy.optimize\n"),
+    "scipy-first": "import scipy.optimize\nfrom mplsotn import solvers\n",
+}
+BOTH_SOLVE = """
+from scipy.optimize import milp
+from scipy.optimize._highspy import _highs_wrapper
+from test_solvers import knapsack
+core = sys.modules["scipy.optimize._highspy._core"]
+assert solvers._highs is core and _highs_wrapper._h is core
+res = milp(c=[-5, -4, -3], integrality=1, bounds=(0, 1),
+           constraints=([[2, 3, 1]], -float("inf"), 4))
+assert res.status == 0 and list(res.x) == [1, 0, 1], res
+assert solvers.solve(knapsack()).objective == -8.0
+"""
+
+
+@pytest.mark.parametrize("order", sorted(IMPORT_ORDERS))
+def test_binding_is_shared_with_scipy_optimize(order):
+    tests = Path(__file__).resolve().parent
+    code = "import sys\n" + IMPORT_ORDERS[order] + BOTH_SOLVE
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [str(tests.parent / "src"), str(tests)]))
+    done = subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
 
 
 def test_incumbents_are_feasibility_checked(monkeypatch):
