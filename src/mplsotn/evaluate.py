@@ -299,11 +299,15 @@ def verify_design(instance: Instance, design: Design) -> tuple[Violation, ...]:
     demand_by_id = {d.id: d for d in demands}
     cap = instance.lightpath_capacity_mbps
     q_max = design.config.effective_q_max(instance)
-    t_limit = design.logical.router_interfaces
+    t_limit = design.config.effective_interfaces(instance)
 
     if design.instance_hash != instance_hash(instance):
         v.append(Violation("instance-mismatch",
                            "design was built for a different instance"))
+    if design.logical.router_interfaces != t_limit:
+        v.append(Violation("interface-limit-mismatch",
+                           f"design declares {design.logical.router_interfaces} "
+                           f"interfaces per router, the instance allows {t_limit}"))
 
     carriers = design.logical.carriers()
     protections = design.logical.protection_lightpaths()

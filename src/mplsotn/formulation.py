@@ -81,36 +81,55 @@ class VarIndex:
 
 @dataclass(frozen=True)
 class StageModel:
-    stage: str
     model: MilpModel
     index: VarIndex
+
+    @property
+    def stage(self) -> str:
+        return self.model.name
+
+
+# the physical disjointness owed between a demand's working and protection
+# LSP paths; options not listed owe none
+_PAIR_DISJOINTNESS = {
+    Survivability.SINGLE_LAYER: "node-link",
+    Survivability.MULTI_SPARE_UNPROTECTED: "node",
+    Survivability.MULTI_INTERLAYER_BRS: "node",
+}
 
 
 @dataclass(frozen=True)
 class ProtectionPlan:
     """What the chosen survivability option demands of the design.
 
-    ``protected_demands`` lists LSPs that need a protection LSP.
-    ``excluded_routers`` bars each protection LSP from its working path's
-    intermediate routers. ``lsp_pair_disjointness`` is the physical
-    disjointness owed between a demand's working and protection LSP paths
-    ("none", "node", or "node-link"). Carrier-level optical protection and
-    wavelength sharing are flagged separately.
+    ``protected_demands`` lists LSPs that need a protection LSP; each keeps
+    off its working path's intermediate routers. Everything else follows
+    from the option: ``lsp_pair_disjointness`` is the physical disjointness
+    owed between a demand's working and protection LSP paths ("none",
+    "node", or "node-link"), ``protect_work_carriers`` and
+    ``protect_spare_carriers`` say which carriers get an optical protection
+    lightpath, and ``brs_sharing`` that those lightpaths share the spare
+    pool.
     """
 
     survivability: Survivability
     protected_demands: tuple[str, ...] = ()
-    excluded_routers: tuple[tuple[str, tuple[int, ...]], ...] = ()
-    lsp_pair_disjointness: str = "none"
-    protect_work_carriers: bool = False
-    protect_spare_carriers: bool = False
-    brs_sharing: bool = False
 
-    def excluded_for(self, demand_id: str) -> tuple[int, ...]:
-        for did, routers in self.excluded_routers:
-            if did == demand_id:
-                return routers
-        return ()
+    @property
+    def lsp_pair_disjointness(self) -> str:
+        return _PAIR_DISJOINTNESS.get(self.survivability, "none")
+
+    @property
+    def protect_work_carriers(self) -> bool:
+        return self.survivability.multilayer
+
+    @property
+    def protect_spare_carriers(self) -> bool:
+        return self.survivability is Survivability.MULTI_DOUBLE
+
+    @property
+    def brs_sharing(self) -> bool:
+        return self.survivability is Survivability.MULTI_INTERLAYER_BRS
 
     def protected_carriers(
         self, work_slots: Sequence[Slot], spare_slots: Sequence[Slot]
@@ -130,56 +149,16 @@ def compute_protection_plan(
 ) -> ProtectionPlan:
     """Derive protection requirements from the routed working layer."""
     opt = cfg.survivability
+    demands = instance.traffic.demands
     if opt is Survivability.NONE:
-        return ProtectionPlan(survivability=opt)
-
-    def intermediates(path: tuple[Slot, ...]) -> tuple[int, ...]:
-        return tuple(j for (_, j, _) in path[:-1])
-
-    if opt is Survivability.SINGLE_LAYER:
-        protected = tuple(d.id for d in instance.traffic.demands)
-        return ProtectionPlan(
-            survivability=opt,
-            protected_demands=protected,
-            excluded_routers=tuple(
-                (did, intermediates(working_paths[did])) for did in protected
-            ),
-            lsp_pair_disjointness="node-link",
-        )
-
-    # multilayer options protect single-hop LSPs optically, so only
-    # multi-hop LSPs carry an MPLS-level protection path
-    protected = tuple(
-        d.id for d in instance.traffic.demands if len(working_paths[d.id]) >= 2
-    )
-    excluded = tuple((did, intermediates(working_paths[did])) for did in protected)
-    if opt is Survivability.MULTI_DOUBLE:
-        return ProtectionPlan(
-            survivability=opt,
-            protected_demands=protected,
-            excluded_routers=excluded,
-            lsp_pair_disjointness="none",
-            protect_work_carriers=True,
-            protect_spare_carriers=True,
-        )
-    if opt is Survivability.MULTI_SPARE_UNPROTECTED:
-        return ProtectionPlan(
-            survivability=opt,
-            protected_demands=protected,
-            excluded_routers=excluded,
-            lsp_pair_disjointness="node",
-            protect_work_carriers=True,
-        )
-    if opt is Survivability.MULTI_INTERLAYER_BRS:
-        return ProtectionPlan(
-            survivability=opt,
-            protected_demands=protected,
-            excluded_routers=excluded,
-            lsp_pair_disjointness="node",
-            protect_work_carriers=True,
-            brs_sharing=True,
-        )
-    raise ValueError(f"unhandled survivability {opt}")
+        protected = ()
+    elif opt is Survivability.SINGLE_LAYER:
+        protected = tuple(d.id for d in demands)
+    else:
+        # multilayer options protect single-hop LSPs optically, so only
+        # multi-hop LSPs carry an MPLS-level protection path
+        protected = tuple(d.id for d in demands if len(working_paths[d.id]) >= 2)
+    return ProtectionPlan(opt, protected)
 
 
 # -- shared pieces -----------------------------------------------------------
@@ -409,13 +388,18 @@ def _link_loads(
     return loads
 
 
+def _intermediates(path: Sequence[Slot]) -> tuple[int, ...]:
+    """Routers where an LSP path leaves one slot and enters the next."""
+    return tuple(j for (_i, j, _q) in path[:-1])
+
+
 def _demands_transiting(
     plan: ProtectionPlan, working_paths: Mapping[str, tuple[Slot, ...]]
 ) -> dict[int, tuple[str, ...]]:
     """Router -> protected demands whose working LSP transits it."""
     out: dict[int, list[str]] = {}
     for did in plan.protected_demands:
-        for (_i, j, _q) in working_paths[did][:-1]:
+        for j in _intermediates(working_paths[did]):
             out.setdefault(j, []).append(did)
     return {n: tuple(dids) for n, dids in out.items()}
 
@@ -533,7 +517,7 @@ def build_working_mpls(
     _add_slot_limits(m, index, "wb", slots, nodes,
                      cfg.effective_interfaces(instance))
 
-    return StageModel(stage="working-mpls", model=m, index=index)
+    return StageModel(m, index)
 
 
 # -- stage II: protection MPLS ------------------------------------------------
@@ -556,7 +540,7 @@ def build_protection_mpls(
     m = MilpModel("protection-mpls")
     index = VarIndex()
     if not plan.protected_demands:
-        return StageModel(stage="protection-mpls", model=m, index=index)
+        return StageModel(m, index)
 
     slots = _slots(instance, cfg)
     nodes = instance.topology.nodes
@@ -572,7 +556,7 @@ def build_protection_mpls(
         # barred routers are excluded from both row sides
         _add_lsp(m, index, "pd", k, d, slots, nodes, coeff,
                  "protection-flow", "pflow",
-                 banned=frozenset(plan.excluded_for(did)))
+                 banned=frozenset(_intermediates(working_paths[did])))
         if not cfg.transit_double_count:
             m.add_objective_constant(-coeff)
         # a protected LSP's two paths never share a lightpath slot
@@ -598,7 +582,7 @@ def build_protection_mpls(
     _add_slot_limits(m, index, "pb", slots, nodes,
                      cfg.effective_interfaces(instance), occupied)
 
-    return StageModel(stage="protection-mpls", model=m, index=index)
+    return StageModel(m, index)
 
 
 # -- stage III: lightpath routing (sequential) --------------------------------
@@ -610,21 +594,16 @@ def _carrier_pairs(
     protection_paths: Mapping[str, tuple[Slot, ...]],
 ) -> tuple[tuple[str, Slot, Slot], ...]:
     """(demand, working carrier, protection-side carrier) disjointness pairs."""
-    pairs: list[tuple[str, Slot, Slot]] = []
-    seen: set[tuple[str, Slot, Slot]] = set()
-    for did in plan.protected_demands:
-        for a in working_paths.get(did, ()):
-            for b in protection_paths.get(did, ()):
-                item = (did, a, b)
-                if item not in seen:
-                    seen.add(item)
-                    pairs.append(item)
-    return tuple(pairs)
+    return tuple(
+        (did, a, b)
+        for did in plan.protected_demands
+        for a in working_paths.get(did, ())
+        for b in protection_paths.get(did, ())
+    )
 
 
 def build_lightpath_routing_seq(
     instance: Instance,
-    cfg: DesignConfig,
     costs: CostModel,
     work_slots: Sequence[Slot],
     spare_slots: Sequence[Slot],
@@ -698,7 +677,7 @@ def build_lightpath_routing_seq(
                         terms, "<=", 1, tag="pair-link-disjoint",
                     )
 
-    return StageModel(stage="lightpath-routing", model=m, index=index)
+    return StageModel(m, index)
 
 
 # -- stage IV: lightpath protection (sequential) -------------------------------
@@ -706,7 +685,6 @@ def build_lightpath_routing_seq(
 
 def build_lightpath_protection(
     instance: Instance,
-    cfg: DesignConfig,
     costs: CostModel,
     plan: ProtectionPlan,
     carrier_routes: Mapping[Slot, tuple[int, ...]],
@@ -727,7 +705,7 @@ def build_lightpath_protection(
     index = VarIndex()
     protected = plan.protected_carriers(work_slots, spare_slots)
     if not protected:
-        return StageModel(stage="lightpath-protection", model=m, index=index)
+        return StageModel(m, index)
 
     w_limit = instance.topology.wavelengths_per_link
     links = instance.topology.links
@@ -782,7 +760,7 @@ def build_lightpath_protection(
                 w_limit - w1[link] - w2[link], tag="wavelength-capacity",
             )
 
-    return StageModel(stage="lightpath-protection", model=m, index=index)
+    return StageModel(m, index)
 
 
 # -- integrated stages ---------------------------------------------------------
@@ -852,7 +830,7 @@ def build_integrated_working(
             hops = len(routes[slot[:2]]) - 1
             m.add_objective_term(index.get("wb", slot),
                                  costs.wavelength_cost * hops)
-        return StageModel(stage="integrated-working", model=m, index=index)
+        return base
 
     arcs = instance.topology.directed_arcs()
     nodes = instance.topology.nodes
@@ -869,7 +847,7 @@ def build_integrated_working(
             tag="wavelength-capacity",
         )
 
-    return StageModel(stage="integrated-working", model=m, index=index)
+    return base
 
 
 def build_integrated_protection(
@@ -888,17 +866,16 @@ def build_integrated_protection(
     spare carriers themselves (double protection), and shared-restoration
     wavelength accounting. The working layer is fixed throughout.
     """
+    # graft the MPLS-layer protection model, then add the optical layer
     base = build_protection_mpls(
         instance, cfg, costs, plan, work_slots, working_paths
     )
-    if not plan.protected_demands and not plan.protect_work_carriers:
-        return StageModel(stage="integrated-protection", model=base.model,
-                          index=base.index)
-
-    # graft the MPLS-layer protection model, then add the optical layer
     m = base.model
     index = base.index
     m.name = "integrated-protection"
+    if not plan.protected_demands and not plan.protect_work_carriers:
+        return base
+
     slots = _slots(instance, cfg)
     arcs = instance.topology.directed_arcs()
     nodes = instance.topology.nodes
@@ -1062,4 +1039,4 @@ def build_integrated_protection(
             tag="wavelength-capacity",
         )
 
-    return StageModel(stage="integrated-protection", model=m, index=index)
+    return base

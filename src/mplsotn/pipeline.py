@@ -87,7 +87,7 @@ def default_cost_model(instance: Instance) -> CostModel:
     return CostModel(lightpath_capacity_gbps=instance.lightpath_capacity_gbps)
 
 
-def stage_names(instance: Instance, cfg: DesignConfig) -> tuple[str, ...]:
+def stage_names(cfg: DesignConfig) -> tuple[str, ...]:
     opt = cfg.survivability
     if cfg.approach.value == "integrated":
         if opt is Survivability.NONE:
@@ -122,7 +122,7 @@ def allocate_budgets(instance: Instance, cfg: DesignConfig) -> dict[str, float]:
         S_IWORK: mpls + optical,
         S_IPROT: mpls + 3 * optical,
     }
-    names = stage_names(instance, cfg)
+    names = stage_names(cfg)
     total = sum(weight[s] for s in names)
     shares = {s: max(weight[s] / total, MIN_BUDGET_SHARE) for s in names}
     norm = sum(shares.values())
@@ -423,7 +423,7 @@ def _run_sequential(
         )
 
     sm = build_lightpath_routing_seq(
-        instance, cfg, cost_model, work_slots, spare_slots,
+        instance, cost_model, work_slots, spare_slots,
         plan, working_paths, protection_paths,
     )
     sol = stage(sm)
@@ -433,7 +433,7 @@ def _run_sequential(
     protection_routes: dict[LightpathKey, tuple[int, ...]] = {}
     if cfg.survivability.multilayer:
         sm = build_lightpath_protection(
-            instance, cfg, cost_model, plan, carrier_routes,
+            instance, cost_model, plan, carrier_routes,
             work_slots, spare_slots, working_paths, protection_paths,
         )
         sol = stage(sm)

@@ -27,7 +27,13 @@ from mplsotn.cli import (
 from mplsotn.evaluate import DrillReport, EventOutcome
 from mplsotn.instances import generate_instance, load_instance, save_instance
 from mplsotn.milp import write_model
-from mplsotn.model import Approach, FailureEvent, FailureKind, Violation
+from mplsotn.model import (
+    Approach,
+    FailureEvent,
+    FailureKind,
+    Survivability,
+    Violation,
+)
 from mplsotn.pipeline import PipelineError, StageInfeasibleError, run_design
 from mplsotn.serialize import load_design
 
@@ -159,6 +165,16 @@ def test_corrupt_instance_file(tmp_path, capsys):
     path.write_text("{not json", encoding="utf-8")
     assert main(["run", str(path)]) == EXIT_INVALID_INSTANCE
     assert "bad-json" in capsys.readouterr().err
+
+
+def test_instance_the_parser_refuses_exits_2(ring4_file, tmp_path, capsys):
+    doc = json.loads(Path(ring4_file).read_text())
+    doc["links"].append([2, 2])
+    path = tmp_path / "loop.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    assert main(["run", str(path)]) == EXIT_INVALID_INSTANCE
+    assert capsys.readouterr().err == (
+        "invalid instance: bad-field: link [2, 2] is a self-loop\n")
 
 
 @pytest.fixture
@@ -333,11 +349,11 @@ def test_verification_failure_exit_code(ring4_file, monkeypatch, capsys):
     assert "verification: planted" in capsys.readouterr().err
 
 
-def _failed_drill(instance, design):
+def _failed_drill(instance, design, contention=()):
     outcome = EventOutcome(
         event=FailureEvent(kind=FailureKind.LINK, link=(1, 2)),
         affected=("d1",), lost_by_definition=(), optical_recovered=(),
-        mpls_recovered=(), unrestored=("d1",), contention=(),
+        mpls_recovered=(), unrestored=("d1",), contention=contention,
     )
     return DrillReport(outcomes=(outcome,))
 
@@ -347,6 +363,16 @@ def test_drill_failure_exit_code(ring4_file, monkeypatch, capsys):
     code = main(["run", ring4_file, "--survivability", "single"])
     assert code == EXIT_DRILL_FAILED
     assert "drill: link 1-2: unrestored ['d1']" in capsys.readouterr().err
+
+
+def test_drill_contention_is_reported(ring4_file, monkeypatch, capsys):
+    monkeypatch.setattr(
+        evaluate, "failure_drill",
+        lambda instance, design: _failed_drill(instance, design, ((1, 4),)))
+    code = main(["run", ring4_file, "--survivability", "brs"])
+    assert code == EXIT_DRILL_FAILED
+    assert ("drill: link 1-2: unrestored ['d1']; contention on [(1, 4)]"
+            in capsys.readouterr().err)
 
 
 def test_drill_not_enforced_without_survivability(ring4_file, monkeypatch):
@@ -369,6 +395,36 @@ def test_compare_all(ring4_file, tmp_path, capsys):
     by_option = {r[0]: r for r in rows[1:]}
     assert by_option["none"][1] == "23"
     assert by_option["brs"][1] == "29"
+
+
+def test_compare_all_exits_5_when_an_option_fails_verification(
+        ring4_file, monkeypatch, capsys):
+    verify = evaluate.verify_design
+
+    def planted(instance, design):
+        if design.config.survivability is Survivability.MULTI_DOUBLE:
+            return (Violation("planted", "planted failure"),)
+        return verify(instance, design)
+
+    monkeypatch.setattr(evaluate, "verify_design", planted)
+    code = main(["run", ring4_file, "--compare-all", "--format", "csv"])
+    assert code == EXIT_VERIFY_FAILED
+    out, err = capsys.readouterr()
+    assert err.splitlines() == ["verification[double]: planted: planted failure"]
+    # the failing option keeps its row
+    assert _csv_rows_of(out)["double"][1] == "29"
+
+
+def test_compare_all_exits_6_when_a_protected_option_fails_its_drill(
+        ring4_file, monkeypatch, capsys):
+    monkeypatch.setattr(evaluate, "failure_drill", _failed_drill)
+    code = main(["run", ring4_file, "--compare-all", "--format", "csv"])
+    assert code == EXIT_DRILL_FAILED
+    out, err = capsys.readouterr()
+    # an unprotected design may lose traffic, so "none" is not reported
+    assert err.splitlines() == [
+        f"drill[{o.value}]: 1 non-restorable event(s)" for o in OPTIONS[1:]]
+    assert len(_csv_rows_of(out)) == len(OPTIONS)
 
 
 def _csv_rows_of(text: str) -> dict[str, list[str]]:

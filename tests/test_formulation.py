@@ -9,7 +9,9 @@ from fractions import Fraction
 import pytest
 
 from mplsotn.formulation import (
+    ProtectionPlan,
     brs_needed_spares,
+    build_integrated_protection,
     build_integrated_working,
     build_lightpath_protection,
     build_lightpath_routing_seq,
@@ -46,11 +48,21 @@ def solved(sm) -> Fraction:
     return sm.model.objective_value(sol.values)
 
 
+def protection_routers(instance, cfg, plan, working_paths):
+    """Routers some protection LSP variable of stage II may touch."""
+    work = sorted({slot for path in working_paths.values() for slot in path})
+    sm = build_protection_mpls(instance, cfg, default_cost_model(instance), plan,
+                               work, working_paths)
+    return {n for (_k, i, j, _q), _name in sm.index.items("pd") for n in (i, j)}
+
+
 def test_protection_plan_single_layer_covers_everything(ring4):
     wp = {"d1": ((1, 3, 1),)}
-    plan = compute_protection_plan(ring4, cfg_for(Survivability.SINGLE_LAYER), wp)
+    cfg = cfg_for(Survivability.SINGLE_LAYER)
+    plan = compute_protection_plan(ring4, cfg, wp)
     assert plan.protected_demands == ("d1",)
-    assert plan.excluded_for("d1") == ()
+    # a single-hop working path transits no router, so none is barred
+    assert protection_routers(ring4, cfg, plan, wp) == {1, 2, 3, 4}
     assert plan.lsp_pair_disjointness == "node-link"
     assert not plan.protect_work_carriers and not plan.protect_spare_carriers
     assert not plan.brs_sharing
@@ -66,7 +78,8 @@ def test_protection_plan_multilayer_rules(ring4):
     ):
         plan = compute_protection_plan(ring4, cfg_for(option), wp)
         assert plan.protected_demands == ("d1",)
-        assert plan.excluded_for("d1") == (2,)
+        # the protection LSP keeps off the working path's transit router
+        assert protection_routers(ring4, cfg_for(option), plan, wp) == {1, 3, 4}
         assert plan.lsp_pair_disjointness == pair
         assert plan.protect_work_carriers
         assert plan.protect_spare_carriers is spare_side
@@ -163,13 +176,13 @@ def test_routing_stage_pair_rows_follow_option(ring4):
 
     cfg = cfg_for(Survivability.NONE)
     plan = compute_protection_plan(ring4, cfg, wp)
-    sm = build_lightpath_routing_seq(ring4, cfg, cm, [(1, 3, 1)], [], plan, wp, {})
+    sm = build_lightpath_routing_seq(ring4, cm, [(1, 3, 1)], [], plan, wp, {})
     assert sorted(sm.model.tags()) == ["lightpath-flow", "wavelength-capacity"]
     assert solved(sm) == 6  # route 1-2-3 or 1-4-3, two wavelengths
 
     cfg = cfg_for(Survivability.SINGLE_LAYER)
     plan = compute_protection_plan(ring4, cfg, wp)
-    sm = build_lightpath_routing_seq(ring4, cfg, cm, [(1, 3, 1)], [(1, 3, 2)],
+    sm = build_lightpath_routing_seq(ring4, cm, [(1, 3, 1)], [(1, 3, 2)],
                                      plan, wp, pp)
     tags = set(sm.model.tags())
     assert "pair-node-disjoint" in tags and "pair-link-disjoint" in tags
@@ -181,7 +194,7 @@ def test_routing_stage_pair_rows_follow_option(ring4):
     pp2 = {"d1": ((1, 3, 1),)}
     cfg = cfg_for(Survivability.MULTI_SPARE_UNPROTECTED)
     plan = compute_protection_plan(ring4, cfg, wp2)
-    sm = build_lightpath_routing_seq(ring4, cfg, cm, [(1, 2, 1), (2, 3, 1)],
+    sm = build_lightpath_routing_seq(ring4, cm, [(1, 2, 1), (2, 3, 1)],
                                      [(1, 3, 1)], plan, wp2, pp2)
     tags = set(sm.model.tags())
     assert "pair-node-disjoint" in tags
@@ -189,7 +202,7 @@ def test_routing_stage_pair_rows_follow_option(ring4):
 
     cfg = cfg_for(Survivability.MULTI_DOUBLE)
     plan = compute_protection_plan(ring4, cfg, wp2)
-    sm = build_lightpath_routing_seq(ring4, cfg, cm, [(1, 2, 1), (2, 3, 1)],
+    sm = build_lightpath_routing_seq(ring4, cm, [(1, 2, 1), (2, 3, 1)],
                                      [(1, 3, 1)], plan, wp2, pp2)
     assert "pair-node-disjoint" not in sm.model.tags()
 
@@ -211,7 +224,7 @@ def crafted_protection_model(option):
     cfg = cfg_for(option)
     plan = compute_protection_plan(inst, cfg, CRAFTED_WP)
     return build_lightpath_protection(
-        inst, cfg, default_cost_model(inst), plan, CRAFTED_ROUTES,
+        inst, default_cost_model(inst), plan, CRAFTED_ROUTES,
         CRAFTED_WORK, CRAFTED_SPARE, CRAFTED_WP, CRAFTED_PP)
 
 
@@ -285,6 +298,16 @@ def test_integrated_working_joins_both_layers(ring4):
     assert {"working-flow", "grooming-capacity", "lightpath-flow",
             "wavelength-capacity"} <= tags
     assert solved(sm) == 23  # lightpath 17 plus two wavelengths
+
+
+def test_integrated_protection_with_nothing_to_protect_is_named_for_its_stage(ring4):
+    # single-layer protection over no demands leaves the MPLS model bare
+    cfg = cfg_for(Survivability.SINGLE_LAYER)
+    sm = build_integrated_protection(ring4, cfg, default_cost_model(ring4),
+                                     ProtectionPlan(Survivability.SINGLE_LAYER),
+                                     [], {}, {})
+    assert sm.model.variables == ()
+    assert sm.stage == sm.model.name == "integrated-protection"
 
 
 @pytest.mark.parametrize("name,optimum", [

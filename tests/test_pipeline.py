@@ -79,9 +79,42 @@ def test_accounting_equality_at_gap_zero(name, option):
     assert all(t.status == "optimal" for t in design.traces)
 
 
-def test_stage_names_per_option(ring4):
+def _with_first_stage_off_by(design, delta, **config):
+    first, *rest = design.traces
+    return dataclasses.replace(
+        design,
+        config=dataclasses.replace(design.config, **config),
+        traces=(dataclasses.replace(
+            first, objective_exact=first.objective_exact + delta), *rest),
+    )
+
+
+def test_accounting_check_refuses_mismatched_stage_totals(ring4):
+    design = cached_design(ring4, exact_config(Survivability.SINGLE_LAYER))
+    pipeline._check_accounting(design)
+
+    # a design never costs more than its stages reported, at any gap
+    with pytest.raises(pipeline.PipelineError,
+                       match="design costs 46 but stages reported 45"):
+        pipeline._check_accounting(_with_first_stage_off_by(
+            design, -1, optimality_gap=0.05))
+
+    # a cheaper design is a mismatch only when every stage was proved optimal
+    with pytest.raises(pipeline.PipelineError,
+                       match="at optimality: design 46 != stages 47"):
+        pipeline._check_accounting(_with_first_stage_off_by(design, 1))
+    pipeline._check_accounting(_with_first_stage_off_by(
+        design, 1, optimality_gap=0.05))
+
+    # a stage without an exact objective leaves nothing to compare
+    first, *rest = design.traces
+    pipeline._check_accounting(dataclasses.replace(design, traces=(
+        dataclasses.replace(first, objective_exact=None), *rest)))
+
+
+def test_stage_names_per_option():
     def names(option, approach=Approach.SEQUENTIAL):
-        return stage_names(ring4, exact_config(option, approach=approach))
+        return stage_names(exact_config(option, approach=approach))
 
     assert names(Survivability.NONE) == ("working-mpls", "lightpath-routing")
     assert names(Survivability.SINGLE_LAYER) == (
@@ -102,7 +135,7 @@ def test_allocate_budgets_sums_to_limit(ring4):
     cfg = DesignConfig(survivability=Survivability.SINGLE_LAYER,
                        time_limit_seconds=100.0)
     budgets = allocate_budgets(ring4, cfg)
-    assert set(budgets) == set(stage_names(ring4, cfg))
+    assert set(budgets) == set(stage_names(cfg))
     assert sum(budgets.values()) == pytest.approx(100.0)
     # routing works on a model with more arcs per variable family than the
     # grooming stages, so it gets the larger slice
@@ -288,7 +321,7 @@ def _knapsack_stage(b_weight=3) -> StageModel:
     m.add_constraint("cap", [("a", 2), ("b", b_weight)], "<=", 4)
     m.add_objective_term("a", -5)
     m.add_objective_term("b", -4)
-    return StageModel(stage="knap", model=m, index=VarIndex())
+    return StageModel(m, VarIndex())
 
 
 class _StubSolve:
@@ -369,7 +402,7 @@ def _stage_model_with(family, entries):
     for key in entries:
         flat = "_".join(str(part) for part in key)
         index.add(family, key, f"{family}_{flat}")
-    return StageModel(stage="crafted", model=MilpModel("crafted"), index=index)
+    return StageModel(MilpModel("crafted"), index)
 
 
 def _solution_selecting(family, keys):

@@ -277,6 +277,30 @@ def test_incumbents_are_feasibility_checked(monkeypatch):
     assert sol.objective is None and sol.values == {}
 
 
+@pytest.mark.parametrize("status,x,want,says", [
+    pytest.param(1, [1.0, 0.0, 1.0], SolveStatus.TIME_LIMIT_FEASIBLE, None,
+                 id="limit-with-point"),
+    pytest.param(1, None, SolveStatus.ERROR, "no incumbent", id="limit-no-point"),
+    pytest.param(0, [1.0, 0.5, 1.0], SolveStatus.ERROR, "b=0.5 is not integral",
+                 id="non-integral"),
+    pytest.param(4, [1.0, 0.0, 1.0], SolveStatus.ERROR, "stub", id="other"),
+])
+def test_embedded_maps_each_highs_outcome(monkeypatch, status, x, want, says):
+    def stub(**kwargs):
+        return solvers.HighsResult(
+            status=status, message="stub",
+            x=None if x is None else np.array(x), mip_gap=0.0)
+
+    monkeypatch.setattr(solvers, "scipy_milp", stub)
+    sol = solve(knapsack())
+    assert sol.status is want
+    if want is SolveStatus.ERROR:
+        assert says in sol.message
+        assert sol.objective is None and sol.values == {}
+    else:
+        assert sol.objective == -8.0 and sol.values["b"] == 0
+
+
 def test_missing_scipy_is_no_solver(monkeypatch, tmp_path):
     # an import that failed leaves scipy_milp unset
     monkeypatch.setattr(solvers, "scipy_milp", None)
