@@ -248,6 +248,22 @@ def _add_slot_limits(
         )
 
 
+def _add_node_cut_sets(
+    m: MilpModel, index: VarIndex, slots: Sequence[Slot], instance: Instance
+) -> None:
+    """At least ``⌈Σ b / C⌉`` ``wb`` slots out of each router that sources
+    demand, and as many into each router that sinks it."""
+    capacity = instance.lightpath_capacity_mbps
+    for node in instance.topology.nodes:
+        for prefix, end in (("cutout", 0), ("cutin", 1)):
+            mbps = sum(d.bandwidth_mbps for d in instance.traffic.demands
+                       if (d.source, d.destination)[end] == node)
+            if mbps:
+                terms = [(index.get("wb", s), 1) for s in slots if s[end] == node]
+                m.add_constraint(f"{prefix}_n{node}", terms, ">=",
+                                 -(-mbps // capacity), tag="node-cut-set")
+
+
 def _add_lsp(
     m: MilpModel,
     index: VarIndex,
@@ -818,6 +834,15 @@ def build_integrated_working(
     value unchanged; sequential stage I and the full model keep those slots.
     Its optimum is a lower bound on the full model's, and
     ``route_on_shortest_paths`` tells whether those routes attain it.
+
+    The relaxation also carries the network-loading cut-set rows
+    (Magnanti, Mirchandani & Vachani 1995): at least ``⌈Σ b / C⌉`` open
+    slots out of each router, summed over the demands it sources, and the
+    same into each router over the demands it sinks. Every integer design
+    meets them, since each Mbps leaving a router rides an open slot out of
+    it and a slot carries at most ``C``. So the rows cut only fractional
+    points: the optimum value stays the same, and a certified design is
+    still optimal for the full model. Only the LP bound rises.
     """
     base = build_working_mpls(instance, cfg, costs, simple_paths=relaxed)
     m = base.model
@@ -830,6 +855,7 @@ def build_integrated_working(
             hops = len(routes[slot[:2]]) - 1
             m.add_objective_term(index.get("wb", slot),
                                  costs.wavelength_cost * hops)
+        _add_node_cut_sets(m, index, slots, instance)
         return base
 
     arcs = instance.topology.directed_arcs()

@@ -4,6 +4,7 @@ Solved values here are computed by hand on desk-size inputs and double-checked
 against the brute-force reference in oracle.py where one applies.
 """
 
+import math
 from fractions import Fraction
 
 import pytest
@@ -340,6 +341,32 @@ def test_relaxation_omits_lsp_slots_no_simple_path_uses(name):
             if slot[1] != d.source and slot[0] != d.destination]
     assert [key for key, _name in relaxed.index.items("wd")] == kept
     assert len(kept) < len(demands) * len(slots)
+
+
+@pytest.mark.parametrize("name", ["ring4", "ring5-chord", "fam-5-s0"])
+def test_relaxation_has_a_node_cut_set_row_per_router_and_direction_with_demand(name):
+    inst = mesh_family(5, 0) if name == "fam-5-s0" else desk(name)
+    costs = default_cost_model(inst)
+    relaxed = build_integrated_working(inst, DesignConfig(), costs, relaxed=True)
+    wb = dict(relaxed.index.items("wb"))
+    expected = set()
+    for end in (0, 1):  # 0: slots out of the router, 1: slots into it
+        mbps = {}
+        for d in inst.traffic.demands:
+            node = (d.source, d.destination)[end]
+            mbps[node] = mbps.get(node, 0) + d.bandwidth_mbps
+        for node, total in mbps.items():
+            terms = frozenset((var, 1) for s, var in wb.items() if s[end] == node)
+            need = math.ceil(Fraction(total, inst.lightpath_capacity_mbps))
+            expected.add((terms, ">=", need))
+    rows = [c for c in relaxed.model.constraints if c.tag == "node-cut-set"]
+    assert len(rows) == len(expected)
+    assert {(frozenset(c.terms), c.sense, c.rhs) for c in rows} == expected
+    if name == "fam-5-s0":  # the three 9 Gbps copies need more than one slot
+        assert max(c.rhs for c in rows) > 1
+    full = build_integrated_working(inst, DesignConfig(), costs)
+    sequential = build_working_mpls(inst, DesignConfig(), costs)
+    assert "node-cut-set" not in set(full.model.tags()) | set(sequential.model.tags())
 
 
 def _hop_distances(topology) -> dict:

@@ -7,8 +7,8 @@ adds the rows the desk instances never build (``pr2``, ``pairnode2`` and the
 shared-restoration ``brsy``/``brscont``/``brsban`` rows). Under
 ``none/integrated`` the pinned ``integrated-working`` is stage I's route-free
 relaxation, without the LSP slots into a demand's source or out of its
-destination: its shortest routes fit every link here, so the full model is
-never solved after it. A refactor of the builders leaves every digest
+destination and with its node cut-set rows: its shortest routes fit every
+link here, so the full model is never solved after it. A refactor of the builders leaves every digest
 unchanged; a deliberate change to a formulation updates the pinned values
 below and says why.
 
@@ -68,7 +68,7 @@ PINNED = {
     },
     "fam-5-s0/none/integrated": {
         "integrated-working":
-            "f6cbbc5f462d06eacf30d4db3bfa3d5c6ac9f1da03de1066f4823a02bbf7a1fd",
+            "6fd2587c8f9ce0452861e49b3bcae40aa5c00a5a29c01e9da7a7311eb3db13ae",
     },
     "fam-5-s0/none/sequential": {
         "working-mpls":
@@ -138,7 +138,7 @@ PINNED = {
     },
     "ring4-chord/none/integrated": {
         "integrated-working":
-            "a6b4c9d54b8ad4bfdd5cb034da96716014d7f01093de635f23372d9f63d26bbf",
+            "b4b5cbe41fb8575d371dff8e606de5febf8885b5091a442dea1bd55848e8beb6",
     },
     "ring4-chord/none/sequential": {
         "working-mpls":
@@ -210,7 +210,7 @@ PINNED = {
     },
     "ring4/none/integrated": {
         "integrated-working":
-            "2ffea5c41d41f76f489ba822ef200f2ea73a92c012ad377542f49352f962e61d",
+            "069b7aa7e355a37d3f21a30d6f80e5c2b99b9a95a4b800c95cd9639180cdd156",
     },
     "ring4/none/sequential": {
         "working-mpls":
@@ -282,7 +282,7 @@ PINNED = {
     },
     "ring5-chord/none/integrated": {
         "integrated-working":
-            "cf4c655ab0773c9c9c5c1b2ebe0a887e820c88f35248b6d2c3bb13cc0dea9a3e",
+            "4b016fbbc0b87b45ee1783f5d157a80804ed4b7fe749dcf22d278a5fa183b497",
     },
     "ring5-chord/none/sequential": {
         "working-mpls":

@@ -179,19 +179,27 @@ def _with_wavelengths(inst, count):
 
 def test_integrated_none_falls_back_to_the_full_model_when_a_link_overflows():
     cfg = exact_config(Survivability.NONE, approach=Approach.INTEGRATED)
-    fam = support.mesh_family(5, 0)
+    fam = support.mesh_family(5, 3)
     certified = run_design(fam, cfg)
     # two wavelengths a link cannot carry the shortest routes of stage I's
     # relaxed optimum, so the full model routes the slots instead
     tight = _with_wavelengths(fam, 2)
     design = run_design(tight, cfg)
-    assert design.cost.total == certified.cost.total == Fraction(971, 5)
+    assert design.cost.total == certified.cost.total == Fraction(1087, 5)
     assert not verify_design(tight, design)
     [relaxed], [full] = certified.traces, design.traces
     assert relaxed.stage == full.stage == "integrated-working"
     assert relaxed.variables < full.variables
     assert full.objective_exact == design.cost.total
     assert full.time_budget_seconds < cfg.time_limit_seconds
+    # on fam-5-s0 the node cut-set rows lead HiGHS to a relaxed optimum
+    # whose shortest routes fit two wavelengths a link, so it certifies
+    tight0 = _with_wavelengths(support.mesh_family(5, 0), 2)
+    certified0 = run_design(tight0, cfg)
+    [trace] = certified0.traces
+    assert trace.variables == relaxed.variables == 248
+    assert certified0.cost.total == trace.objective_exact == Fraction(971, 5)
+    assert not verify_design(tight0, certified0)
 
 
 def test_integrated_none_certifies_the_relaxation_on_a_ladder_mesh():
