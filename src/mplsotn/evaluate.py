@@ -59,20 +59,16 @@ def transit_traffic(
     """
     per_node: dict[int, int] = {n: 0 for n in instance.topology.nodes}
     demand_by_id = {d.id: d for d in instance.traffic.demands}
-    total = 0
     for r in routes:
-        b = demand_by_id[r.demand_id].bandwidth_mbps
-        for n in logical_intermediates(r.working):
-            per_node[n] += b
-            total += b
+        d = demand_by_id[r.demand_id]
+        hops = logical_intermediates(r.working)
         if r.protection:
-            for n in logical_intermediates(r.protection):
-                per_node[n] += b
-                total += b
+            hops += logical_intermediates(r.protection)
             if double_count:
-                per_node[demand_by_id[r.demand_id].destination] += b
-                total += b
-    return per_node, total
+                hops += (d.destination,)
+        for n in hops:
+            per_node[n] += d.bandwidth_mbps
+    return per_node, sum(per_node.values())
 
 
 def _route_link_pairs(route: Sequence[int]) -> tuple[Link, ...]:
@@ -262,26 +258,18 @@ def _check_physical_route(
     return None
 
 
-def _demand_physical_nodes(
+def _demand_footprint(
     path: Sequence[LightpathKey], by_key: Mapping[LightpathKey, Lightpath]
-) -> set[int]:
-    out: set[int] = set()
+) -> tuple[set[int], set[Link]]:
+    """Physical nodes and links under the known lightpaths of a logical path."""
+    nodes: set[int] = set()
+    links: set[Link] = set()
     for key in path:
         lp = by_key.get(key)
         if lp:
-            out.update(lp.route)
-    return out
-
-
-def _demand_physical_links(
-    path: Sequence[LightpathKey], by_key: Mapping[LightpathKey, Lightpath]
-) -> set[Link]:
-    out: set[Link] = set()
-    for key in path:
-        lp = by_key.get(key)
-        if lp:
-            out.update(_route_link_pairs(lp.route))
-    return out
+            nodes.update(lp.route)
+            links.update(_route_link_pairs(lp.route))
+    return nodes, links
 
 
 def verify_design(instance: Instance, design: Design) -> tuple[Violation, ...]:
@@ -352,31 +340,25 @@ def verify_design(instance: Instance, design: Design) -> tuple[Violation, ...]:
                                f"route for unknown demand {r.demand_id}"))
             continue
         d = demand_by_id[r.demand_id]
-        err = _check_logical_path(r.working, d.source, d.destination)
-        if err:
-            v.append(Violation("broken-path",
-                               f"demand {d.id} working path: {err}"))
-        for key in r.working:
-            lp = by_key.get(key)
-            if lp is None:
-                v.append(Violation("unknown-lightpath",
-                                   f"demand {d.id} rides missing lightpath {key}"))
-            elif lp.role is not LightpathRole.WORK_CARRIER:
-                v.append(Violation("wrong-carrier-role",
-                                   f"demand {d.id} working path rides {lp.role.value} {key}"))
-        if r.protection is not None:
-            err = _check_logical_path(r.protection, d.source, d.destination)
+        for label, rider, path, role in (
+            ("working", "", r.working, LightpathRole.WORK_CARRIER),
+            ("protection", " protection", r.protection, LightpathRole.SPARE_CARRIER),
+        ):
+            if path is None:
+                continue
+            err = _check_logical_path(path, d.source, d.destination)
             if err:
                 v.append(Violation("broken-path",
-                                   f"demand {d.id} protection path: {err}"))
-            for key in r.protection:
+                                   f"demand {d.id} {label} path: {err}"))
+            for key in path:
                 lp = by_key.get(key)
                 if lp is None:
                     v.append(Violation("unknown-lightpath",
-                                       f"demand {d.id} protection rides missing lightpath {key}"))
-                elif lp.role is not LightpathRole.SPARE_CARRIER:
+                                       f"demand {d.id}{rider} rides missing lightpath {key}"))
+                elif lp.role is not role:
                     v.append(Violation("wrong-carrier-role",
-                                       f"demand {d.id} protection path rides {lp.role.value} {key}"))
+                                       f"demand {d.id} {label} path rides {lp.role.value} {key}"))
+        if r.protection is not None:
             if set(r.working) & set(r.protection):
                 v.append(Violation("shared-slot",
                                    f"demand {d.id} uses a slot on both paths"))
@@ -437,10 +419,7 @@ def verify_design(instance: Instance, design: Design) -> tuple[Violation, ...]:
         if r.demand_id not in demand_by_id:
             continue
         b = demand_by_id[r.demand_id].bandwidth_mbps
-        for key in r.working:
-            if key in load:
-                load[key] += b
-        for key in r.protection or ():
+        for key in (*r.working, *(r.protection or ())):
             if key in load:
                 load[key] += b
     for key, used in load.items():
@@ -480,17 +459,15 @@ def verify_design(instance: Instance, design: Design) -> tuple[Violation, ...]:
             if not r.protection or r.demand_id not in demand_by_id:
                 continue
             d = demand_by_id[r.demand_id]
-            wn = _demand_physical_nodes(r.working, by_key) - {d.source, d.destination}
-            pn = _demand_physical_nodes(r.protection, by_key) - {d.source, d.destination}
-            if wn & pn:
+            wn, wl = _demand_footprint(r.working, by_key)
+            pn, pl = _demand_footprint(r.protection, by_key)
+            shared = (wn & pn) - {d.source, d.destination}
+            if shared:
                 v.append(Violation("paths-share-node",
-                                   f"demand {d.id} paths share node(s) {sorted(wn & pn)}"))
-            if pairwise == "node-link":
-                wl = _demand_physical_links(r.working, by_key)
-                pl = _demand_physical_links(r.protection, by_key)
-                if wl & pl:
-                    v.append(Violation("paths-share-link",
-                                       f"demand {d.id} paths share link(s) {sorted(wl & pl)}"))
+                                   f"demand {d.id} paths share node(s) {sorted(shared)}"))
+            if pairwise == "node-link" and wl & pl:
+                v.append(Violation("paths-share-link",
+                                   f"demand {d.id} paths share link(s) {sorted(wl & pl)}"))
 
     # shared restoration: a router failure fires protection lightpaths and
     # MPLS recovery together; their joint wavelength draw has to fit the
@@ -510,21 +487,19 @@ def verify_design(instance: Instance, design: Design) -> tuple[Violation, ...]:
                     f"{link} but the pool plus extra covers {pool + extra}",
                 ))
 
-    # wavelength capacity
-    per_link = wavelength_usage(instance, design)
-    for lw in per_link:
-        if lw.total(brs) > topo.wavelengths_per_link:
-            v.append(Violation("wavelength-overflow",
-                               f"link {lw.link} needs {lw.total(brs)} of "
-                               f"{topo.wavelengths_per_link} wavelengths"))
-
-    # declared metrics and cost must match a recount; routes for demands the
-    # instance does not know are already flagged above and cannot be priced
+    # wavelength capacity, and declared metrics and cost, against a recount;
+    # routes for demands the instance does not know are already flagged above
+    # and cannot be priced
     known_routes = tuple(r for r in design.lsp_routes if r.demand_id in demand_by_id)
     metrics, cost = compute_metrics(
         instance, design.logical.lightpaths, known_routes,
         design.cost_model, opt, design.config.transit_double_count,
     )
+    for lw in metrics.wavelengths_per_link:
+        if lw.total(brs) > topo.wavelengths_per_link:
+            v.append(Violation("wavelength-overflow",
+                               f"link {lw.link} needs {lw.total(brs)} of "
+                               f"{topo.wavelengths_per_link} wavelengths"))
     for field in fields(Metrics):
         declared = getattr(design.metrics, field.name)
         recount = getattr(metrics, field.name)
@@ -608,19 +583,13 @@ def _endpoint_dead(lp: Lightpath, event: FailureEvent) -> bool:
     return event.kind is FailureKind.NODE and event.node in (lp.origin, lp.termination)
 
 
-def _protection_route_alive(plp: Lightpath, event: FailureEvent) -> bool:
-    if event.kind is FailureKind.LINK:
-        return event.link not in plp.route_links
-    if event.kind is FailureKind.NODE:
-        return event.node not in plp.route
-    return True
-
-
 def drill_event(instance: Instance, design: Design, event: FailureEvent) -> EventOutcome:
     brs = design.config.survivability is Survivability.MULTI_INTERLAYER_BRS
     demand_by_id = {d.id: d for d in instance.traffic.demands}
     carriers = design.logical.carriers()
     by_key = {lp.key: lp for lp in carriers}
+    # the first protection lightpath of a slot wins; the verifier flags the rest
+    protection = {lp.key: lp for lp in reversed(design.logical.protection_lightpaths())}
 
     dead = {lp.key for lp in carriers if _carrier_dead(lp, event)}
     recovered: set[LightpathKey] = set()
@@ -629,8 +598,10 @@ def drill_event(instance: Instance, design: Design, event: FailureEvent) -> Even
         lp = by_key[key]
         if _endpoint_dead(lp, event):
             continue
-        plp = design.logical.protection_by_key(key)
-        if plp is not None and _protection_route_alive(plp, event):
+        plp = protection.get(key)
+        # an interface failure leaves the protection lightpath's route intact
+        if plp is not None and (event.kind is FailureKind.INTERFACE
+                                or not _carrier_dead(plp, event)):
             recovered.add(key)
             activated_plps.append(plp)
 
@@ -649,18 +620,13 @@ def drill_event(instance: Instance, design: Design, event: FailureEvent) -> Even
         if failed_node is not None and failed_node in (d.source, d.destination):
             lost.append(d.id)
             continue
-        hit = any(not alive(key) for key in r.working)
-        if failed_node is not None and failed_node in logical_intermediates(r.working):
-            hit = True
-        if not hit:
+        # failed_node is None unless a site failed, and no route visits None
+        if (all(alive(key) for key in r.working)
+                and failed_node not in logical_intermediates(r.working)):
             continue
         affected.append(d.id)
-        usable = bool(r.protection)
-        if usable and failed_node is not None and failed_node in logical_nodes(r.protection):
-            usable = False
-        if usable and any(not alive(key) for key in r.protection):
-            usable = False
-        if usable:
+        if (r.protection and failed_node not in logical_nodes(r.protection)
+                and all(alive(key) for key in r.protection)):
             mpls_recovered.append(d.id)
             needed_spares.update(r.protection)
         else:

@@ -75,9 +75,6 @@ class VarIndex:
         """The family's entries whose key starts with ``head``, in order."""
         return self._groups.get((family, head), ())
 
-    def count(self, family: str) -> int:
-        return len(self._families.get(family, {}))
-
 
 @dataclass(frozen=True)
 class StageModel:
@@ -130,6 +127,11 @@ class ProtectionPlan:
     @property
     def brs_sharing(self) -> bool:
         return self.survivability is Survivability.MULTI_INTERLAYER_BRS
+
+    def indexed_demands(self, instance: Instance) -> tuple[tuple[int, LspDemand], ...]:
+        """(demand index, demand) for each protected demand, in plan order."""
+        by_id = {d.id: (k, d) for k, d in enumerate(instance.traffic.demands)}
+        return tuple(by_id[did] for did in self.protected_demands)
 
     def protected_carriers(
         self, work_slots: Sequence[Slot], spare_slots: Sequence[Slot]
@@ -188,10 +190,6 @@ def _slot_name(prefix: str, slot: Slot) -> str:
 def _route_name(prefix: str, slot: Slot, arc: Arc) -> str:
     i, j, q = slot
     return f"{prefix}_{i}_{j}_{q}__{arc[0]}_{arc[1]}"
-
-
-def _demand_index(instance: Instance) -> dict[str, int]:
-    return {d.id: k for k, d in enumerate(instance.traffic.demands)}
 
 
 def _add_slot_binaries(
@@ -560,23 +558,20 @@ def build_protection_mpls(
 
     slots = _slots(instance, cfg)
     nodes = instance.topology.nodes
-    demand_by_id = {d.id: d for d in instance.traffic.demands}
-    kmap = _demand_index(instance)
+    protected = plan.indexed_demands(instance)
     occupied = frozenset(work_slots)
 
     _add_slot_binaries(m, index, "pb", slots, costs.lightpath_cost, occupied)
-    for did in plan.protected_demands:
-        d = demand_by_id[did]
-        k = kmap[did]
+    for k, d in protected:
         coeff = _transit_coeff(costs, d)
         # barred routers are excluded from both row sides
         _add_lsp(m, index, "pd", k, d, slots, nodes, coeff,
                  "protection-flow", "pflow",
-                 banned=frozenset(_intermediates(working_paths[did])))
+                 banned=frozenset(_intermediates(working_paths[d.id])))
         if not cfg.transit_double_count:
             m.add_objective_constant(-coeff)
         # a protected LSP's two paths never share a lightpath slot
-        for slot in working_paths[did]:
+        for slot in working_paths[d.id]:
             name = index.get("pd", (k, *slot))
             if name:
                 m.add_constraint(
@@ -586,9 +581,9 @@ def build_protection_mpls(
 
     for slot in slots:
         terms = [
-            (index.get("pd", (kmap[did], *slot)), demand_by_id[did].bandwidth_mbps)
-            for did in plan.protected_demands
-            if index.get("pd", (kmap[did], *slot))
+            (name, d.bandwidth_mbps)
+            for k, d in protected
+            if (name := index.get("pd", (k, *slot)))
         ]
         terms.append((index.get("pb", slot), -instance.lightpath_capacity_mbps))
         m.add_constraint(
@@ -605,16 +600,16 @@ def build_protection_mpls(
 
 
 def _carrier_pairs(
-    plan: ProtectionPlan,
+    protected: Sequence[tuple[int, LspDemand]],
     working_paths: Mapping[str, tuple[Slot, ...]],
     protection_paths: Mapping[str, tuple[Slot, ...]],
-) -> tuple[tuple[str, Slot, Slot], ...]:
-    """(demand, working carrier, protection-side carrier) disjointness pairs."""
+) -> tuple[tuple[int, LspDemand, Slot, Slot], ...]:
+    """(index, demand, working carrier, protection-side carrier) pairs to separate."""
     return tuple(
-        (did, a, b)
-        for did in plan.protected_demands
-        for a in working_paths.get(did, ())
-        for b in protection_paths.get(did, ())
+        (k, d, a, b)
+        for k, d in protected
+        for a in working_paths.get(d.id, ())
+        for b in protection_paths.get(d.id, ())
     )
 
 
@@ -657,17 +652,16 @@ def build_lightpath_routing_seq(
         )
 
     if plan.lsp_pair_disjointness != "none":
-        demand_by_id = {d.id: d for d in instance.traffic.demands}
-        kmap = _demand_index(instance)
         work_set = frozenset(work_slots)
 
         def family_of(slot: Slot) -> str:
             return "wr" if slot in work_set else "sr"
 
-        for did, a, b in _carrier_pairs(plan, working_paths, protection_paths):
-            d = demand_by_id[did]
+        pairs = _carrier_pairs(plan.indexed_demands(instance), working_paths,
+                               protection_paths)
+        for k, d, a, b in pairs:
             fa, fb = family_of(a), family_of(b)
-            pair_id = (f"k{kmap[did]}_{a[0]}_{a[1]}_{a[2]}"
+            pair_id = (f"k{k}_{a[0]}_{a[1]}_{a[2]}"
                        f"__{b[0]}_{b[1]}_{b[2]}")
             for v in nodes:
                 if v in (d.source, d.destination):
@@ -907,8 +901,7 @@ def build_integrated_protection(
     nodes = instance.topology.nodes
     links = instance.topology.links
     w_limit = instance.topology.wavelengths_per_link
-    kmap = _demand_index(instance)
-    demand_by_id = {d.id: d for d in instance.traffic.demands}
+    protected = plan.indexed_demands(instance)
     w1 = _link_loads(links, (carrier_routes[s] for s in work_slots))
 
     spare_capable = [s for s in slots if index.get("pb", s) is not None]
@@ -923,14 +916,12 @@ def build_integrated_protection(
     # carriers its protection LSP rides, conditioned on the riding decision
     if plan.lsp_pair_disjointness != "none":
         want_links = plan.lsp_pair_disjointness == "node-link"
-        for did in plan.protected_demands:
-            d = demand_by_id[did]
-            k = kmap[did]
+        for k, d in protected:
             nodes_on_path = set(
-                demand_physical_path_nodes(working_paths[did], carrier_routes)
+                demand_physical_path_nodes(working_paths[d.id], carrier_routes)
             ) - {d.source, d.destination}
             links_on_path = set(
-                demand_physical_path_links(working_paths[did], carrier_routes)
+                demand_physical_path_links(working_paths[d.id], carrier_routes)
             )
             for slot in spare_capable:
                 pd_name = index.get("pd", (k, *slot))
@@ -1018,12 +1009,12 @@ def build_integrated_protection(
             if any(n in carrier_routes[s][1:-1] for s in protected_work)
         )
         for n in pool_nodes:
+            riders = [k for k, d in protected if d.id in transiting[n]]
             for link in links:
                 yname = m.add_variable(f"brsy_{n}_{link[0]}_{link[1]}",
                                        VarKind.CONTINUOUS, 0, 1)
                 index.add("brsy", (n, link), yname)
-                for did in transiting[n]:
-                    k = kmap[did]
+                for k in riders:
                     for slot in spare_capable:
                         pd_name = index.get("pd", (k, *slot))
                         if pd_name is None:

@@ -267,12 +267,6 @@ class LogicalTopology:
             if lp.role is LightpathRole.OPTICAL_PROTECTION
         )
 
-    def protection_by_key(self, key: LightpathKey) -> Optional[Lightpath]:
-        for lp in self.lightpaths:
-            if lp.key == key and lp.role is LightpathRole.OPTICAL_PROTECTION:
-                return lp
-        return None
-
 
 @dataclass(frozen=True)
 class LspRoute:
@@ -422,40 +416,17 @@ def _gbps_str(mbps: int) -> str:
     return f"{whole}.{frac:03d}".rstrip("0")
 
 
-def _depth_first_scan(topo: PhysicalTopology) -> tuple[int, bool]:
-    """Nodes reached from the first node, and whether one is an articulation point.
-
-    One iterative depth-first scan with discovery order and low-link values
-    (Tarjan, "Depth-first search and linear graph algorithms", 1972). A
-    non-root node cuts the graph when some child's subtree has no back edge
-    above it; the root cuts it when it has two or more tree children. Assumes
-    a simple graph, which the checks before the scan guarantee.
-    """
-    root = topo.nodes[0]
-    order = {root: 0}
-    low = {root: 0}
-    root_children = 0
-    has_cut = False
-    stack = [(root, root, iter(topo.neighbors(root)))]
+def _connected(adjacency: dict[int, list[int]], cut: Optional[int] = None) -> bool:
+    """Whether the graph stays connected once node ``cut`` is deleted."""
+    live = [n for n in adjacency if n != cut]
+    seen = {live[0]}
+    stack = [live[0]]
     while stack:
-        node, parent, pending = stack[-1]
-        for nxt in pending:
-            if nxt not in order:
-                order[nxt] = low[nxt] = len(order)
-                stack.append((nxt, node, iter(topo.neighbors(nxt))))
-                break
-            if nxt != parent:
-                low[node] = min(low[node], order[nxt])
-        else:
-            stack.pop()
-            if node == root:
-                continue
-            low[parent] = min(low[parent], low[node])
-            if parent == root:
-                root_children += 1
-            elif low[node] >= order[parent]:
-                has_cut = True
-    return len(order), has_cut or root_children > 1
+        for nxt in adjacency[stack.pop()]:
+            if nxt != cut and nxt not in seen:
+                seen.add(nxt)
+                stack.append(nxt)
+    return len(seen) == len(live)
 
 
 def validate_instance(instance: Instance, cfg: Optional[DesignConfig] = None
@@ -497,11 +468,15 @@ def validate_instance(instance: Instance, cfg: Optional[DesignConfig] = None
         out.append(Violation("bad-interface-limit", "router interface count must be >= 1"))
 
     if not out:
-        reached, has_cut = _depth_first_scan(topo)
-        if reached < len(nodes):
+        adjacency: dict[int, list[int]] = {n: [] for n in nodes}
+        for a, b in topo.links:
+            adjacency[a].append(b)
+            adjacency[b].append(a)
+        # biconnected: at least 3 nodes, and no single node's removal cuts it
+        if not _connected(adjacency):
             out.append(Violation("disconnected", "physical topology is not connected"))
         elif cfg.survivability is not Survivability.NONE:
-            if len(nodes) < 3 or has_cut:
+            if len(nodes) < 3 or not all(_connected(adjacency, n) for n in nodes):
                 out.append(Violation(
                     "not-biconnected",
                     "survivable design needs a bi-connected physical topology "

@@ -417,7 +417,7 @@ def _run_sequential(
             instance, cfg, cost_model, plan, work_slots, working_paths
         )
         sol = stage(sm)
-        protected = [(k, d) for k, d in demands if d.id in plan.protected_demands]
+        protected = plan.indexed_demands(instance)
         spare_slots, protection_paths = _decode_layer(
             sol, sm, "pb", "pd", protected
         )
@@ -498,7 +498,7 @@ def _run_integrated(
             carrier_routes,
         )
         sol = stage(sm)
-        protected = [(k, d) for k, d in demands if d.id in plan.protected_demands]
+        protected = plan.indexed_demands(instance)
         spare_slots, protection_paths = _decode_layer(
             sol, sm, "pb", "pd", protected, route_family="sr"
         )

@@ -14,7 +14,7 @@ from fractions import Fraction
 from typing import Optional, Sequence, Union
 
 from .milp import format_coefficient
-from .model import Design, Survivability
+from .model import Approach, Design, Survivability
 
 Number = Union[int, float, Fraction]
 
@@ -132,6 +132,13 @@ def design_summary(design: Design, drill_summary: Optional[dict] = None) -> str:
         f" (transit {format_money(design.cost.transit)},"
         f" mpls {format_money(design.cost.mpls)},"
         f" optical {format_money(design.cost.optical)})",
+    ]
+    if design.config.approach is Approach.SEQUENTIAL:
+        # stage I pins only its own objective; the later stages price the
+        # lightpaths of whichever optimum the solver returned
+        lines.append("                (follows one of possibly several "
+                     "equal-cost stage-I optima)")
+    lines += [
         f"transit         {format_coefficient(m.transit_total_gbps)} Gbps",
         f"lightpaths      {lightpaths}"
         + (f" + {m.protection_lightpaths} optical protection"

@@ -57,7 +57,7 @@ DESK_BUILDERS = {
 }
 
 _instances: dict[str, Instance] = {}
-_designs: dict[tuple, tuple[Instance, Design]] = {}
+_designs: dict[tuple[str, DesignConfig], tuple[Instance, Design]] = {}
 _shared = SolveMemo()
 
 
@@ -75,15 +75,7 @@ def exact_config(option: Survivability,
 
 
 def cached_design(instance: Instance, cfg: DesignConfig) -> Design:
-    key = (
-        instance_hash(instance),
-        cfg.survivability,
-        cfg.approach,
-        cfg.q_max,
-        cfg.optimality_gap,
-        cfg.transit_double_count,
-        cfg.auto_grow_q,
-    )
+    key = (instance_hash(instance), cfg)
     if key not in _designs:
         _designs[key] = (instance, run_design(instance, cfg, shared=_shared))
     return _designs[key][1]

@@ -86,6 +86,23 @@ def test_generate_refuses_more_demands_than_the_kind_has(kind, n, most, asked):
         generate_instance(kind, n, demand_count=asked)
 
 
+def test_generate_cycles_a_listed_profile(tmp_path):
+    path = tmp_path / "mesh6.json"
+    assert main(["generate", "--kind", "mesh", "--nodes", "6", "--demands", "4",
+                 "--profile", "2.5,10", "-o", str(path)]) == EXIT_OK
+    demands = load_instance(path).traffic.demands
+    assert [d.bandwidth_mbps for d in demands] == [2500, 10000, 2500, 10000]
+
+
+@pytest.mark.parametrize("profile, message", [
+    ("heavy", "unknown bandwidth profile 'heavy'"),
+    ([], "bandwidth profile list is empty"),
+])
+def test_generate_instance_refuses_a_bad_profile(profile, message):
+    with pytest.raises(ValueError, match=message):
+        generate_instance("mesh", 6, demand_count=4, bandwidth_profile=profile)
+
+
 def test_generate_to_stdout(capsys):
     assert main(["generate", "--nodes", "4", "--seed", "2"]) == EXIT_OK
     doc = json.loads(capsys.readouterr().out)
@@ -285,6 +302,7 @@ def test_run_refuses_a_non_finite_bandwidth(field, value, tmp_path, capsys):
     (["--nodes", "4", "--profile", "1,x"], "could not convert"),
     *((["--nodes", "4", f"--profile={value}"], "profile bandwidth must be finite")
       for value in ("inf", "-inf", "NaN")),
+    (["--nodes", "4", "--profile", "heavy"], "could not convert"),
 ])
 def test_generate_refuses_bad_arguments_as_usage_errors(argv, message, capsys):
     with pytest.raises(SystemExit) as exited:

@@ -308,6 +308,15 @@ def test_verify_flags_protection_the_option_does_not_ask_for(ring4):
         "carrier (1, 3, 1) must not be optically protected"]
 
 
+def test_verify_flags_a_spare_carrier_in_an_unprotected_design(ring4):
+    unprotected = design_for(ring4, Survivability.NONE)
+    spare = Lightpath(1, 3, 2, LightpathRole.SPARE_CARRIER, route=(1, 4, 3))
+    got = verify_design(ring4, with_lightpaths(
+        unprotected, unprotected.logical.lightpaths + (spare,)))
+    assert messages(got, "unexpected-protection") == [
+        "unprotected design carries non-working lightpaths"]
+
+
 def test_verify_flags_capacity_corruption(ring4):
     design = design_for(ring4, Survivability.NONE)
 

@@ -111,8 +111,8 @@ def test_working_stage_structure(ring4):
     sm = build_working_mpls(ring4, DesignConfig(), default_cost_model(ring4))
     assert sm.stage == "working-mpls"
     # 12 ordered router pairs, two parallel slots each
-    assert sm.index.count("wb") == 24
-    assert sm.index.count("wd") == 24  # one demand over every logical arc
+    assert len(sm.index.items("wb")) == 24
+    assert len(sm.index.items("wd")) == 24  # one demand over every logical arc
     assert sorted(sm.model.tags()) == [
         "grooming-capacity", "interface-limit", "slot-symmetry", "working-flow"]
     row_tags = [c.tag for c in sm.model.constraints]
@@ -323,7 +323,7 @@ def test_route_free_relaxation_attains_the_full_optimum(name, optimum):
     full = build_integrated_working(inst, DesignConfig(), costs)
     relaxed = build_integrated_working(inst, DesignConfig(), costs, relaxed=True)
     assert relaxed.stage == full.stage == relaxed.model.name == "integrated-working"
-    assert relaxed.index.count("wr") == 0
+    assert len(relaxed.index.items("wr")) == 0
     assert "wavelength-capacity" not in set(relaxed.model.tags())
     assert solved(relaxed) == solved(full) == optimum
 
@@ -336,7 +336,7 @@ def test_relaxation_omits_lsp_slots_no_simple_path_uses(name):
     sequential = build_working_mpls(inst, DesignConfig(), costs)
     relaxed = build_integrated_working(inst, DesignConfig(), costs, relaxed=True)
     slots = [slot for slot, _name in sequential.index.items("wb")]
-    assert sequential.index.count("wd") == len(demands) * len(slots)
+    assert len(sequential.index.items("wd")) == len(demands) * len(slots)
     kept = [(k, *slot) for k, d in enumerate(demands) for slot in slots
             if slot[1] != d.source and slot[0] != d.destination]
     assert [key for key, _name in relaxed.index.items("wd")] == kept

@@ -136,8 +136,6 @@ def test_logical_topology_role_partition():
 
     assert logical.carriers() == (work, spare)
     assert logical.protection_lightpaths() == (prot,)
-    assert logical.protection_by_key((1, 2, 0)) is prot
-    assert logical.protection_by_key((1, 2, 1)) is None
 
 
 def test_link_wavelength_totals_depend_on_sharing():

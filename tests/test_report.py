@@ -7,7 +7,7 @@ from fractions import Fraction
 import pytest
 
 from mplsotn.evaluate import failure_drill
-from mplsotn.model import Survivability
+from mplsotn.model import Approach, Survivability
 from mplsotn.report import (
     design_summary,
     format_money,
@@ -108,3 +108,13 @@ def test_design_summary_brs(ring4):
     assert "spare reuse     0.0 %" in text
     assert "optical protection" in text
     assert "failure drill" not in text
+
+
+def test_design_summary_says_a_sequential_total_follows_one_stage_i_optimum(ring4):
+    note = "(follows one of possibly several equal-cost stage-I optima)"
+    sequential = cached_design(ring4, exact_config(Survivability.NONE))
+    lines = design_summary(sequential).splitlines()
+    assert lines[lines.index(" " * 16 + note) - 1].startswith("total cost")
+    integrated = cached_design(
+        ring4, exact_config(Survivability.NONE, approach=Approach.INTEGRATED))
+    assert note not in design_summary(integrated)
