@@ -246,6 +246,22 @@ def _add_slot_limits(
         )
 
 
+def _add_grooming(
+    m: MilpModel, index: VarIndex, lsp_family: str, slot_family: str,
+    riders: Sequence[tuple[int, LspDemand]], slots: Sequence[Slot],
+    capacity: int, row_prefix: str, tag: str,
+) -> None:
+    """Per slot, the Mbps of the LSPs riding it fit in one open carrier."""
+    for slot in slots:
+        terms = [
+            (name, d.bandwidth_mbps)
+            for k, d in riders
+            if (name := index.get(lsp_family, (k, *slot)))
+        ]
+        terms.append((index.get(slot_family, slot), -capacity))
+        m.add_constraint(_slot_name(row_prefix, slot), terms, "<=", 0, tag=tag)
+
+
 def _add_node_cut_sets(
     m: MilpModel, index: VarIndex, slots: Sequence[Slot], instance: Instance
 ) -> None:
@@ -358,19 +374,15 @@ def _add_route(
 
 def _route_occupancy_terms(
     index: VarIndex, family: str, slot: Slot, node: int
-) -> tuple[Optional[int], list[tuple[str, int]]]:
-    """How a carrier's route occupies a physical node.
+) -> list[tuple[str, int]]:
+    """The arcs of a carrier's route that enter a physical node.
 
-    Returns (constant, variable terms): endpoints occupy unconditionally
-    (constant 1), every other node is occupied exactly when an arc enters it.
+    A node other than the carrier's endpoints is occupied exactly when one
+    of them is used; the endpoints occupy unconditionally.
     """
-    i, j, _q = slot
-    if node == i or node == j:
-        return 1, []
-    terms = [
+    return [
         (name, 1) for (_s, arc), name in index.group(family, slot) if arc[1] == node
     ]
-    return None, terms
 
 
 def _link_terms(
@@ -447,24 +459,17 @@ def _add_carrier_protection(
                 )
 
 
-def demand_physical_path_nodes(
+def demand_physical_footprint(
     demand_path: Sequence[Slot],
     routes: Mapping[Slot, tuple[int, ...]],
-) -> tuple[int, ...]:
-    """Every physical node an LSP's path touches, in traversal order."""
-    out: list[int] = []
+) -> tuple[set[int], set[Link]]:
+    """The physical nodes and links an LSP's path touches."""
+    nodes: set[int] = set()
+    links: set[Link] = set()
     for slot in demand_path:
-        for n in routes[slot]:
-            if not out or out[-1] != n:
-                out.append(n)
-    return tuple(out)
-
-
-def demand_physical_path_links(
-    demand_path: Sequence[Slot],
-    routes: Mapping[Slot, tuple[int, ...]],
-) -> tuple[Link, ...]:
-    return tuple(link for slot in demand_path for link in route_links(routes[slot]))
+        nodes.update(routes[slot])
+        links.update(route_links(routes[slot]))
+    return nodes, links
 
 
 def brs_needed_spares(
@@ -518,16 +523,8 @@ def build_working_mpls(
                  "working-flow", "wflow", simple=simple_paths)
         # arrival at the destination is not transit
         m.add_objective_constant(-coeff)
-    for slot in slots:
-        terms = [
-            (name, d.bandwidth_mbps)
-            for k, d in enumerate(demands)
-            if (name := index.get("wd", (k, *slot)))
-        ]
-        terms.append((index.get("wb", slot), -instance.lightpath_capacity_mbps))
-        m.add_constraint(
-            _slot_name("groom", slot), terms, "<=", 0, tag="grooming-capacity"
-        )
+    _add_grooming(m, index, "wd", "wb", tuple(enumerate(demands)), slots,
+                  instance.lightpath_capacity_mbps, "groom", "grooming-capacity")
     _add_slot_limits(m, index, "wb", slots, nodes,
                      cfg.effective_interfaces(instance))
 
@@ -579,17 +576,9 @@ def build_protection_mpls(
                     [(name, 1)], "<=", 0, tag="logical-arc-disjoint",
                 )
 
-    for slot in slots:
-        terms = [
-            (name, d.bandwidth_mbps)
-            for k, d in protected
-            if (name := index.get("pd", (k, *slot)))
-        ]
-        terms.append((index.get("pb", slot), -instance.lightpath_capacity_mbps))
-        m.add_constraint(
-            _slot_name("pgroom", slot), terms, "<=", 0,
-            tag="spare-grooming-capacity",
-        )
+    _add_grooming(m, index, "pd", "pb", protected, slots,
+                  instance.lightpath_capacity_mbps, "pgroom",
+                  "spare-grooming-capacity")
     _add_slot_limits(m, index, "pb", slots, nodes,
                      cfg.effective_interfaces(instance), occupied)
 
@@ -597,20 +586,6 @@ def build_protection_mpls(
 
 
 # -- stage III: lightpath routing (sequential) --------------------------------
-
-
-def _carrier_pairs(
-    protected: Sequence[tuple[int, LspDemand]],
-    working_paths: Mapping[str, tuple[Slot, ...]],
-    protection_paths: Mapping[str, tuple[Slot, ...]],
-) -> tuple[tuple[int, LspDemand, Slot, Slot], ...]:
-    """(index, demand, working carrier, protection-side carrier) pairs to separate."""
-    return tuple(
-        (k, d, a, b)
-        for k, d in protected
-        for a in working_paths.get(d.id, ())
-        for b in protection_paths.get(d.id, ())
-    )
 
 
 def build_lightpath_routing_seq(
@@ -657,8 +632,10 @@ def build_lightpath_routing_seq(
         def family_of(slot: Slot) -> str:
             return "wr" if slot in work_set else "sr"
 
-        pairs = _carrier_pairs(plan.indexed_demands(instance), working_paths,
-                               protection_paths)
+        # each working carrier against each protection-side carrier
+        pairs = ((k, d, a, b) for k, d in plan.indexed_demands(instance)
+                 for a in working_paths.get(d.id, ())
+                 for b in protection_paths.get(d.id, ()))
         for k, d, a, b in pairs:
             fa, fb = family_of(a), family_of(b)
             pair_id = (f"k{k}_{a[0]}_{a[1]}_{a[2]}"
@@ -666,10 +643,10 @@ def build_lightpath_routing_seq(
             for v in nodes:
                 if v in (d.source, d.destination):
                     continue
-                const_a, terms_a = _route_occupancy_terms(index, fa, a, v)
-                const_b, terms_b = _route_occupancy_terms(index, fb, b, v)
-                rhs = 1 - (const_a or 0) - (const_b or 0)
-                terms = terms_a + terms_b
+                # a carrier occupies its own endpoints unconditionally
+                rhs = 1 - (v in a[:2]) - (v in b[:2])
+                terms = [t for f, s in ((fa, a), (fb, b)) if v not in s[:2]
+                         for t in _route_occupancy_terms(index, f, s, v)]
                 if not terms and rhs >= 0:
                     continue
                 m.add_constraint(
@@ -917,12 +894,9 @@ def build_integrated_protection(
     if plan.lsp_pair_disjointness != "none":
         want_links = plan.lsp_pair_disjointness == "node-link"
         for k, d in protected:
-            nodes_on_path = set(
-                demand_physical_path_nodes(working_paths[d.id], carrier_routes)
-            ) - {d.source, d.destination}
-            links_on_path = set(
-                demand_physical_path_links(working_paths[d.id], carrier_routes)
-            )
+            nodes_on_path, links_on_path = demand_physical_footprint(
+                working_paths[d.id], carrier_routes)
+            nodes_on_path -= {d.source, d.destination}
             for slot in spare_capable:
                 pd_name = index.get("pd", (k, *slot))
                 if pd_name is None:
@@ -935,7 +909,7 @@ def build_integrated_protection(
                     )
                     continue
                 for v in sorted(nodes_on_path):
-                    _c, terms = _route_occupancy_terms(index, "sr", slot, v)
+                    terms = _route_occupancy_terms(index, "sr", slot, v)
                     if not terms:
                         continue
                     m.add_constraint(
@@ -978,8 +952,8 @@ def build_integrated_protection(
             for v in nodes:
                 if v in (slot[0], slot[1]):
                     continue
-                _ca, terms_a = _route_occupancy_terms(index, "pr2", slot, v)
-                _cb, terms_b = _route_occupancy_terms(index, "sr", slot, v)
+                terms_a = _route_occupancy_terms(index, "pr2", slot, v)
+                terms_b = _route_occupancy_terms(index, "sr", slot, v)
                 if not terms_a or not terms_b:
                     continue
                 m.add_constraint(

@@ -191,26 +191,17 @@ class MilpModel:
 
 
 def format_coefficient(c: Fraction) -> str:
-    """Exact decimal if the fraction terminates, else a 12-digit rounding."""
-    if c.denominator == 1:
-        return str(c.numerator)
-    den = c.denominator
-    while den % 2 == 0:
-        den //= 2
-    while den % 5 == 0:
-        den //= 5
-    if den == 1:
-        # terminating decimal: scale to a power of ten and print exactly
-        scale = 1
-        value = c
-        while value.denominator != 1:
-            value *= 10
-            scale *= 10
-        digits = str(abs(value.numerator)).rjust(len(str(scale)), "0")
-        sign = "-" if c < 0 else ""
-        whole, frac = digits[: -len(str(scale)) + 1] or "0", digits[-len(str(scale)) + 1:]
-        return f"{sign}{whole}.{frac}".rstrip("0").rstrip(".") or "0"
-    return repr(float(c))
+    """Exact decimal if the fraction terminates, else ``repr`` of its float."""
+    n, d = c.numerator, c.denominator
+    if d == 1:
+        return str(n)
+    # for d = 2^a·5^b the fewest places k with d | 10^k is max(a, b) < bit
+    # length of d, and a fraction in lowest terms leaves no trailing zero
+    k = next((k for k in range(d.bit_length()) if 10**k % d == 0), None)
+    if k is None:
+        return repr(float(c))
+    whole, frac = divmod(abs(n) * 10**k // d, 10**k)
+    return f"{'-' if n < 0 else ''}{whole}.{frac:0{k}d}"
 
 
 def _terms_text(terms: Sequence[tuple[str, Fraction]]) -> str:

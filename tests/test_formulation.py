@@ -19,8 +19,7 @@ from mplsotn.formulation import (
     build_protection_mpls,
     build_working_mpls,
     compute_protection_plan,
-    demand_physical_path_links,
-    demand_physical_path_nodes,
+    demand_physical_footprint,
     route_on_shortest_paths,
     shortest_routes,
 )
@@ -412,5 +411,5 @@ def test_route_on_shortest_paths_checks_every_link(ring4):
 def test_physical_path_helpers():
     routes = {(1, 2, 1): (1, 4, 2), (2, 3, 1): (2, 3)}
     path = ((1, 2, 1), (2, 3, 1))
-    assert demand_physical_path_nodes(path, routes) == (1, 4, 2, 3)
-    assert demand_physical_path_links(path, routes) == ((1, 4), (2, 4), (2, 3))
+    assert demand_physical_footprint(path, routes) == (
+        {1, 2, 3, 4}, {(1, 4), (2, 4), (2, 3)})
