@@ -56,6 +56,8 @@ def transit_traffic(
     A working path of h lightpaths forwards its bandwidth at h-1 routers.
     Protection paths count the same way; with ``double_count`` set, a
     protection path's arrival at the destination is booked as transit too.
+    A router the instance lacks is booked too, so a recount of an unverified
+    design reports it instead of failing.
     """
     per_node: dict[int, int] = {n: 0 for n in instance.topology.nodes}
     demand_by_id = {d.id: d for d in instance.traffic.demands}
@@ -67,7 +69,7 @@ def transit_traffic(
             if double_count:
                 hops += (d.destination,)
         for n in hops:
-            per_node[n] += d.bandwidth_mbps
+            per_node[n] = per_node.get(n, 0) + d.bandwidth_mbps
     return per_node, sum(per_node.values())
 
 
@@ -292,6 +294,10 @@ def verify_design(instance: Instance, design: Design) -> tuple[Violation, ...]:
     if design.instance_hash != instance_hash(instance):
         v.append(Violation("instance-mismatch",
                            "design was built for a different instance"))
+    if design.instance_name != instance.name:
+        v.append(Violation("instance-mismatch",
+                           f"design names instance {design.instance_name!r}, "
+                           f"not {instance.name!r}"))
     if design.logical.router_interfaces != t_limit:
         v.append(Violation("interface-limit-mismatch",
                            f"design declares {design.logical.router_interfaces} "
@@ -616,7 +622,9 @@ def drill_event(instance: Instance, design: Design, event: FailureEvent) -> Even
     failed_node = event.node if event.kind is FailureKind.NODE else None
 
     for r in design.lsp_routes:
-        d = demand_by_id[r.demand_id]
+        d = demand_by_id.get(r.demand_id)
+        if d is None:  # the verifier reports a route for an unknown demand
+            continue
         if failed_node is not None and failed_node in (d.source, d.destination):
             lost.append(d.id)
             continue

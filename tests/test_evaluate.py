@@ -37,7 +37,7 @@ from mplsotn.model import (
     TrafficMatrix,
 )
 from mplsotn.pipeline import default_cost_model
-from support import cached_design, exact_config
+from support import cached_design, exact_config, mesh_family
 
 TESTS = Path(__file__).resolve().parent
 
@@ -230,6 +230,13 @@ def test_verify_flags_wrong_instance(ring4, ring4_chord):
     assert "instance-mismatch" in codes(verify_design(ring4_chord, design))
 
 
+def test_verify_flags_a_renamed_instance(ring4):
+    design = design_for(ring4, Survivability.NONE)
+    got = verify_design(ring4, replace(design, instance_name="ring4x"))
+    assert messages(got, "instance-mismatch") == [
+        "design names instance 'ring4x', not 'ring4'"]
+
+
 def test_verify_flags_structural_corruption(ring4):
     design = design_for(ring4, Survivability.SINGLE_LAYER)
     lightpaths = design.logical.lightpaths
@@ -278,6 +285,14 @@ def test_verify_flags_routing_corruption(ring4):
         ring4, replace(design, lsp_routes=(replace(route, protection=route.working),))))
     assert "missing-protection" in codes(verify_design(
         ring4, replace(design, lsp_routes=(replace(route, protection=None),))))
+
+
+def test_verify_reports_a_hop_to_a_router_the_instance_lacks():
+    inst = mesh_family(5, 0)
+    design = design_for(inst, Survivability.NONE)
+    bad = with_route(design, "d1", working=((1, 99, 1), (5, 2, 1)))
+    got = codes(verify_design(inst, bad))
+    assert {"unknown-lightpath", "broken-path"} <= got
 
 
 def test_verify_flags_protection_policy(ring4):
@@ -587,6 +602,14 @@ def test_drill_brs_contention_from_protection_lightpaths(ring4):
     assert outcome.unrestored == ()
     assert outcome.contention == ((3, 4), (1, 4))
     assert not outcome.restorable
+
+
+def test_drill_ignores_a_route_for_a_demand_the_instance_lacks(ring4):
+    design = design_for(ring4, Survivability.SINGLE_LAYER)
+    (route,) = design.lsp_routes
+    stray = replace(design, lsp_routes=(route, replace(route, demand_id="zz")))
+    assert "unknown-demand-route" in codes(verify_design(ring4, stray))
+    assert failure_drill(ring4, stray) == failure_drill(ring4, design)
 
 
 def test_drill_brs_contention_from_spare_carriers():

@@ -9,6 +9,7 @@ them to the same results, the same messages and the same order. Like
 its data types.
 """
 
+from decimal import Decimal, localcontext
 from fractions import Fraction
 
 from hypothesis import given, settings
@@ -20,6 +21,7 @@ from mplsotn.milp import (
     MilpModel,
     VarKind,
     check_solution,
+    format_coefficient,
     snap_values,
     write_model,
 )
@@ -136,6 +138,25 @@ def build(spec, conv=lambda x: x) -> MilpModel:
 
 
 # -- LP text ----------------------------------------------------------------------
+
+
+@PROPERTY
+@given(st.integers(-10**15, 10**15), st.integers(0, 40), st.integers(0, 40),
+       st.sampled_from([1, 1, 3, 7, 9, 21, 101, 999_999]))
+def test_format_coefficient_prints_decimal_or_float(n, a, b, m):
+    c = Fraction(n, 2**a * 5**b * m)
+    rest = c.denominator
+    for p in (2, 5):
+        while rest % p == 0:
+            rest //= p
+    if rest == 1:
+        # a terminating fraction prints exactly, without trailing zeros
+        with localcontext() as ctx:
+            ctx.prec = 100
+            exact = (Decimal(c.numerator) / Decimal(c.denominator)).normalize()
+        assert format_coefficient(c) == format(exact, "f")
+    else:
+        assert format_coefficient(c) == repr(float(c))
 
 
 @PROPERTY
