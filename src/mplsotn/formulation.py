@@ -442,12 +442,15 @@ def _add_carrier_protection(
     """An optical protection route ``pr`` for each carrier.
 
     It keeps off the carrier's transit OXCs and never shares a fiber with
-    the carrier it protects.
+    the carrier it protects. It has no arc into the carrier's source or out
+    of its destination, as on every cycle-free route, so no circulation
+    through either end can ride along.
     """
     for slot in carriers:
         route = carrier_routes[slot]
+        simple = [a for a in arcs if a[1] != slot[0] and a[0] != slot[1]]
         _add_route(
-            m, index, "pr", slot, arcs, nodes, "protection-lightpath-flow",
+            m, index, "pr", slot, simple, nodes, "protection-lightpath-flow",
             "plproute", cost=cost, avoid=frozenset(route[1:-1]),
         )
         for link in route_links(route):

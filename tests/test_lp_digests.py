@@ -38,7 +38,7 @@ PINNED = {
         "integrated-working":
             "0e577a0d3108dcedf366c1dbf22b6ec5e96293c840dfcf72fa5c07e774b8fd80",
         "integrated-protection":
-            "bdfed3a554902ebf8822f4335e84dce2a847cdf37c7077ca3a80948d6b644b9c",
+            "2f2034b40a1d5783655b0f166b847f4382a24bafd144612731551c04928d6de8",
     },
     "fam-5-s0/brs/sequential": {
         "working-mpls":
@@ -48,13 +48,13 @@ PINNED = {
         "lightpath-routing":
             "de054d1ce5f3eb23505fc769274663c8a18136efae2673420e84c6deb0b47430",
         "lightpath-protection":
-            "2a9775b5ccbc59a3b410f596724c3d51e8c45ade6a111423e554191882b32ac8",
+            "809a1626956c143015f7cd1f0c713c03e2bd9c6674ca50ee2220877b15d58649",
     },
     "fam-5-s0/double/integrated": {
         "integrated-working":
             "0e577a0d3108dcedf366c1dbf22b6ec5e96293c840dfcf72fa5c07e774b8fd80",
         "integrated-protection":
-            "9df74b29d64fa9cb16746f84b20f0c829f9d8f7fbd8d634c2fa3063feeb3815b",
+            "951c67ee201123881246bbc4a610209bfaadf7869932d1b4e8061897da401fea",
     },
     "fam-5-s0/double/sequential": {
         "working-mpls":
@@ -64,7 +64,7 @@ PINNED = {
         "lightpath-routing":
             "6028788eed22554a908605f999bd7deb47af153c84ed8b43a0d930c6cf9a7a60",
         "lightpath-protection":
-            "ea976e762beeb730e59a10e6e3131e36e2857e9d67fa64a8c8df1bc70192d40a",
+            "159491ac15f0cad079950ac8405722d0e3b3a5d2f6fc2e3255faa47c45742f78",
     },
     "fam-5-s0/none/integrated": {
         "integrated-working":
@@ -92,7 +92,7 @@ PINNED = {
         "integrated-working":
             "0e577a0d3108dcedf366c1dbf22b6ec5e96293c840dfcf72fa5c07e774b8fd80",
         "integrated-protection":
-            "c55b522d1806ac675a838da1a977a46f5a7285c8d52761d6ca5c0a729b3f4783",
+            "354de9e34d69924254058630f01852455428d56132eaa0aabb1b6ff1d7316fb2",
     },
     "fam-5-s0/spare-unprotected/sequential": {
         "working-mpls":
@@ -102,13 +102,13 @@ PINNED = {
         "lightpath-routing":
             "de054d1ce5f3eb23505fc769274663c8a18136efae2673420e84c6deb0b47430",
         "lightpath-protection":
-            "188ae55b9ba64e609daba0961fae36725bb01ab802c64e1e1b34e8d5c4d76aa4",
+            "29f367c17d43a6e27f963add5d0b89a8892661dc07842ac8cb3afde3c3dcb7cc",
     },
     "ring4-chord/brs/integrated": {
         "integrated-working":
             "51e0520255f5f14f95d4bfd8e55b78035a81ddc8254912550c6cbad28f16c151",
         "integrated-protection":
-            "09835c8464063673815064a3d862acaf781a321a1c2668cb30fecf8184c5b3cd",
+            "c40e8dc7b4319173021d6bee53638ba753cb81cb7431246719d99e3e660f201d",
     },
     "ring4-chord/brs/sequential": {
         "working-mpls":
@@ -118,13 +118,13 @@ PINNED = {
         "lightpath-routing":
             "e05cbd79b288fc64e279a2da53c40ac85b791b468b4663bc851751e28495eb0c",
         "lightpath-protection":
-            "0ee83156a2508166b153f6b10cef5b93ff258e0b6bbf78359ae1649f3b6b1174",
+            "04ecac3328427063d128a050022128b8a13e2daeecb5b079fd113a68129d047f",
     },
     "ring4-chord/double/integrated": {
         "integrated-working":
             "51e0520255f5f14f95d4bfd8e55b78035a81ddc8254912550c6cbad28f16c151",
         "integrated-protection":
-            "6da4510a89488e4a8b5bd1c465d83e1514deb9d0022486f6aa408f5a49d92d97",
+            "0b3e8f5e2e7db533e4b497648c5c30f01555f44a48b01e8912019a50b409c98c",
     },
     "ring4-chord/double/sequential": {
         "working-mpls":
@@ -134,7 +134,7 @@ PINNED = {
         "lightpath-routing":
             "e05cbd79b288fc64e279a2da53c40ac85b791b468b4663bc851751e28495eb0c",
         "lightpath-protection":
-            "bb195487966f527e6309fbea11eff140b8b079e407287f7e3ab4918c785c92d4",
+            "23dd240ec032ba3bcbaf5b8525e4af3ff2be6429b2c4ff4367d15fecfdd4c6f9",
     },
     "ring4-chord/none/integrated": {
         "integrated-working":
@@ -164,7 +164,7 @@ PINNED = {
         "integrated-working":
             "51e0520255f5f14f95d4bfd8e55b78035a81ddc8254912550c6cbad28f16c151",
         "integrated-protection":
-            "6da4510a89488e4a8b5bd1c465d83e1514deb9d0022486f6aa408f5a49d92d97",
+            "0b3e8f5e2e7db533e4b497648c5c30f01555f44a48b01e8912019a50b409c98c",
     },
     "ring4-chord/spare-unprotected/sequential": {
         "working-mpls":
@@ -174,13 +174,13 @@ PINNED = {
         "lightpath-routing":
             "e05cbd79b288fc64e279a2da53c40ac85b791b468b4663bc851751e28495eb0c",
         "lightpath-protection":
-            "bb195487966f527e6309fbea11eff140b8b079e407287f7e3ab4918c785c92d4",
+            "23dd240ec032ba3bcbaf5b8525e4af3ff2be6429b2c4ff4367d15fecfdd4c6f9",
     },
     "ring4/brs/integrated": {
         "integrated-working":
             "106f4abaf7bb5d03db295cbcb032fe79a6bb0253bcda52658be8624928ce28f5",
         "integrated-protection":
-            "9cf73f9b15e38b410f4cdb51c8e6b776de4d8148b9de53c26150b93ecd2bd7f7",
+            "b2c7cfe4a5b898ac5da9d0773964de45c452d4bcb7a367e0642c04e120143a0d",
     },
     "ring4/brs/sequential": {
         "working-mpls":
@@ -190,13 +190,13 @@ PINNED = {
         "lightpath-routing":
             "a383a26fdd81a3386e16ae25ca7708058cd39b3634f3dc9d2d2727eb0da5408d",
         "lightpath-protection":
-            "a4f9b370d8f594c0907c149d47103645815a93b495047086e198b45fe715e64d",
+            "8cd8725a840fcc33132ab4992cb62bf00fca9019d0de56eebe06f196236098d1",
     },
     "ring4/double/integrated": {
         "integrated-working":
             "106f4abaf7bb5d03db295cbcb032fe79a6bb0253bcda52658be8624928ce28f5",
         "integrated-protection":
-            "1bfaa9a51f91abfe52c20c1e6917e8bf3313625860274684a58ba4afec42978e",
+            "ba7117d04e9592463bb623fc820b899c779c10040e8879bd63afb7125f6dcc1b",
     },
     "ring4/double/sequential": {
         "working-mpls":
@@ -206,7 +206,7 @@ PINNED = {
         "lightpath-routing":
             "a383a26fdd81a3386e16ae25ca7708058cd39b3634f3dc9d2d2727eb0da5408d",
         "lightpath-protection":
-            "504cd31369a883eb3604cf80beaa655448b5b29378e15c90894dc980c84f4823",
+            "bcc78453d8103c4fb481a2069cc5b7a20264cbe32f97452b5146c43aac8dd6ec",
     },
     "ring4/none/integrated": {
         "integrated-working":
@@ -236,7 +236,7 @@ PINNED = {
         "integrated-working":
             "106f4abaf7bb5d03db295cbcb032fe79a6bb0253bcda52658be8624928ce28f5",
         "integrated-protection":
-            "1bfaa9a51f91abfe52c20c1e6917e8bf3313625860274684a58ba4afec42978e",
+            "ba7117d04e9592463bb623fc820b899c779c10040e8879bd63afb7125f6dcc1b",
     },
     "ring4/spare-unprotected/sequential": {
         "working-mpls":
@@ -246,13 +246,13 @@ PINNED = {
         "lightpath-routing":
             "a383a26fdd81a3386e16ae25ca7708058cd39b3634f3dc9d2d2727eb0da5408d",
         "lightpath-protection":
-            "504cd31369a883eb3604cf80beaa655448b5b29378e15c90894dc980c84f4823",
+            "bcc78453d8103c4fb481a2069cc5b7a20264cbe32f97452b5146c43aac8dd6ec",
     },
     "ring5-chord/brs/integrated": {
         "integrated-working":
             "a4d1f483436180d32defc113e7c9fb85963ed7473c0acf9f993692268eabd68c",
         "integrated-protection":
-            "82be3608253bf1c9b07845297eedcbd1c411d4479b5548dd9eea0be329643710",
+            "42e720232ef80aec4acb8b53e5a7340ce9089f15a5467bbc86683706941c04b6",
     },
     "ring5-chord/brs/sequential": {
         "working-mpls":
@@ -262,13 +262,13 @@ PINNED = {
         "lightpath-routing":
             "21fcf73850cb2d44e0f40b73c333db501aa2825b2a6121008a4afc4f8729b69b",
         "lightpath-protection":
-            "d0d8214235fc4f70cea3ef098194a3730d43e5bd297a03914c284b0824c013cf",
+            "5fca09a0f669bd50bfe2de52a0cfce5a187bce19e63f32e9616af85101572ecc",
     },
     "ring5-chord/double/integrated": {
         "integrated-working":
             "a4d1f483436180d32defc113e7c9fb85963ed7473c0acf9f993692268eabd68c",
         "integrated-protection":
-            "020586cf663f0ff226ebfce6354eaf1a8bb43be6daa90dc347c6db76c5336e36",
+            "ac02aed4abf76d4ee6ad615f37f560afc3f4f0442d1cdd46359f578042b67538",
     },
     "ring5-chord/double/sequential": {
         "working-mpls":
@@ -278,7 +278,7 @@ PINNED = {
         "lightpath-routing":
             "21fcf73850cb2d44e0f40b73c333db501aa2825b2a6121008a4afc4f8729b69b",
         "lightpath-protection":
-            "86fca72d7ad82cbb6ee2e4b77e331f417c46bc8358cd324a737b5b8623fffb13",
+            "d9f6cfaea04892868ed642aec3ae0ea62955d03136ca71f31db818977bc96954",
     },
     "ring5-chord/none/integrated": {
         "integrated-working":
@@ -308,7 +308,7 @@ PINNED = {
         "integrated-working":
             "a4d1f483436180d32defc113e7c9fb85963ed7473c0acf9f993692268eabd68c",
         "integrated-protection":
-            "020586cf663f0ff226ebfce6354eaf1a8bb43be6daa90dc347c6db76c5336e36",
+            "ac02aed4abf76d4ee6ad615f37f560afc3f4f0442d1cdd46359f578042b67538",
     },
     "ring5-chord/spare-unprotected/sequential": {
         "working-mpls":
@@ -318,7 +318,7 @@ PINNED = {
         "lightpath-routing":
             "21fcf73850cb2d44e0f40b73c333db501aa2825b2a6121008a4afc4f8729b69b",
         "lightpath-protection":
-            "86fca72d7ad82cbb6ee2e4b77e331f417c46bc8358cd324a737b5b8623fffb13",
+            "d9f6cfaea04892868ed642aec3ae0ea62955d03136ca71f31db818977bc96954",
     },
 }
 

@@ -243,6 +243,30 @@ def test_integrated_brs_decodes_on_mesh_family():
     assert not verify_design(inst, design)
 
 
+class _SeededHighs:
+    """scipy's HiGHS binding, with every solver started at one random seed."""
+
+    def __init__(self, core, seed):
+        self._core, self._seed = core, seed
+
+    def __getattr__(self, name):
+        return getattr(self._core, name)
+
+    def _Highs(self):
+        highs = self._core._Highs()
+        highs.setOptionValue("random_seed", self._seed)
+        return highs
+
+
+def test_sequential_brs_decodes_at_another_highs_seed(monkeypatch):
+    # at seed 1 a protection route once circled back through its carrier's
+    # source: "lightpath (1, 3, 1) branches at node 1"
+    monkeypatch.setattr(solvers, "_highs", _SeededHighs(solvers._highs, 1))
+    inst = support.mesh_family(7, 2)
+    design = run_design(inst, exact_config(Survivability.MULTI_INTERLAYER_BRS))
+    assert not verify_design(inst, design)
+
+
 def test_infeasible_stage_raises_with_context():
     inst = generate_instance("mesh", 4, seed=1, demand_count=3,
                              bandwidth_profile="mixed")
