@@ -577,7 +577,7 @@ def failure_events(instance: Instance, design: Design) -> tuple[FailureEvent, ..
 
 def _carrier_dead(lp: Lightpath, event: FailureEvent) -> bool:
     if event.kind is FailureKind.LINK:
-        return event.link in lp.route_links
+        return event.link in _route_link_pairs(lp.route)
     if event.kind is FailureKind.NODE:
         return event.node in lp.route
     return event.lightpath == lp.key
@@ -644,10 +644,11 @@ def drill_event(instance: Instance, design: Design, event: FailureEvent) -> Even
     if brs and (activated_plps or needed_spares):
         usage = {lw.link: lw for lw in design.metrics.wavelengths_per_link}
         for link in instance.topology.links:
-            n_plp = sum(1 for plp in activated_plps if link in plp.route_links)
+            n_plp = sum(1 for plp in activated_plps
+                        if link in _route_link_pairs(plp.route))
             n_spare = sum(
                 1 for key in needed_spares
-                if key in by_key and link in by_key[key].route_links
+                if key in by_key and link in _route_link_pairs(by_key[key].route)
             )
             lw = usage.get(link)
             available = (lw.spare_carrier + lw.extra) if lw else 0

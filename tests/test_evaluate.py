@@ -588,6 +588,13 @@ def test_drill_protection_on_a_dead_carrier_is_unusable(ring4):
     assert not outcome.restorable
 
 
+def test_drill_tolerates_a_route_that_repeats_a_node(ring4):
+    design = design_for(ring4, Survivability.SINGLE_LAYER)
+    bad = rerouted(design, (1, 3, 1), LightpathRole.WORK_CARRIER, (1, 2, 2, 3))
+    assert "bad-route" in codes(verify_design(ring4, bad))
+    assert failure_drill(ring4, bad) == failure_drill(ring4, design)
+
+
 def drained(design, **zero):
     return replace(design, metrics=replace(design.metrics, wavelengths_per_link=tuple(
         replace(lw, **zero) for lw in design.metrics.wavelengths_per_link)))
