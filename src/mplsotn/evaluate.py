@@ -589,7 +589,18 @@ def _endpoint_dead(lp: Lightpath, event: FailureEvent) -> bool:
     return event.kind is FailureKind.NODE and event.node in (lp.origin, lp.termination)
 
 
-def drill_event(instance: Instance, design: Design, event: FailureEvent) -> EventOutcome:
+def drill_event(
+    instance: Instance,
+    design: Design,
+    event: FailureEvent,
+    ledger: Optional[Sequence[LinkWavelengths]] = None,
+) -> EventOutcome:
+    """One failure replayed against the design.
+
+    Under shared restoration the spare pool and paid extra of each link come
+    from ``ledger``, by default ``wavelength_usage``'s recount of the
+    design's routes, never from its declared metrics.
+    """
     brs = design.config.survivability is Survivability.MULTI_INTERLAYER_BRS
     demand_by_id = {d.id: d for d in instance.traffic.demands}
     carriers = design.logical.carriers()
@@ -642,7 +653,9 @@ def drill_event(instance: Instance, design: Design, event: FailureEvent) -> Even
 
     contention: list[Link] = []
     if brs and (activated_plps or needed_spares):
-        usage = {lw.link: lw for lw in design.metrics.wavelengths_per_link}
+        if ledger is None:
+            ledger = wavelength_usage(instance, design)
+        usage = {lw.link: lw for lw in ledger}
         for link in instance.topology.links:
             n_plp = sum(1 for plp in activated_plps
                         if link in _route_link_pairs(plp.route))
@@ -668,9 +681,10 @@ def drill_event(instance: Instance, design: Design, event: FailureEvent) -> Even
 
 def failure_drill(instance: Instance, design: Design) -> DrillReport:
     """Replay every single-failure event against the design."""
+    ledger = wavelength_usage(instance, design)
     return DrillReport(
         outcomes=tuple(
-            drill_event(instance, design, ev)
+            drill_event(instance, design, ev, ledger)
             for ev in failure_events(instance, design)
         )
     )

@@ -7,7 +7,8 @@ family      meaning
 ==========  =================================================================
 ``wb``      lightpath slot (i,j,q) holds a carrier for working LSPs
 ``pb``      lightpath slot holds a carrier for protection LSPs
-``wd``      demand k's working LSP crosses slot (i,j,q)
+``wd``      demand k's working LSP crosses slot (i,j,q); in the integrated
+            relaxation, router pair (i,j), keyed by its slot (i,j,1)
 ``pd``      demand k's protection LSP crosses slot (i,j,q)
 ``wr``      work carrier (i,j,q) routed over physical arc (m,n)
 ``sr``      spare carrier (i,j,q) routed over physical arc (m,n)
@@ -249,16 +250,22 @@ def _add_slot_limits(
 def _add_grooming(
     m: MilpModel, index: VarIndex, lsp_family: str, slot_family: str,
     riders: Sequence[tuple[int, LspDemand]], slots: Sequence[Slot],
-    capacity: int, row_prefix: str, tag: str,
+    capacity: int, row_prefix: str, tag: str, parallel: int = 1,
 ) -> None:
-    """Per slot, the Mbps of the LSPs riding it fit in one open carrier."""
+    """Per slot, the Mbps of the LSPs riding it fit in one open carrier.
+
+    With ``parallel`` above 1 the LSPs ride router pairs, keyed by their
+    q = 1 slot, and each row pools the carriers of that many parallel slots.
+    """
     for slot in slots:
+        i, j, q = slot
         terms = [
             (name, d.bandwidth_mbps)
             for k, d in riders
             if (name := index.get(lsp_family, (k, *slot)))
         ]
-        terms.append((index.get(slot_family, slot), -capacity))
+        terms.extend((index.get(slot_family, (i, j, q + p)), -capacity)
+                     for p in range(parallel))
         m.add_constraint(_slot_name(row_prefix, slot), terms, "<=", 0, tag=tag)
 
 
@@ -504,30 +511,33 @@ def brs_needed_spares(
 
 def build_working_mpls(
     instance: Instance, cfg: DesignConfig, costs: CostModel,
-    simple_paths: bool = False,
+    per_pair: bool = False,
 ) -> StageModel:
     """Logical topology plus working LSP routing, MPLS-layer cost only.
 
-    With ``simple_paths`` no LSP gets a slot into its source or out of its
-    destination. At a non-negative transit price this keeps the optimum
-    value: a flow using such a slot is a path plus cycles, and dropping the
-    cycles breaks no row and costs nothing.
+    With ``per_pair`` each LSP gets one binary per router pair, ``wd_k_i_j_1``,
+    and each pair one grooming row over all its parallel slots. No LSP then
+    gets a pair into its source or out of its destination. At a non-negative
+    transit price this keeps the optimum value: a flow using such a pair is a
+    path plus cycles, and dropping the cycles breaks no row and costs nothing.
     """
     m = MilpModel("working-mpls")
     index = VarIndex()
     slots = _slots(instance, cfg)
+    lsp_slots = tuple(s for s in slots if s[2] == 1) if per_pair else slots
     nodes = instance.topology.nodes
     demands = instance.traffic.demands
 
     _add_slot_binaries(m, index, "wb", slots, costs.lightpath_cost)
     for k, d in enumerate(demands):
         coeff = _transit_coeff(costs, d)
-        _add_lsp(m, index, "wd", k, d, slots, nodes, coeff,
-                 "working-flow", "wflow", simple=simple_paths)
+        _add_lsp(m, index, "wd", k, d, lsp_slots, nodes, coeff,
+                 "working-flow", "wflow", simple=per_pair)
         # arrival at the destination is not transit
         m.add_objective_constant(-coeff)
-    _add_grooming(m, index, "wd", "wb", tuple(enumerate(demands)), slots,
-                  instance.lightpath_capacity_mbps, "groom", "grooming-capacity")
+    _add_grooming(m, index, "wd", "wb", tuple(enumerate(demands)), lsp_slots,
+                  instance.lightpath_capacity_mbps, "groom", "grooming-capacity",
+                  parallel=cfg.effective_q_max(instance) if per_pair else 1)
     _add_slot_limits(m, index, "wb", slots, nodes,
                      cfg.effective_interfaces(instance))
 
@@ -799,15 +809,23 @@ def build_integrated_working(
 ) -> StageModel:
     """Working MPLS layer and its lightpath routes in one model.
 
-    With ``relaxed`` it builds the route-free relaxation: without the
-    wavelength-capacity rows an open slot's cheapest route is a shortest
-    path, so the route variables project out and each ``wb`` also pays
-    ``wavelength_cost`` per hop of its ``shortest_routes`` route. The
-    relaxation also omits every LSP slot into its demand's source or out of
-    its destination (see ``build_working_mpls``), which leaves its optimum
-    value unchanged; sequential stage I and the full model keep those slots.
-    Its optimum is a lower bound on the full model's, and
-    ``route_on_shortest_paths`` tells whether those routes attain it.
+    With ``relaxed`` it builds a route-free relaxation over router pairs.
+    Without the wavelength-capacity rows an open slot's cheapest route is a
+    shortest path, so the route variables project out and each ``wb`` also
+    pays ``wavelength_cost`` per hop of its ``shortest_routes`` route. The
+    parallel slots of a pair then differ in nothing but their index, so each
+    LSP gets one binary per pair (``wd_k_i_j_1``: LSP k crosses pair (i, j))
+    and each pair one grooming row: its riders' Mbps fit in ``C`` times its
+    open slots (see ``build_working_mpls``, which also omits every pair into
+    a demand's source or out of its destination without changing the
+    optimum value). Every slot-level design maps to a pair-level one at no
+    higher cost, so the relaxation's optimum is a lower bound on the full
+    model's, at any gap. A pair-level solution only says how much each pair
+    carries: it certifies when each pair's riders pack into its open slots
+    and ``route_on_shortest_paths`` finds the routes fit every link. The
+    packed design is then a full design at the relaxation's cost, so it is
+    optimal for the full model. With one slot per pair the relaxation is
+    the slot-level one.
 
     The relaxation also carries the network-loading cut-set rows
     (Magnanti, Mirchandani & Vachani 1995): at least ``⌈Σ b / C⌉`` open
@@ -818,7 +836,7 @@ def build_integrated_working(
     points: the optimum value stays the same, and a certified design is
     still optimal for the full model. Only the LP bound rises.
     """
-    base = build_working_mpls(instance, cfg, costs, simple_paths=relaxed)
+    base = build_working_mpls(instance, cfg, costs, per_pair=relaxed)
     m = base.model
     index = base.index
     m.name = "integrated-working"

@@ -237,6 +237,33 @@ def _decode_layer(
     return tuple(sorted(open_slots)), paths
 
 
+def _pack_pairs(
+    demands: Sequence[tuple[int, LspDemand]],
+    open_slots: Sequence[LightpathKey],
+    pair_paths: Mapping[str, tuple[LightpathKey, ...]],
+    capacity: int,
+) -> Optional[dict[str, tuple[LightpathKey, ...]]]:
+    """Pair-level LSP paths on the open slots of each pair, or None.
+
+    Each router pair's riders go first-fit decreasing by bandwidth, ties by
+    demand index, into the pair's open slots in slot order. None when some
+    rider fits in none of them.
+    """
+    room: dict[tuple[int, int], list[list]] = {}
+    for slot in sorted(open_slots):
+        room.setdefault(slot[:2], []).append([slot, capacity])
+    packed: dict[str, list[LightpathKey]] = {d.id: [] for _k, d in demands}
+    for _k, d in sorted(demands, key=lambda kd: (-kd[1].bandwidth_mbps, kd[0])):
+        for hop in pair_paths[d.id]:
+            bin_ = next((b for b in room.get(hop[:2], ())
+                         if b[1] >= d.bandwidth_mbps), None)
+            if bin_ is None:
+                return None
+            bin_[1] -= d.bandwidth_mbps
+            packed[d.id].append(bin_[0])
+    return {did: tuple(path) for did, path in packed.items()}
+
+
 # -- stage execution ------------------------------------------------------------
 
 # Outcomes that do not depend on the time limit a solve ran under.
@@ -459,23 +486,27 @@ def _run_integrated(
     """Stage I with its routes, then, if the option asks, stage II.
 
     Without protection no later stage reads the routes, so stage I first
-    solves the route-free relaxation of ``integrated-working`` and routes
-    every open slot on its shortest path. If those routes fit every link,
-    the design attains the relaxation's bound and is optimal for the full
-    model; at a nonzero gap the reported gap is against that bound, so it
-    overstates the true gap. If a link overflows, the full model is solved
-    with what is left of the stage budget, and its trace replaces the
-    relaxation's.
+    solves the route-free relaxation of ``integrated-working`` over router
+    pairs, packs each pair's LSPs into its open slots and routes every open
+    slot on its shortest path. If the LSPs pack and the routes fit every
+    link, the design attains the relaxation's bound and is optimal for the
+    full model; at a nonzero gap the reported gap is against that bound, so
+    it overstates the true gap. Otherwise the full model is solved with what
+    is left of the stage budget, and its trace replaces the relaxation's.
     """
     demands = tuple(enumerate(instance.traffic.demands))
     carrier_routes = None
     budget = None
     if cfg.survivability is Survivability.NONE:
         sm = build_integrated_working(instance, cfg, cost_model, relaxed=True)
-        work_slots, working_paths = _decode_layer(
+        work_slots, pair_paths = _decode_layer(
             stage(sm), sm, "wb", "wd", demands
         )
-        carrier_routes = route_on_shortest_paths(instance.topology, work_slots)
+        working_paths = _pack_pairs(demands, work_slots, pair_paths,
+                                    instance.lightpath_capacity_mbps)
+        if working_paths is not None:
+            carrier_routes = route_on_shortest_paths(instance.topology,
+                                                     work_slots)
         if carrier_routes is None:
             relaxation = traces.pop()
             budget = max(0.0, relaxation.time_budget_seconds

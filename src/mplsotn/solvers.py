@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import importlib.machinery
 import importlib.util
+import os
 import sys
 import time
 from dataclasses import dataclass, replace
@@ -273,7 +274,16 @@ def scipy_milp(*, c, integrality, col_lower, col_upper, start, index, value,
         status = h.HighsModelStatus.kModelError
         return HighsResult(_MILP_STATUS[status.name],
                            highs.modelStatusToString(status))
-    ran = highs.run()
+    # HiGHS 1.12 prints some MIP notes from C to fd 1 whatever its output
+    # options say; they go to fd 2, so a report on stdout stays clean
+    sys.stdout.flush()
+    stdout = os.dup(1)
+    os.dup2(2, 1)
+    try:
+        ran = highs.run()
+    finally:
+        os.dup2(stdout, 1)
+        os.close(stdout)
     status = highs.getModelStatus()
     result = HighsResult(_MILP_STATUS.get(status.name, 4),
                          highs.modelStatusToString(status))

@@ -259,6 +259,37 @@ def test_run_starts_without_scipy_optimize(ring4_file):
     assert done.stdout.splitlines()[-1] == "loaded: []"
 
 
+def test_highs_prints_on_fd_1_stay_off_a_csv_report(ring4_file):
+    # HiGHS 1.12 writes some MIP notes from C straight to fd 1; the stub's
+    # run does the same before every solve
+    code = ("import os, sys\n"
+            "from mplsotn import solvers\n"
+            "from mplsotn.cli import main\n"
+            "class Loud:\n"
+            "    def __init__(self, highs): self._highs = highs\n"
+            "    def __getattr__(self, name): return getattr(self._highs, name)\n"
+            "    def run(self):\n"
+            "        os.write(1, b'tmpSolver.run();\\n')\n"
+            "        return self._highs.run()\n"
+            "class Core:\n"
+            "    def __getattr__(self, name): return getattr(solvers._core, name)\n"
+            "    def _Highs(self): return Loud(solvers._core._Highs())\n"
+            "solvers._core = solvers._highs\n"
+            "solvers._highs = Core()\n"
+            "sys.exit(main(['run', sys.argv[1], '--compare-all', '--approach',"
+            " 'integrated', '--format', 'csv', '--gap', '0']))\n")
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = dict(os.environ, PYTHONPATH=str(src))
+    done = subprocess.run([sys.executable, "-c", code, ring4_file], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert done.returncode == EXIT_OK, done.stderr
+    assert "tmpSolver.run();" in done.stderr
+    rows = list(csv.reader(io.StringIO(done.stdout)))
+    assert rows[0][:2] == ["option", "total_cost"]
+    assert [row[0] for row in rows[1:]] == [s.value for s in Survivability]
+    assert {len(row) for row in rows} == {len(rows[0])}
+
+
 def test_pipeline_fault_is_internal_error(ring4_file, monkeypatch, capsys):
     def broken(instance, cfg, **kwargs):
         raise PipelineError("decoder lost a lightpath")

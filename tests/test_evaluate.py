@@ -600,15 +600,35 @@ def drained(design, **zero):
         replace(lw, **zero) for lw in design.metrics.wavelengths_per_link)))
 
 
-def test_drill_brs_contention_from_protection_lightpaths(ring4):
-    # the fired protection lightpath finds no spare pool and no booked extra
-    design = design_for(ring4, Survivability.MULTI_INTERLAYER_BRS)
-    outcome = drill_event(ring4, drained(design, extra=0),
-                          FailureEvent(FailureKind.LINK, link=(1, 2)))
-    assert outcome.optical_recovered == ((1, 3, 1),)
-    assert outcome.unrestored == ()
+def test_drill_brs_contention_from_protection_lightpaths():
+    # link (1, 2) failing fires (1, 2, 1)'s protection lightpath over 1-4-3-2
+    # while d3 switches onto its spare carrier over 1-4-3, because its other
+    # carrier now crosses (1, 2) with no protection lightpath: the recounted
+    # ledger books one spare and no extra on (3, 4) and (1, 4)
+    inst, design = groomed_design(Survivability.MULTI_INTERLAYER_BRS)
+    bare = with_lightpaths(design, (
+        lp for lp in rerouted(design, (2, 3, 1), LightpathRole.WORK_CARRIER,
+                              (2, 1, 4, 3)).logical.lightpaths
+        if (lp.key, lp.role) != ((2, 3, 1), LightpathRole.OPTICAL_PROTECTION)))
+    usage = {lw.link: lw for lw in wavelength_usage(inst, bare)}
+    assert [(usage[link].spare_carrier, usage[link].extra)
+            for link in ((3, 4), (1, 4))] == [(1, 0), (1, 0)]
+    outcome = drill_event(inst, bare, FailureEvent(FailureKind.LINK, link=(1, 2)))
+    assert outcome.optical_recovered == ((1, 2, 1),)
+    assert outcome.mpls_recovered == ("d3",)
+    assert outcome.unrestored == ("d2",)
     assert outcome.contention == ((3, 4), (1, 4))
     assert not outcome.restorable
+
+
+def test_drill_recounts_the_ledger_instead_of_reading_it(ring4):
+    # an understated ledger no longer turns a restorable failure into
+    # contention: the drill books what the routes need
+    design = design_for(ring4, Survivability.MULTI_INTERLAYER_BRS)
+    report = failure_drill(ring4, design)
+    assert report.all_restorable
+    assert failure_drill(ring4, drained(design, extra=0)) == report
+    assert failure_drill(ring4, drained(design, spare_carrier=0, extra=0)) == report
 
 
 def test_drill_ignores_a_route_for_a_demand_the_instance_lacks(ring4):
@@ -621,11 +641,13 @@ def test_drill_ignores_a_route_for_a_demand_the_instance_lacks(ring4):
 
 def test_drill_brs_contention_from_spare_carriers():
     # router 2 failing switches d3 onto its spare carrier, with no optical
-    # recovery alongside: the carriers ending at 2 die with their router
+    # recovery alongside: the carriers ending at 2 die with their router.
+    # Against a given ledger with no spare pool and no extra, that contends
     inst, design = groomed_design(Survivability.MULTI_INTERLAYER_BRS)
     event = FailureEvent(FailureKind.NODE, node=2)
     assert drill_event(inst, design, event).restorable
-    outcome = drill_event(inst, drained(design, spare_carrier=0, extra=0), event)
+    ledger = drained(design, spare_carrier=0, extra=0).metrics.wavelengths_per_link
+    outcome = drill_event(inst, design, event, ledger)
     assert outcome.optical_recovered == ()
     assert outcome.mpls_recovered == ("d3",)
     assert outcome.contention == ((3, 4), (1, 4))

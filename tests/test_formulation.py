@@ -336,10 +336,33 @@ def test_relaxation_omits_lsp_slots_no_simple_path_uses(name):
     relaxed = build_integrated_working(inst, DesignConfig(), costs, relaxed=True)
     slots = [slot for slot, _name in sequential.index.items("wb")]
     assert len(sequential.index.items("wd")) == len(demands) * len(slots)
+    # one LSP binary per router pair, keyed by the pair's q = 1 slot
     kept = [(k, *slot) for k, d in enumerate(demands) for slot in slots
-            if slot[1] != d.source and slot[0] != d.destination]
+            if slot[2] == 1 and slot[1] != d.source and slot[0] != d.destination]
     assert [key for key, _name in relaxed.index.items("wd")] == kept
     assert len(kept) < len(demands) * len(slots)
+
+
+@pytest.mark.parametrize("name", ["ring4", "ring5-chord", "fam-5-s0"])
+def test_relaxation_grooms_each_router_pair_over_its_parallel_slots(name):
+    inst = mesh_family(5, 0) if name == "fam-5-s0" else desk(name)
+    costs = default_cost_model(inst)
+    relaxed = build_integrated_working(inst, DesignConfig(), costs, relaxed=True)
+    wb = dict(relaxed.index.items("wb"))
+    wd = relaxed.index.items("wd")
+    capacity = inst.lightpath_capacity_mbps
+    expected = set()
+    for (i, j, q), _var in wb.items():
+        if q != 1:
+            continue
+        riders = {(var, d.bandwidth_mbps) for (k, *pair), var in wd
+                  for d in [inst.traffic.demands[k]] if pair == [i, j, 1]}
+        carriers = {(var, -capacity) for s, var in wb.items() if s[:2] == (i, j)}
+        assert len(carriers) == inst.max_parallel_lightpaths
+        expected.add(frozenset(riders | carriers))
+    rows = [c for c in relaxed.model.constraints if c.tag == "grooming-capacity"]
+    assert len(rows) == len(expected)
+    assert {frozenset(c.terms) for c in rows if c.sense == "<=" and c.rhs == 0} == expected
 
 
 @pytest.mark.parametrize("name", ["ring4", "ring5-chord", "fam-5-s0"])

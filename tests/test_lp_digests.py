@@ -6,9 +6,10 @@ and ``mesh_family(5, 0)`` under every option and approach at gap 0; the mesh
 adds the rows the desk instances never build (``pr2``, ``pairnode2`` and the
 shared-restoration ``brsy``/``brscont``/``brsban`` rows). Under
 ``none/integrated`` the pinned ``integrated-working`` is stage I's route-free
-relaxation, without the LSP slots into a demand's source or out of its
-destination and with its node cut-set rows: its shortest routes fit every
-link here, so the full model is never solved after it. A refactor of the builders leaves every digest
+relaxation over router pairs, without the LSP pairs into a demand's source or
+out of its destination and with its node cut-set rows: its LSPs pack into
+their pairs' open slots and its shortest routes fit every link here, so the
+full model is never solved after it. A refactor of the builders leaves every digest
 unchanged; a deliberate change to a formulation updates the pinned values
 below and says why.
 
@@ -23,8 +24,15 @@ import pytest
 
 from support import OPTIONS, desk, exact_config, mesh_family
 
-from mplsotn.model import Approach, Survivability
-from mplsotn.pipeline import DecodeError, StageInfeasibleError, run_design
+from mplsotn.formulation import build_integrated_working
+from mplsotn.milp import write_model
+from mplsotn.model import Approach, DesignConfig, Survivability
+from mplsotn.pipeline import (
+    DecodeError,
+    StageInfeasibleError,
+    default_cost_model,
+    run_design,
+)
 
 INSTANCES = {
     "ring4": lambda: desk("ring4"),
@@ -68,7 +76,7 @@ PINNED = {
     },
     "fam-5-s0/none/integrated": {
         "integrated-working":
-            "6fd2587c8f9ce0452861e49b3bcae40aa5c00a5a29c01e9da7a7311eb3db13ae",
+            "4368fc9f33dad15c2c39e0bd30402e51bc8330cb3b922841f14ff2518ac28190",
     },
     "fam-5-s0/none/sequential": {
         "working-mpls":
@@ -138,7 +146,7 @@ PINNED = {
     },
     "ring4-chord/none/integrated": {
         "integrated-working":
-            "b4b5cbe41fb8575d371dff8e606de5febf8885b5091a442dea1bd55848e8beb6",
+            "f6a8f0c814fdc661fbd175fbb595a9373be531956e3bd297837fb9df11617e8c",
     },
     "ring4-chord/none/sequential": {
         "working-mpls":
@@ -210,7 +218,7 @@ PINNED = {
     },
     "ring4/none/integrated": {
         "integrated-working":
-            "069b7aa7e355a37d3f21a30d6f80e5c2b99b9a95a4b800c95cd9639180cdd156",
+            "97a9a0161e9122bb9119305e495afc095c0c8a7649dd6e8d9dab03ba86b5e94c",
     },
     "ring4/none/sequential": {
         "working-mpls":
@@ -282,7 +290,7 @@ PINNED = {
     },
     "ring5-chord/none/integrated": {
         "integrated-working":
-            "4b016fbbc0b87b45ee1783f5d157a80804ed4b7fe749dcf22d278a5fa183b497",
+            "3effd5a5c01d7580796ed33d945a5145bdc93f9ee12b0bdb072c59e97b1c8e57",
     },
     "ring5-chord/none/sequential": {
         "working-mpls":
@@ -343,3 +351,20 @@ def test_stage_lp_digests(key, tmp_path):
         for p in tmp_path.glob("*.lp")
     }
     assert digests == PINNED[key]
+
+
+# With one slot per router pair the pair-level relaxation and the slot-level
+# one are the same model, so these pins never move with the pair refactor.
+SINGLE_SLOT_RELAXATION = {
+    "ring4": "0fcc45c743aa2e20c3c972166e55b9e0e14800425f6bac9d7a9c399441fd0f28",
+    "fam-5-s0": "e0bdcf58349ec7b937cd2dc3c91bf8eb8d022d4230cd137319c9a25bd62fe0c9",
+}
+
+
+@pytest.mark.parametrize("name", sorted(SINGLE_SLOT_RELAXATION))
+def test_single_slot_relaxation_digest(name):
+    inst = INSTANCES[name]()
+    sm = build_integrated_working(inst, DesignConfig(q_max=1),
+                                  default_cost_model(inst), relaxed=True)
+    text = write_model(sm.model)
+    assert hashlib.sha256(text.encode()).hexdigest() == SINGLE_SLOT_RELAXATION[name]

@@ -13,10 +13,18 @@ import pytest
 
 from mplsotn import pipeline, solvers
 from mplsotn.evaluate import verify_design
-from mplsotn.formulation import StageModel, VarIndex
+from mplsotn.formulation import StageModel, VarIndex, build_integrated_working
 from mplsotn.instances import generate_instance
 from mplsotn.milp import MilpModel, Solution, SolveStatus, VarKind
-from mplsotn.model import Approach, DesignConfig, Survivability
+from mplsotn.model import (
+    Approach,
+    DesignConfig,
+    Instance,
+    LspDemand,
+    PhysicalTopology,
+    Survivability,
+    TrafficMatrix,
+)
 from mplsotn.pipeline import (
     DecodeError,
     SolveMemo,
@@ -197,9 +205,48 @@ def test_integrated_none_falls_back_to_the_full_model_when_a_link_overflows():
     tight0 = _with_wavelengths(support.mesh_family(5, 0), 2)
     certified0 = run_design(tight0, cfg)
     [trace] = certified0.traces
-    assert trace.variables == relaxed.variables == 248
+    assert trace.variables == relaxed.variables == 144
     assert certified0.cost.total == trace.objective_exact == Fraction(971, 5)
     assert not verify_design(tight0, certified0)
+
+
+def test_integrated_none_falls_back_when_a_pair_does_not_pack():
+    # three 6 Gbps LSPs fill two 10 Gbps slots of pair (1, 2) in the pair
+    # relaxation, but no two of them share a slot: the pair bound lies below
+    # the full optimum, and the full model runs
+    inst = Instance(
+        name="ring4-three-sixes",
+        topology=PhysicalTopology(nodes=(1, 2, 3, 4),
+                                  links=((1, 2), (2, 3), (3, 4), (1, 4))),
+        traffic=TrafficMatrix(demands=tuple(
+            LspDemand(id=f"d{k}", source=1, destination=2, bandwidth_mbps=6000)
+            for k in (1, 2, 3))),
+        max_parallel_lightpaths=2,
+    )
+    cfg = exact_config(Survivability.NONE, approach=Approach.INTEGRATED)
+    costs = default_cost_model(inst)
+    relaxed = build_integrated_working(inst, cfg, costs, relaxed=True)
+    sol = solvers.solve(relaxed.model)
+    assert relaxed.model.objective_value(sol.values) < Fraction(439, 5)
+    design = run_design(inst, cfg)
+    [trace] = design.traces
+    full = build_integrated_working(inst, cfg, costs)
+    assert trace.variables == len(full.model.variables)
+    assert design.cost.total == trace.objective_exact == Fraction(439, 5)
+    assert not verify_design(inst, design)
+
+
+def test_pair_packing_is_first_fit_decreasing_by_bandwidth_then_index():
+    demands = tuple(enumerate(
+        LspDemand(id=f"d{k}", source=1, destination=2, bandwidth_mbps=mbps)
+        for k, mbps in enumerate((3000, 6000, 4000, 4000))))
+    pair_paths = {d.id: ((1, 2, 1),) for _k, d in demands}
+    packed = pipeline._pack_pairs(demands, ((1, 2, 2), (1, 2, 1)), pair_paths,
+                                  10000)
+    # d1 (6) and d2 (4) fill slot 1; d3 (4) and d0 (3) go to slot 2
+    assert packed == {"d0": ((1, 2, 2),), "d1": ((1, 2, 1),),
+                      "d2": ((1, 2, 1),), "d3": ((1, 2, 2),)}
+    assert pipeline._pack_pairs(demands, ((1, 2, 1),), pair_paths, 10000) is None
 
 
 def test_integrated_none_certifies_the_relaxation_on_a_ladder_mesh():
@@ -211,7 +258,7 @@ def test_integrated_none_certifies_the_relaxation_on_a_ladder_mesh():
         inst, exact_config(Survivability.NONE, approach=Approach.INTEGRATED))
     [trace] = design.traces
     assert trace.stage == "integrated-working"
-    assert trace.variables == 1640
+    assert trace.variables == 910
     assert design.cost.total == trace.objective_exact == 218
     assert not verify_design(inst, design)
 
