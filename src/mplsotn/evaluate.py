@@ -475,32 +475,33 @@ def verify_design(instance: Instance, design: Design) -> tuple[Violation, ...]:
                 v.append(Violation("paths-share-link",
                                    f"demand {d.id} paths share link(s) {sorted(wl & pl)}"))
 
-    # shared restoration: a router failure fires protection lightpaths and
-    # MPLS recovery together; their joint wavelength draw has to fit the
-    # spare pool plus the booked extra on every link
-    if brs:
-        booked: dict[Link, tuple[int, int]] = {
-            lw.link: (lw.spare_carrier, lw.extra)
-            for lw in design.metrics.wavelengths_per_link
-        }
-        draw = _brs_draw(design.logical.lightpaths, design.lsp_routes)
-        for (n, link), count in sorted(draw.items()):
-            pool, extra = booked.get(link, (0, 0))
-            if count > pool + extra:
-                v.append(Violation(
-                    "brs-pool-conflict",
-                    f"node {n} failing draws {count} wavelengths on link "
-                    f"{link} but the pool plus extra covers {pool + extra}",
-                ))
-
-    # wavelength capacity, and declared metrics and cost, against a recount;
-    # routes for demands the instance does not know are already flagged above
-    # and cannot be priced
+    # the ledger recounted from the lightpaths and routes; routes for demands
+    # the instance does not know are already flagged above and cannot be priced
     known_routes = tuple(r for r in design.lsp_routes if r.demand_id in demand_by_id)
     metrics, cost = compute_metrics(
         instance, design.logical.lightpaths, known_routes,
         design.cost_model, opt, design.config.transit_double_count,
     )
+
+    # shared restoration: a router failure fires protection lightpaths and
+    # MPLS recovery together; their joint wavelength draw has to fit the
+    # spare carriers the design has plus the extra it pays for on every link.
+    # The extra is the declared one: a recounted extra covers every draw by
+    # construction, so only the declared one can fall short
+    if brs:
+        pool = {lw.link: lw.spare_carrier for lw in metrics.wavelengths_per_link}
+        paid = {lw.link: lw.extra for lw in design.metrics.wavelengths_per_link}
+        draw = _brs_draw(design.logical.lightpaths, design.lsp_routes)
+        for (n, link), count in sorted(draw.items()):
+            covered = pool.get(link, 0) + paid.get(link, 0)
+            if count > covered:
+                v.append(Violation(
+                    "brs-pool-conflict",
+                    f"node {n} failing draws {count} wavelengths on link "
+                    f"{link} but the pool plus extra covers {covered}",
+                ))
+
+    # wavelength capacity, and declared metrics and cost, against the recount
     for lw in metrics.wavelengths_per_link:
         if lw.total(brs) > topo.wavelengths_per_link:
             v.append(Violation("wavelength-overflow",

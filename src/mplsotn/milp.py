@@ -48,6 +48,7 @@ class SolveStatus(enum.Enum):
 _SMALL_INT_LIMIT = 256
 _SMALL_INTS = tuple(Fraction(i) for i in range(-_SMALL_INT_LIMIT, _SMALL_INT_LIMIT + 1))
 _ZERO = _SMALL_INTS[_SMALL_INT_LIMIT]
+_ONE = _SMALL_INTS[_SMALL_INT_LIMIT + 1]
 
 
 def as_fraction(x) -> Fraction:
@@ -107,10 +108,13 @@ class MilpModel:
         if name in self._vars:
             raise ModelError(f"variable {name!r} already defined")
         lo, hi = as_fraction(lower), as_fraction(upper)
-        if lo > hi:
-            raise ModelError(f"variable {name!r}: lower {lo} > upper {hi}")
-        if kind is VarKind.BINARY and (lo < 0 or hi > 1):
-            raise ModelError(f"binary variable {name!r} must live in [0, 1]")
+        # nearly every variable lies in [0, 1], given as the shared 0 and 1,
+        # which fit every kind; other bounds pay the Fraction comparisons
+        if lo is not _ZERO or hi is not _ONE:
+            if lo > hi:
+                raise ModelError(f"variable {name!r}: lower {lo} > upper {hi}")
+            if kind is VarKind.BINARY and (lo < 0 or hi > 1):
+                raise ModelError(f"binary variable {name!r} must live in [0, 1]")
         self._vars[name] = Variable(name, kind, lo, hi)
         return name
 

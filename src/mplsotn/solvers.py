@@ -1,4 +1,4 @@
-"""One MILP solver behind one contract: HiGHS in process, through scipy.
+"""One MILP solver behind one contract: HiGHS in process, through scipy's binding.
 
 ``solve`` takes a model plus gap/time limits and returns a ``Solution``.
 Every incumbent HiGHS returns is feasibility-checked against the model
@@ -8,13 +8,22 @@ another solver by hand.
 
 HiGHS comes from the pybind11 binding scipy bundles at
 ``scipy/optimize/_highspy/_core*``, the one ``scipy.optimize.milp`` drives.
-It is loaded from its file rather than imported by name: importing it by
-name first runs ``scipy.optimize``'s ``__init__``, which pulls in
-``scipy.sparse`` and most of scipy and took a ring4 cold start from 0.3 s to
-0.9 s on a 2-core VM, while loading the file takes under 10 ms. The module
-is registered under its own name, so a later ``import scipy.optimize``
-shares it. ``scipy_milp`` fills the binding's model in as ``milp`` would and
-reads the result back in ``milp``'s terms.
+It is loaded from its file, which ``importlib.util.find_spec`` locates
+without running scipy's ``__init__``. Importing scipy would load its array
+library, 9 to 14 MB of peak memory and 60 to 100 ms of a cold start on a
+2-core VM, and importing the binding by name first runs
+``scipy.optimize``'s ``__init__``, which pulls in ``scipy.sparse`` and most
+of scipy (a ring4 cold start went from 0.3 s to 0.9 s). Loading the file
+takes under 10 ms. The module is registered under its own name, so a later
+``import scipy.optimize`` shares it.
+
+The model reaches HiGHS as free-format MPS text, which the binding's
+``readModel`` reads from a temporary file; the one other way in, the
+binding's ``HighsLp``, takes its costs only as an array of that library.
+``mps_text`` keeps the model's column and row order and writes every number
+so that it parses to the float ``scipy.optimize.milp`` would hand HiGHS, so
+HiGHS holds the same LP and runs the same search. ``scipy_milp`` sets
+``milp``'s options and reads the result back in ``milp``'s terms.
 
 The binding is loaded when this module loads. Without scipy or the binding
 no solve can run, and every solve reports ``NO_SOLVER`` instead of the
@@ -25,22 +34,33 @@ from __future__ import annotations
 
 import importlib.machinery
 import importlib.util
+import math
 import os
 import sys
+import tempfile
 import time
 from dataclasses import dataclass, replace
+from fractions import Fraction
 from pathlib import Path
 from typing import Optional
 
 _CORE = "scipy.optimize._highspy._core"
 
 
-def _load_highs():
-    """scipy's HiGHS binding, without importing ``scipy.optimize``."""
+def _scipy_folder() -> Path:
+    """Where scipy is installed; ``find_spec`` runs no ``__init__``."""
+    spec = importlib.util.find_spec("scipy")
+    if spec is None or not spec.submodule_search_locations:
+        raise ImportError("no module named 'scipy'")
+    return Path(spec.submodule_search_locations[0])
+
+
+def _load_highs(scipy_folder: Path):
+    """scipy's HiGHS binding, without importing scipy or ``scipy.optimize``."""
     core = sys.modules.get(_CORE)
     if core is not None:
         return core
-    folder = Path(scipy.__file__).parent / "optimize" / "_highspy"
+    folder = scipy_folder / "optimize" / "_highspy"
     path = next((folder / f"_core{suffix}"
                  for suffix in importlib.machinery.EXTENSION_SUFFIXES
                  if (folder / f"_core{suffix}").is_file()), None)
@@ -60,11 +80,22 @@ def _load_highs():
     return module
 
 
+def _scipy_version(scipy_folder: Path) -> str:
+    """``scipy.__version__``, read from ``scipy/version.py`` run on its own."""
+    path = scipy_folder / "version.py"
+    if not path.is_file():
+        raise ImportError(f"no {path}")
+    spec = importlib.util.spec_from_file_location("mplsotn._scipy_version", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module.version
+
+
 _NO_SCIPY = "HiGHS needs scipy and the HiGHS binding it bundles"
 try:
-    import numpy as np
-    import scipy
-    _highs = _load_highs()
+    _SCIPY = _scipy_folder()
+    _highs = _load_highs(_SCIPY)
+    _SOLVER_NAME = f"highs(scipy-{_scipy_version(_SCIPY)})"
 except ImportError as exc:
     _highs = None
     _NO_SCIPY += f", which could not be loaded ({exc})"
@@ -123,52 +154,9 @@ def keep_artifacts(model: MilpModel, sol: Solution, directory: Optional[Path],
 def _solve_embedded(model: MilpModel, *, gap: float,
                     time_limit: Optional[float]) -> Solution:
     variables = model.variables
-    model_rows = model.constraints
-    names = [v.name for v in variables]
-    index = {n: i for i, n in enumerate(names)}
-    n = len(names)
-
-    c = np.zeros(n)
-    for var, coeff in model.objective_terms:
-        c[index[var]] = float(coeff)
-
-    integrality = np.array(
-        [0 if v.kind is VarKind.CONTINUOUS else 1 for v in variables]
-    )
-    lower = np.array([float(v.lower) for v in variables])
-    upper = np.array([float(v.upper) for v in variables])
-
-    rows: list[int] = []
-    cols: list[int] = []
-    data: list[float] = []
-    lo: list[float] = []
-    hi: list[float] = []
-    for r, con in enumerate(model_rows):
-        for var, coeff in con.terms:
-            rows.append(r)
-            cols.append(index[var])
-            data.append(float(coeff))
-        rhs = float(con.rhs)
-        lo.append(-np.inf if con.sense == "<=" else rhs)
-        hi.append(np.inf if con.sense == ">=" else rhs)
-
-    # column-wise, rows ascending within a column: terms arrive row by row,
-    # so a stable sort by column gives the matrix milp's CSR->CSC hands HiGHS
-    cols_arr = np.array(cols, dtype=np.int32)
-    order = np.argsort(cols_arr, kind="stable")
-    start = np.zeros(n + 1, dtype=np.int32)
-    np.cumsum(np.bincount(cols_arr, minlength=n), out=start[1:])
-
     res = scipy_milp(
-        c=c,
-        integrality=integrality,
-        col_lower=lower,
-        col_upper=upper,
-        start=start,
-        index=np.array(rows, dtype=np.int32)[order],
-        value=np.array(data)[order],
-        row_lower=np.array(lo),
-        row_upper=np.array(hi),
+        mps=mps_text(model),
+        integral=any(v.kind is not VarKind.CONTINUOUS for v in variables),
         gap=float(gap),
         time_limit=None if time_limit is None else float(time_limit),
     )
@@ -178,10 +166,10 @@ def _solve_embedded(model: MilpModel, *, gap: float,
     nodes = getattr(res, "mip_node_count", None)
     bound = getattr(res, "mip_dual_bound", None)
     stats = {
-        "solver_name": f"highs(scipy-{scipy.__version__})",
+        "solver_name": _SOLVER_NAME,
         "node_count": int(nodes) if nodes is not None else None,
         "dual_bound": (float(bound) + float(model.objective_constant)
-                       if bound is not None and np.isfinite(bound) else None),
+                       if bound is not None and math.isfinite(bound) else None),
     }
     if res.status == 2:
         return Solution(SolveStatus.INFEASIBLE, message=res.message, **stats)
@@ -191,13 +179,14 @@ def _solve_embedded(model: MilpModel, *, gap: float,
         return Solution(SolveStatus.ERROR, message=f"no incumbent: {res.message}",
                         **stats)
 
-    raw = {name: float(x) for name, x in zip(names, res.x)}
+    raw = {v.name: float(x) for v, x in zip(variables, res.x)}
     snapped, problems = snap_values(model, raw)
     if problems:
         return Solution(SolveStatus.ERROR, message="; ".join(problems[:5]), **stats)
 
     achieved = getattr(res, "mip_gap", None)
-    achieved = float(achieved) if achieved is not None and np.isfinite(achieved) else None
+    achieved = (float(achieved) if achieved is not None and math.isfinite(achieved)
+                else None)
     if res.status == 0:
         status = (
             SolveStatus.OPTIMAL
@@ -213,13 +202,62 @@ def _solve_embedded(model: MilpModel, *, gap: float,
                     achieved, **stats)
 
 
+_ROW_TYPE = {"<=": "L", ">=": "G", "=": "E"}
+
+
+def _number(c: Fraction) -> str:
+    """Text that parses to ``float(c)``: the digits if ``c`` is whole, else a repr."""
+    n, d = c.numerator, c.denominator
+    return str(n) if d == 1 else repr(n / d)
+
+
+def mps_text(model: MilpModel) -> str:
+    """``model`` as free-format MPS, rows ``r0...`` and columns ``c0...`` in model order.
+
+    Every number parses to the float ``scipy.optimize.milp`` would hand
+    HiGHS, each column's entries come in row order, every column states both
+    bounds, and integer and binary columns sit between ``INTORG``/``INTEND``
+    markers. A column with no cost and no row is declared by a zero cost.
+    The objective constant is left out, as ``milp`` leaves it out.
+    """
+    variables = model.variables
+    col = {v.name: j for j, v in enumerate(variables)}
+    entries: list[list[str]] = [[] for _ in variables]
+    for var, coeff in model.objective_terms:
+        entries[col[var]].append("obj " + _number(coeff))
+    rows = ["NAME mplsotn", "ROWS", " N obj"]
+    rhs = ["RHS"]
+    for i, con in enumerate(model.constraints):
+        name = f"r{i}"
+        rows.append(f" {_ROW_TYPE[con.sense]} {name}")
+        for var, coeff in con.terms:
+            entries[col[var]].append(f"{name} {_number(coeff)}")
+        if con.rhs:
+            rhs.append(f" rhs {name} {_number(con.rhs)}")
+    columns = ["COLUMNS"]
+    bounds = ["BOUNDS"]
+    marked = False
+    for j, v in enumerate(variables):
+        integral = v.kind is not VarKind.CONTINUOUS
+        if integral is not marked:
+            columns.append(f" marker 'MARKER' '{'INTORG' if integral else 'INTEND'}'")
+            marked = integral
+        # one string per column, every line led by the column's name
+        name = f" c{j} "
+        columns.append(name + ("\n" + name).join(entries[j] or ["obj 0"]))
+        bounds.append(f" LO bnd{name}{_number(v.lower)}\n UP bnd{name}{_number(v.upper)}")
+    if marked:
+        columns.append(" marker 'MARKER' 'INTEND'")
+    return "\n".join([*rows, *columns, *rhs, *bounds, "ENDATA", ""])
+
+
 @dataclass(frozen=True)
 class HighsResult:
     """The fields of ``scipy.optimize.milp``'s result that ``solve`` reads."""
 
     status: int  # 0 optimal, 1 limit reached, 2 infeasible, 3 unbounded, 4 other
     message: str
-    x: Optional[np.ndarray] = None
+    x: Optional[list[float]] = None
     mip_node_count: Optional[int] = None
     mip_dual_bound: Optional[float] = None
     mip_gap: Optional[float] = None
@@ -231,37 +269,19 @@ _MILP_STATUS = {"kOptimal": 0, "kTimeLimit": 1, "kIterationLimit": 1,
 _LIMITS = ("kTimeLimit", "kIterationLimit", "kSolutionLimit")
 
 
-def scipy_milp(*, c, integrality, col_lower, col_upper, start, index, value,
-               row_lower, row_upper, gap: float,
+def scipy_milp(*, mps: str, integral: bool, gap: float,
                time_limit: Optional[float] = None) -> HighsResult:
-    """Solve min c.x s.t. row bounds on the CSC matrix, as ``milp`` would.
+    """Solve the MPS text ``mps_text`` wrote, as ``scipy.optimize.milp`` would.
 
-    The model, the options (``log_to_console`` off, ``mip_rel_gap`` and the
-    time limit) and the reading of the result are those of
-    ``scipy.optimize.milp``, so HiGHS runs the same search and every answer
-    matches ``milp``'s bit for bit. ``x`` is None wherever ``milp`` returns
-    none, and the search statistics ride only on a MILP with a point.
+    HiGHS reads the text from a file in a ``mplsotn-*`` temporary directory,
+    which is gone before the search starts. The options (``log_to_console``
+    off, ``mip_rel_gap`` and the time limit) and the reading of the result
+    are those of ``milp``, so HiGHS runs the same search and every answer
+    matches ``milp``'s bit for bit. ``integral`` says whether some column is
+    integer. ``x`` is None wherever ``milp`` returns none, and the search
+    statistics ride only on a MILP with a point.
     """
     h = _highs
-    n_cols, n_rows = len(c), len(row_lower)
-    lp = h.HighsLp()
-    lp.num_col_ = n_cols
-    lp.num_row_ = n_rows
-    matrix = lp.a_matrix_
-    matrix.num_col_ = n_cols
-    matrix.num_row_ = n_rows
-    matrix.format_ = h.MatrixFormat.kColwise
-    matrix.start_ = start
-    matrix.index_ = index
-    matrix.value_ = value
-    lp.col_cost_ = c
-    lp.col_lower_ = col_lower
-    lp.col_upper_ = col_upper
-    lp.row_lower_ = row_lower
-    lp.row_upper_ = row_upper
-    kinds = (h.HighsVarType.kContinuous, h.HighsVarType.kInteger)
-    lp.integrality_ = [kinds[k] for k in integrality]
-
     highs = h._Highs()
     options = {"log_to_console": False, "mip_rel_gap": gap}
     if time_limit is not None:
@@ -270,7 +290,11 @@ def scipy_milp(*, c, integrality, col_lower, col_upper, start, index, value,
         if highs.setOptionValue(key, val) != h.HighsStatus.kOk:
             raise ValueError(f"HiGHS rejects option {key}={val!r}")
 
-    if highs.passModel(lp) == h.HighsStatus.kError:
+    with tempfile.TemporaryDirectory(prefix="mplsotn-") as folder:
+        path = Path(folder) / "model.mps"
+        path.write_text(mps)
+        read = highs.readModel(str(path))
+    if read == h.HighsStatus.kError:
         status = h.HighsModelStatus.kModelError
         return HighsResult(_MILP_STATUS[status.name],
                            highs.modelStatusToString(status))
@@ -290,14 +314,13 @@ def scipy_milp(*, c, integrality, col_lower, col_upper, start, index, value,
     if ran == h.HighsStatus.kError:
         return result
     info = highs.getInfo()
-    is_mip = any(integrality)
     has_point = status.name == "kOptimal" or (
-        is_mip and status.name in _LIMITS
+        integral and status.name in _LIMITS
         and info.objective_function_value != h.kHighsInf)
     if not has_point:
         return result
-    x = np.array(highs.getSolution().col_value)
-    if not is_mip:
+    x = highs.getSolution().col_value  # a list of floats
+    if not integral:
         return replace(result, x=x)
     return replace(result, x=x, mip_node_count=info.mip_node_count,
                    mip_dual_bound=info.mip_dual_bound, mip_gap=info.mip_gap)

@@ -42,10 +42,16 @@ def test_every_traced_attribute_resolves(tracing):
 def test_a_traced_run_solves_and_decodes_through_the_wrapped_seams(tracing):
     tracer = tracing.Tracer()
     with tracer.installed():
-        pipeline.run_design(desk("ring4"),
-                            exact_config(Survivability.MULTI_INTERLAYER_BRS))
+        design = pipeline.run_design(
+            desk("ring4"), exact_config(Survivability.MULTI_INTERLAYER_BRS))
     solves = [s for s in tracer.spans if s.name == "solvers.solve"]
     assert [s.stage for s in solves] == [
         "working-mpls", "protection-mpls", "lightpath-routing",
         "lightpath-protection"]
     assert any(s.name == "pipeline.decode" for s in tracer.spans)
+    # one HiGHS call for each model with variables (protection-mpls has
+    # none), carrying the node count the stage reports, which is not all 0
+    nodes = [s.attrs["nodes"] for s in tracer.spans if s.name == "solvers.highs"]
+    assert nodes == [t.node_count for t in design.traces
+                     if t.stage != "protection-mpls"]
+    assert sum(nodes) > 0

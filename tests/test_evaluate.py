@@ -387,6 +387,28 @@ def test_verify_flags_brs_pool_conflict(ring4):
     assert "brs-pool-conflict" in codes(verify_design(ring4, bad))
 
 
+def test_verify_counts_the_spare_pool_from_the_spares_a_design_has():
+    # dropping a spare carrier but keeping the declared ledger leaves the
+    # declared pool intact; the recount finds the pool one short
+    inst = mesh_family(5, 0)
+    design = design_for(inst, Survivability.MULTI_INTERLAYER_BRS)
+    lps = design.logical.lightpaths
+    flagged = 0
+    for i, lp in enumerate(lps):
+        if lp.role is not LightpathRole.SPARE_CARRIER:
+            continue
+        lost = replace(design, logical=replace(
+            design.logical, lightpaths=lps[:i] + lps[i + 1:]))
+        assert lost.metrics == design.metrics
+        spare_links = {f"{tuple(sorted(pair))}"
+                       for pair in zip(lp.route, lp.route[1:])}
+        for m in messages(verify_design(inst, lost), "brs-pool-conflict"):
+            # the shortfall sits under the spare that went missing
+            assert re.search(r"on link (\(\d+, \d+\))", m)[1] in spare_links
+            flagged += 1
+    assert flagged
+
+
 def test_verify_flags_carriers_of_the_wrong_role(ring4):
     design = design_for(ring4, Survivability.SINGLE_LAYER)
     work, spare = design.logical.lightpaths

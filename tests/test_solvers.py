@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+import tempfile
 from fractions import Fraction
 from pathlib import Path
 from types import SimpleNamespace
@@ -11,6 +12,12 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 from scipy.optimize import Bounds, LinearConstraint, milp
+from scipy.optimize._highspy._core import (
+    HighsStatus,
+    HighsVarType,
+    MatrixFormat,
+    _Highs,
+)
 
 from mplsotn import Survivability, pipeline, solvers
 from mplsotn.milp import MilpModel, SolveStatus, VarKind
@@ -150,28 +157,58 @@ def solve_capturing_seam(m: MilpModel, monkeypatch, gap: float = 0.0):
     return sol, kwargs, result
 
 
-def test_embedded_assembly_matches_per_term_floats(monkeypatch):
+def highs_lp_of(text: str, folder: Path):
+    """The LP HiGHS holds after reading MPS ``text``."""
+    path = folder / "model.mps"
+    path.write_text(text)
+    highs = _Highs()
+    highs.setOptionValue("output_flag", False)
+    assert highs.readModel(str(path)) == HighsStatus.kOk
+    return highs.getLp()
+
+
+def test_highs_reads_the_mps_text_as_per_term_floats(monkeypatch, tmp_path):
     m = mixed_coefficient_model()
+    m.add_variable("idle", VarKind.CONTINUOUS, upper=5)  # no cost, no row
     sol, seen, _ = solve_capturing_seam(m, monkeypatch)
     assert sol.status is SolveStatus.OPTIMAL
+    assert seen["integral"] is True
     want = per_term_arrays(m)
+    lp = highs_lp_of(seen["mps"], tmp_path)
+    assert (lp.num_col_, lp.num_row_) == want["matrix"].shape[::-1]
 
     # the dense matrix the column-wise arrays describe, rows ascending
-    start, index = seen["start"], seen["index"]
+    matrix = lp.a_matrix_
+    assert matrix.format_ == MatrixFormat.kColwise
+    start, index = list(matrix.start_), list(matrix.index_)
     got = np.zeros_like(want["matrix"])
     for j in range(len(want["c"])):
-        rows = list(index[start[j]:start[j + 1]])
+        rows = index[start[j]:start[j + 1]]
         assert rows == sorted(rows)
         for k in range(start[j], start[j + 1]):
-            got[index[k], j] = seen["value"][k]
+            got[index[k], j] = matrix.value_[k]
 
-    assert same(seen["c"], want["c"])
-    assert same(seen["col_lower"], want["col_lower"])
-    assert same(seen["col_upper"], want["col_upper"])
+    assert same(lp.col_cost_, want["c"])
+    assert same(lp.col_lower_, want["col_lower"])
+    assert same(lp.col_upper_, want["col_upper"])
+    kinds = (HighsVarType.kContinuous, HighsVarType.kInteger)
+    assert list(lp.integrality_) == [kinds[k] for k in want["integrality"]]
     assert same(got, want["matrix"])
-    assert len(seen["value"]) == sum(len(con.terms) for con in m.constraints)
-    assert same(seen["row_lower"], want["row_lower"])
-    assert same(seen["row_upper"], want["row_upper"])
+    assert len(matrix.value_) == sum(len(con.terms) for con in m.constraints)
+    assert same(lp.row_lower_, want["row_lower"])
+    assert same(lp.row_upper_, want["row_upper"])
+
+
+@pytest.mark.parametrize("outcome", ["optimal", "infeasible", "read-error"])
+def test_no_temporary_directory_outlives_a_solve(outcome, monkeypatch, tmp_path):
+    monkeypatch.setattr(tempfile, "tempdir", str(tmp_path))
+    if outcome == "read-error":
+        res = solvers.scipy_milp(mps="not an MPS file\n", integral=False, gap=0.0)
+        assert res.status == 2 and res.x is None
+    else:
+        m = knapsack() if outcome == "optimal" else infeasible_model()
+        assert solve(m).status.value == outcome
+    assert list(tmp_path.iterdir()) == []
 
 
 def milp_reference(m: MilpModel, gap: float = 0.0):
@@ -222,7 +259,8 @@ def test_highs_answers_as_scipy_milp_does(name, ring4_brs_models, monkeypatch):
     assert got.status == want.status
     assert (got.x is None) == (want.x is None)
     if want.x is not None:
-        assert got.x.tobytes() == want.x.tobytes()
+        assert isinstance(got.x, list)
+        assert np.array(got.x).tobytes() == want.x.tobytes()
     assert got.mip_node_count == want.mip_node_count
     assert repr(got.mip_dual_bound) == repr(want.mip_dual_bound)
     assert repr(got.mip_gap) == repr(want.mip_gap)
@@ -263,8 +301,7 @@ def test_binding_is_shared_with_scipy_optimize(order):
 def test_incumbents_are_feasibility_checked(monkeypatch):
     # a "solver" that always answers x=1 against a model that forbids it
     def liar(**kwargs):
-        return SimpleNamespace(status=0, x=np.ones(len(kwargs["c"])),
-                               message="stub", mip_gap=0.0)
+        return SimpleNamespace(status=0, x=[1.0], message="stub", mip_gap=0.0)
 
     monkeypatch.setattr(solvers, "scipy_milp", liar)
     m = MilpModel("guarded")
@@ -287,9 +324,8 @@ def test_incumbents_are_feasibility_checked(monkeypatch):
 ])
 def test_embedded_maps_each_highs_outcome(monkeypatch, status, x, want, says):
     def stub(**kwargs):
-        return solvers.HighsResult(
-            status=status, message="stub",
-            x=None if x is None else np.array(x), mip_gap=0.0)
+        return solvers.HighsResult(status=status, message="stub", x=x,
+                                   mip_gap=0.0)
 
     monkeypatch.setattr(solvers, "scipy_milp", stub)
     sol = solve(knapsack())
