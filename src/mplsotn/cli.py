@@ -128,11 +128,10 @@ def _cmd_run(args) -> int:
         instance, _design_config(args, survivability), args.keep_artifacts)
     _write_outputs(args.output_dir, design)
     sys.stdout.write(report.design_summary(design, drill.summary()))
-    if violations:
-        for v in violations:
-            print(f"verification: {v.code}: {v.message}", file=sys.stderr)
-        return EXIT_VERIFY_FAILED
-    if survivability is not Survivability.NONE and not drill.all_restorable:
+    for v in violations:
+        print(f"verification: {v.code}: {v.message}", file=sys.stderr)
+    code = _design_exit(survivability, violations, drill)
+    if code == EXIT_DRILL_FAILED:
         for outcome in drill.failures():
             detail = []
             if outcome.unrestored:
@@ -141,6 +140,15 @@ def _cmd_run(args) -> int:
                 detail.append(f"contention on {list(outcome.contention)}")
             print(f"drill: {outcome.event.label()}: {'; '.join(detail)}",
                   file=sys.stderr)
+    return code
+
+
+def _design_exit(survivability: Survivability, violations, drill) -> int:
+    """A finished design's exit code: 5 on any verifier violation, else 6
+    when a protected option's drill leaves an event unrestorable, else 0."""
+    if violations:
+        return EXIT_VERIFY_FAILED
+    if survivability is not Survivability.NONE and not drill.all_restorable:
         return EXIT_DRILL_FAILED
     return EXIT_OK
 
@@ -185,14 +193,12 @@ def _report_compare(args, results) -> int:
         for v in violations:
             print(f"verification[{option}]: {v.code}: {v.message}",
                   file=sys.stderr)
-        if violations:
-            worst = max(worst, EXIT_VERIFY_FAILED)
-        elif (cfg.survivability is not Survivability.NONE
-              and not drill.all_restorable):
+        code = _design_exit(cfg.survivability, violations, drill)
+        if code == EXIT_DRILL_FAILED:
             print(f"drill[{option}]: "
                   f"{len(drill.failures())} non-restorable event(s)",
                   file=sys.stderr)
-            worst = max(worst, EXIT_DRILL_FAILED)
+        worst = max(worst, code)
     sys.stdout.write(report.option_table(entries, fmt=args.format))
     return worst
 

@@ -13,6 +13,8 @@ family      meaning
 ``wr``      work carrier (i,j,q) routed over physical arc (m,n)
 ``sr``      spare carrier (i,j,q) routed over physical arc (m,n)
 ``pr``      optical protection lightpath for carrier (i,j,q) over arc (m,n)
+``pr2``     under integrated ``double``, optical protection lightpath for
+            spare carrier (i,j,q) over arc (m,n)
 ``x``       link's extra wavelengths beyond the spare pool (shared restoration)
 ``brsy``    link is used by a spare carrier whose protection LSP guards a
             demand transiting a given router (pool-exclusion helper)
@@ -52,9 +54,12 @@ Arc = tuple[int, int]
 class VarIndex:
     """family -> index tuple -> variable name.
 
-    Every entry is also filed under ``(family, key[0])`` in insertion order:
-    the demand index for ``wd``/``pd``, the slot for the route families. A row
-    or a decoder reads only its own group instead of scanning the family.
+    Every flow family (``wd``, ``pd``, ``wr``, ``sr``, ``pr``, ``pr2``) is
+    keyed ``(head, *arc)``: the demand index and slot (k, i, j, q) for an
+    LSP, the slot and fiber arc (slot, m, n) for a route, so ``key[1]`` and
+    ``key[2]`` are always the nodes the arc leaves and enters. Every entry is
+    also filed under ``(family, key[0])`` in insertion order. A row or a
+    decoder reads only its own group instead of scanning the family.
     """
 
     def __init__(self) -> None:
@@ -188,11 +193,6 @@ def _slot_name(prefix: str, slot: Slot) -> str:
     return f"{prefix}_{i}_{j}_{q}"
 
 
-def _route_name(prefix: str, slot: Slot, arc: Arc) -> str:
-    i, j, q = slot
-    return f"{prefix}_{i}_{j}_{q}__{arc[0]}_{arc[1]}"
-
-
 def _add_slot_binaries(
     m: MilpModel,
     index: VarIndex,
@@ -285,98 +285,59 @@ def _add_node_cut_sets(
                                  -(-mbps // capacity), tag="node-cut-set")
 
 
-def _add_lsp(
-    m: MilpModel,
-    index: VarIndex,
-    family: str,
-    k: int,
-    demand: LspDemand,
-    slots: Sequence[Slot],
-    nodes: Iterable[int],
-    coeff: Fraction,
-    tag: str,
-    row_prefix: str,
-    banned: frozenset[int] = frozenset(),
+def _add_flow(
+    m: MilpModel, index: VarIndex, family: str, head: object,
+    ends: tuple[int, int], arcs: Iterable[tuple], nodes: Iterable[int],
+    tag: str, var_stem: str, row_stem: str, cost: Optional[Fraction] = None,
+    exists: Optional[str] = None, avoid: frozenset[int] = frozenset(),
     simple: bool = False,
 ) -> None:
-    """One LSP's slot binaries, priced ``coeff``, and its flow rows.
+    """One unit flow from ``ends[0]`` to ``ends[1]``: arc binaries and flow rows.
 
-    Slots touching a ``banned`` router get no variable, and such a router no
-    row. With ``simple`` no slot enters the demand's source or leaves its
-    destination, as on every cycle-free path.
+    Each arc is a tuple whose first two entries are the nodes it leaves and
+    enters: a lightpath slot (i, j, q) for an LSP, a fiber arc (m, n) for a
+    lightpath route. Its binary is filed under ``(head, *arc)`` and named
+    ``var_stem`` and the arc's entries joined by ``_``; each node's row is
+    ``row_stem`` plus ``_n<node>``. Arcs touching an ``avoid`` node are never
+    created and those nodes get no row. With ``simple`` no arc enters the
+    source or leaves the sink, as on every cycle-free path. Each arc used pays
+    ``cost`` when one is given. With ``exists`` (an existence binary) the flow
+    runs exactly when that binary is 1; otherwise it is unconditional.
     """
-    # each node's flow-row terms, in variable order: +1 out, -1 in
-    by_node: dict[int, list[tuple[str, int]]] = {}
-    for slot in slots:
-        i, j, q = slot
-        if i in banned or j in banned:
-            continue
-        if simple and (j == demand.source or i == demand.destination):
-            continue
-        name = m.add_variable(f"{family}_{k}_{i}_{j}_{q}", VarKind.BINARY)
-        index.add(family, (k, *slot), name)
-        m.add_objective_term(name, coeff)
-        by_node.setdefault(i, []).append((name, 1))
-        by_node.setdefault(j, []).append((name, -1))
-
-    for n in nodes:
-        if n in banned:
-            continue
-        terms = by_node.get(n, [])
-        rhs = 1 if n == demand.source else -1 if n == demand.destination else 0
-        if not terms and rhs == 0:
-            continue
-        m.add_constraint(f"{row_prefix}_k{k}_n{n}", terms, "=", rhs, tag=tag)
-
-
-def _add_route(
-    m: MilpModel,
-    index: VarIndex,
-    family: str,
-    slot: Slot,
-    arcs: Iterable[Arc],
-    nodes: Iterable[int],
-    tag: str,
-    row_prefix: str,
-    cost: Optional[Fraction] = None,
-    slot_var: Optional[str] = None,
-    avoid: frozenset[int] = frozenset(),
-) -> None:
-    """One lightpath's physical route: arc binaries and flow conservation.
-
-    Arcs touching an ``avoid`` node are never created and those nodes get no
-    row. Each arc used pays ``cost`` when one is given. With ``slot_var`` (a
-    slot-existence binary) the route exists exactly when the slot does;
-    otherwise the route is unconditional.
-    """
+    source, sink = ends
     # each node's flow-row terms, in variable order: +1 out, -1 in
     by_node: dict[int, list[tuple[str, int]]] = {}
     for arc in arcs:
-        if arc[0] in avoid or arc[1] in avoid:
+        a, b = arc[0], arc[1]
+        if a in avoid or b in avoid or (simple and (b == source or a == sink)):
             continue
-        name = m.add_variable(_route_name(family, slot, arc), VarKind.BINARY)
-        index.add(family, (slot, arc), name)
+        name = m.add_variable("_".join((var_stem, *map(str, arc))), VarKind.BINARY)
+        index.add(family, (head, *arc), name)
         if cost is not None:
             m.add_objective_term(name, cost)
-        by_node.setdefault(arc[0], []).append((name, 1))
-        by_node.setdefault(arc[1], []).append((name, -1))
+        by_node.setdefault(a, []).append((name, 1))
+        by_node.setdefault(b, []).append((name, -1))
 
-    i, j, q = slot
     for n in nodes:
         if n in avoid:
             continue
         terms = by_node.get(n, [])
-        sign = 1 if n == i else -1 if n == j else 0
-        if slot_var is not None and sign != 0:
-            terms.append((slot_var, -sign))
+        rhs = 1 if n == source else -1 if n == sink else 0
+        if exists is not None and rhs:
+            terms.append((exists, -rhs))
             rhs = 0
-        else:
-            rhs = sign
         if not terms and rhs == 0:
             continue
-        m.add_constraint(
-            f"{row_prefix}_{i}_{j}_{q}_n{n}", terms, "=", rhs, tag=tag
-        )
+        m.add_constraint(f"{row_stem}_n{n}", terms, "=", rhs, tag=tag)
+
+
+def _add_route(
+    m: MilpModel, index: VarIndex, family: str, slot: Slot, arcs: Iterable[Arc],
+    nodes: Iterable[int], tag: str, row_prefix: str, **flow,
+) -> None:
+    """One lightpath's physical route, a unit flow keyed ``(slot, m, n)``."""
+    _add_flow(m, index, family, slot, slot[:2], arcs, nodes, tag,
+              _slot_name(family, slot) + "_", _slot_name(row_prefix, slot), **flow)
 
 
 def _route_occupancy_terms(
@@ -387,9 +348,7 @@ def _route_occupancy_terms(
     A node other than the carrier's endpoints is occupied exactly when one
     of them is used; the endpoints occupy unconditionally.
     """
-    return [
-        (name, 1) for (_s, arc), name in index.group(family, slot) if arc[1] == node
-    ]
+    return [(name, 1) for key, name in index.group(family, slot) if key[2] == node]
 
 
 def _link_terms(
@@ -404,7 +363,7 @@ def _link_terms(
     out = []
     for slot in slots:
         for arc in ((a, b), (b, a)):
-            name = index.get(family, (slot, arc))
+            name = index.get(family, (slot, *arc))
             if name:
                 out.append((name, coeff))
     return out
@@ -455,10 +414,9 @@ def _add_carrier_protection(
     """
     for slot in carriers:
         route = carrier_routes[slot]
-        simple = [a for a in arcs if a[1] != slot[0] and a[0] != slot[1]]
         _add_route(
-            m, index, "pr", slot, simple, nodes, "protection-lightpath-flow",
-            "plproute", cost=cost, avoid=frozenset(route[1:-1]),
+            m, index, "pr", slot, arcs, nodes, "protection-lightpath-flow",
+            "plproute", cost=cost, avoid=frozenset(route[1:-1]), simple=True,
         )
         for link in route_links(route):
             terms = _link_terms(index, "pr", (slot,), link)
@@ -531,8 +489,9 @@ def build_working_mpls(
     _add_slot_binaries(m, index, "wb", slots, costs.lightpath_cost)
     for k, d in enumerate(demands):
         coeff = _transit_coeff(costs, d)
-        _add_lsp(m, index, "wd", k, d, lsp_slots, nodes, coeff,
-                 "working-flow", "wflow", simple=per_pair)
+        _add_flow(m, index, "wd", k, (d.source, d.destination), lsp_slots,
+                  nodes, "working-flow", f"wd_{k}", f"wflow_k{k}", cost=coeff,
+                  simple=per_pair)
         # arrival at the destination is not transit
         m.add_objective_constant(-coeff)
     _add_grooming(m, index, "wd", "wb", tuple(enumerate(demands)), lsp_slots,
@@ -575,9 +534,9 @@ def build_protection_mpls(
     for k, d in protected:
         coeff = _transit_coeff(costs, d)
         # barred routers are excluded from both row sides
-        _add_lsp(m, index, "pd", k, d, slots, nodes, coeff,
-                 "protection-flow", "pflow",
-                 banned=frozenset(_intermediates(working_paths[d.id])))
+        _add_flow(m, index, "pd", k, (d.source, d.destination), slots, nodes,
+                  "protection-flow", f"pd_{k}", f"pflow_k{k}", cost=coeff,
+                  avoid=frozenset(_intermediates(working_paths[d.id])))
         if not cfg.transit_double_count:
             m.add_objective_constant(-coeff)
         # a protected LSP's two paths never share a lightpath slot
@@ -856,7 +815,7 @@ def build_integrated_working(
     for slot in slots:
         _add_route(m, index, "wr", slot, arcs, nodes, "lightpath-flow",
                    "lproute", cost=costs.wavelength_cost,
-                   slot_var=index.get("wb", slot))
+                   exists=index.get("wb", slot))
 
     for link in instance.topology.links:
         m.add_constraint(
@@ -908,7 +867,7 @@ def build_integrated_protection(
     for slot in spare_capable:
         _add_route(m, index, "sr", slot, arcs, nodes, "lightpath-flow",
                    "sproute", cost=costs.wavelength_cost,
-                   slot_var=index.get("pb", slot))
+                   exists=index.get("pb", slot))
 
     # physical disjointness between each demand's working path and the spare
     # carriers its protection LSP rides, conditioned on the riding decision
@@ -962,7 +921,7 @@ def build_integrated_protection(
         for slot in spare_capable:
             _add_route(m, index, "pr2", slot, arcs, nodes,
                        "protection-lightpath-flow", "plproute2",
-                       cost=costs.wavelength_cost, slot_var=index.get("pb", slot))
+                       cost=costs.wavelength_cost, exists=index.get("pb", slot))
             for link in links:
                 terms = (_link_terms(index, "pr2", (slot,), link)
                          + _link_terms(index, "sr", (slot,), link))

@@ -136,30 +136,35 @@ def _is_one(values: Mapping[str, Fraction], name: Optional[str]) -> bool:
     return name is not None and values.get(name, 0) == 1
 
 
-def _walk(stage: str, what: str, outgoing: dict[int, list[tuple]],
-          start: int, end: int, lenient: bool = False) -> list[tuple]:
-    """The arcs of the one simple path from ``start`` to ``end``.
+def _walk(sol: Solution, sm: StageModel, family: str, head: object, start: int,
+          end: int, what: str, lenient: bool = False) -> list[tuple]:
+    """One flow's selected arcs, in path order from ``start`` to ``end``.
 
-    ``outgoing`` maps a node to its selected arcs, each a tuple whose second
-    entry is the node it enters, and is consumed. Arcs left over once ``end``
-    is reached are an error unless ``lenient``.
+    The flow's arcs are the ``(head, *arc)`` entries of ``family`` set to 1,
+    each arc a tuple whose first two entries are the nodes it leaves and
+    enters. The path must be simple; arcs left over once ``end`` is reached
+    are an error unless ``lenient``.
     """
+    outgoing: dict[int, list[tuple]] = {}
+    for key, name in sm.index.group(family, head):
+        if _is_one(sol.values, name):
+            outgoing.setdefault(key[1], []).append(key[1:])
     arcs = []
     visited = {start}
     cur = start
     while cur != end:
         nxt = outgoing.pop(cur, [])
         if len(nxt) != 1:
-            raise DecodeError(f"{stage}: {what} branches at node {cur}: "
+            raise DecodeError(f"{sm.stage}: {what} branches at node {cur}: "
                               f"{len(nxt)} outgoing arcs, expected 1")
         arc = nxt[0]
         cur = arc[1]
         if cur in visited:
-            raise DecodeError(f"{stage}: {what} revisits node {cur}")
+            raise DecodeError(f"{sm.stage}: {what} revisits node {cur}")
         visited.add(cur)
         arcs.append(arc)
     if outgoing and not lenient:
-        raise DecodeError(f"{stage}: {what} has disconnected flow")
+        raise DecodeError(f"{sm.stage}: {what} has disconnected flow")
     return arcs
 
 
@@ -172,11 +177,7 @@ def decode_slot_path(
     destination: int,
 ) -> tuple[LightpathKey, ...]:
     """Selected slot arcs of one LSP -> its ordered logical path."""
-    outgoing: dict[int, list[tuple]] = {}
-    for key, name in sm.index.group(family, k):
-        if _is_one(sol.values, name):
-            outgoing.setdefault(key[1], []).append(key[1:])
-    return tuple(_walk(sm.stage, f"LSP {k}", outgoing, source, destination))
+    return tuple(_walk(sol, sm, family, k, source, destination, f"LSP {k}"))
 
 
 def decode_route(
@@ -187,11 +188,7 @@ def decode_route(
     lenient: bool = False,
 ) -> tuple[int, ...]:
     """Selected physical arcs of one lightpath -> its node route."""
-    outgoing: dict[int, list[tuple]] = {}
-    for (_s, arc), name in sm.index.group(family, slot):
-        if _is_one(sol.values, name):
-            outgoing.setdefault(arc[0], []).append(arc)
-    arcs = _walk(sm.stage, f"lightpath {slot}", outgoing, slot[0], slot[1],
+    arcs = _walk(sol, sm, family, slot, slot[0], slot[1], f"lightpath {slot}",
                  lenient)
     return (slot[0], *(b for _a, b in arcs))
 
@@ -225,10 +222,10 @@ def _decode_layer(
         if _is_one(sol.values, name):
             open_slots.append(slot)
         elif route_family is not None:
-            for (_s, arc), route_name in sm.index.group(route_family, slot):
+            for key, route_name in sm.index.group(route_family, slot):
                 if _is_one(sol.values, route_name):
                     raise DecodeError(
-                        f"{sm.stage}: closed slot {slot} occupies fiber arc {arc}"
+                        f"{sm.stage}: closed slot {slot} occupies fiber arc {key[1:]}"
                     )
     paths = {
         d.id: decode_slot_path(sol, sm, path_family, k, d.source, d.destination)

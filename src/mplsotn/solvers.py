@@ -265,7 +265,7 @@ class HighsResult:
 
 # HiGHS model status -> milp's status code; every other status is 4
 _MILP_STATUS = {"kOptimal": 0, "kTimeLimit": 1, "kIterationLimit": 1,
-                "kInfeasible": 2, "kModelError": 2, "kUnbounded": 3}
+                "kInfeasible": 2, "kUnbounded": 3}
 _LIMITS = ("kTimeLimit", "kIterationLimit", "kSolutionLimit")
 
 
@@ -279,7 +279,10 @@ def scipy_milp(*, mps: str, integral: bool, gap: float,
     are those of ``milp``, so HiGHS runs the same search and every answer
     matches ``milp``'s bit for bit. ``integral`` says whether some column is
     integer. ``x`` is None wherever ``milp`` returns none, and the search
-    statistics ride only on a MILP with a point.
+    statistics ride only on a MILP with a point. One status differs on
+    purpose: ``milp`` reports HiGHS's ``kModelError`` as infeasible (2),
+    but a model HiGHS cannot read is a fault of ours, not a stage without a
+    design, so it is 4 and the solve ends ``ERROR``.
     """
     h = _highs
     highs = h._Highs()
@@ -296,7 +299,7 @@ def scipy_milp(*, mps: str, integral: bool, gap: float,
         read = highs.readModel(str(path))
     if read == h.HighsStatus.kError:
         status = h.HighsModelStatus.kModelError
-        return HighsResult(_MILP_STATUS[status.name],
+        return HighsResult(_MILP_STATUS.get(status.name, 4),
                            highs.modelStatusToString(status))
     # HiGHS 1.12 prints some MIP notes from C to fd 1 whatever its output
     # options say; they go to fd 2, so a report on stdout stays clean

@@ -4,11 +4,13 @@ Everything here checks designs produced by the pipeline (or crafted by hand)
 against rules written without reference to the optimization models.
 """
 
+import ast
 import re
 from dataclasses import replace
 from fractions import Fraction
 from pathlib import Path
 
+from mplsotn import evaluate
 from mplsotn.evaluate import (
     _brs_peak_draw,
     compute_metrics,
@@ -673,3 +675,29 @@ def test_drill_brs_contention_from_spare_carriers():
     assert outcome.optical_recovered == ()
     assert outcome.mpls_recovered == ("d3",)
     assert outcome.contention == ((3, 4), (1, 4))
+
+
+def package_imports(source: str) -> set[str]:
+    """Every ``mplsotn`` module a source file imports, by absolute name."""
+    found = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            found.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            module = ".".join(filter(None, ("mplsotn" if node.level else "",
+                                            node.module)))
+            if module == "mplsotn":
+                found.update(f"mplsotn.{alias.name}" for alias in node.names)
+            else:
+                found.add(module)
+    return {name for name in found if name.split(".")[0] == "mplsotn"}
+
+
+def test_verifier_imports_no_package_module_but_model():
+    # the verifier and drill check the builders' designs from first
+    # principles, so they may share the data model and nothing else
+    assert package_imports("from . import formulation\nimport mplsotn.milp\n"
+                           "from mplsotn import pipeline\n") == {
+        "mplsotn.formulation", "mplsotn.milp", "mplsotn.pipeline"}
+    source = Path(evaluate.__file__).read_text(encoding="utf-8")
+    assert package_imports(source) == {"mplsotn.model"}

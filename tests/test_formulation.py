@@ -233,7 +233,7 @@ def crafted_protected_carriers(option, sm):
     plan = compute_protection_plan(four_node_ring_chord(), cfg_for(option),
                                    CRAFTED_WP)
     carriers = plan.protected_carriers(CRAFTED_WORK, CRAFTED_SPARE)
-    assert {slot for (slot, _arc), _name in sm.index.items("pr")} == set(carriers)
+    assert {key[0] for key, _name in sm.index.items("pr")} == set(carriers)
     return carriers
 
 

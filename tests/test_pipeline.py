@@ -528,7 +528,7 @@ def test_decode_slot_path_disconnected():
 
 def test_decode_route_happy_and_branch():
     slot = (1, 3, 1)
-    arcs = [(slot, (1, 2)), (slot, (2, 3)), (slot, (1, 4))]
+    arcs = [(slot, 1, 2), (slot, 2, 3), (slot, 1, 4)]
     sm = _stage_model_with("wr", arcs)
     good = _solution_selecting("wr", arcs[:2])
     assert decode_route(good, sm, "wr", slot) == (1, 2, 3)
@@ -539,7 +539,7 @@ def test_decode_route_happy_and_branch():
 
 def test_decode_route_lenient_tolerates_strays():
     slot = (1, 3, 1)
-    arcs = [(slot, (1, 3)), (slot, (2, 4))]
+    arcs = [(slot, 1, 3), (slot, 2, 4)]
     sm = _stage_model_with("pr", arcs)
     sol = _solution_selecting("pr", arcs)
     with pytest.raises(DecodeError, match="disconnected"):

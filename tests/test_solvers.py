@@ -19,11 +19,11 @@ from scipy.optimize._highspy._core import (
     _Highs,
 )
 
-from mplsotn import Survivability, pipeline, solvers
+from mplsotn import Approach, Survivability, pipeline, solvers
 from mplsotn.milp import MilpModel, SolveStatus, VarKind
 from mplsotn.solvers import solve
 
-from support import desk, exact_config
+from support import desk, exact_config, mesh_family
 
 
 def knapsack() -> MilpModel:
@@ -167,9 +167,19 @@ def highs_lp_of(text: str, folder: Path):
     return highs.getLp()
 
 
-def test_highs_reads_the_mps_text_as_per_term_floats(monkeypatch, tmp_path):
-    m = mixed_coefficient_model()
-    m.add_variable("idle", VarKind.CONTINUOUS, upper=5)  # no cost, no row
+def test_highs_reads_the_mps_text_as_per_term_floats(ring4_brs_models, tmp_path):
+    mixed = mixed_coefficient_model()
+    mixed.add_variable("idle", VarKind.CONTINUOUS, upper=5)  # no cost, no row
+    # real stage models: INTEGER x columns with upper bounds above 1, and
+    # continuous brsy columns among the binaries
+    integrated = brs_stage_models(mesh_family(5, 0), Approach.INTEGRATED)
+    for m in (mixed, ring4_brs_models["lightpath-protection"],
+              integrated["integrated-protection"]):
+        with pytest.MonkeyPatch.context() as mp:
+            assert_highs_reads_per_term_floats(m, mp, tmp_path)
+
+
+def assert_highs_reads_per_term_floats(m: MilpModel, monkeypatch, tmp_path):
     sol, seen, _ = solve_capturing_seam(m, monkeypatch)
     assert sol.status is SolveStatus.OPTIMAL
     assert seen["integral"] is True
@@ -204,7 +214,7 @@ def test_no_temporary_directory_outlives_a_solve(outcome, monkeypatch, tmp_path)
     monkeypatch.setattr(tempfile, "tempdir", str(tmp_path))
     if outcome == "read-error":
         res = solvers.scipy_milp(mps="not an MPS file\n", integral=False, gap=0.0)
-        assert res.status == 2 and res.x is None
+        assert res.status == 4 and res.x is None
     else:
         m = knapsack() if outcome == "optimal" else infeasible_model()
         assert solve(m).status.value == outcome
@@ -221,8 +231,11 @@ def milp_reference(m: MilpModel, gap: float = 0.0):
                 constraints=constraints, options={"mip_rel_gap": gap})
 
 
-@pytest.fixture(scope="module")
-def ring4_brs_models() -> dict[str, MilpModel]:
+def brs_stage_models(instance, approach=Approach.SEQUENTIAL) -> dict[str, MilpModel]:
+    """Each stage model a gap-0 ``brs`` run solves, by stage name.
+
+    A run whose design fails to decode has still solved its models.
+    """
     models = {}
     real = pipeline.solve
 
@@ -232,8 +245,17 @@ def ring4_brs_models() -> dict[str, MilpModel]:
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(pipeline, "solve", capture)
-        pipeline.run_design(desk("ring4"),
-                            exact_config(Survivability.MULTI_INTERLAYER_BRS))
+        try:
+            pipeline.run_design(instance, exact_config(
+                Survivability.MULTI_INTERLAYER_BRS, approach))
+        except pipeline.DecodeError:
+            pass
+    return models
+
+
+@pytest.fixture(scope="module")
+def ring4_brs_models() -> dict[str, MilpModel]:
+    models = brs_stage_models(desk("ring4"))
     assert not models["protection-mpls"].variables
     return models
 
