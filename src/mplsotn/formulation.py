@@ -5,7 +5,9 @@ Each builder emits one MILP over a documented variable family set:
 ==========  =================================================================
 family      meaning
 ==========  =================================================================
-``wb``      lightpath slot (i,j,q) holds a carrier for working LSPs
+``wb``      lightpath slot (i,j,q) holds a carrier for working LSPs; in the
+            integrated relaxation, how many carriers router pair (i,j)
+            holds, keyed by its slot (i,j,1)
 ``pb``      lightpath slot holds a carrier for protection LSPs
 ``wd``      demand k's working LSP crosses slot (i,j,q); in the integrated
             relaxation, router pair (i,j), keyed by its slot (i,j,1)
@@ -200,10 +202,17 @@ def _add_slot_binaries(
     slots: Sequence[Slot],
     cost: Fraction,
     occupied: frozenset[Slot] = frozenset(),
+    parallel: int = 1,
 ) -> None:
-    """One priced binary per lightpath slot; ``occupied`` slots are barred."""
+    """One priced binary per lightpath slot; ``occupied`` slots are barred.
+
+    With ``parallel`` above 1 each slot stands for its router pair, and its
+    variable is an integer in [0, ``parallel``] that counts the pair's open
+    lightpaths, each paying ``cost``.
+    """
+    kind = VarKind.BINARY if parallel == 1 else VarKind.INTEGER
     for slot in slots:
-        name = m.add_variable(_slot_name(family, slot), VarKind.BINARY)
+        name = m.add_variable(_slot_name(family, slot), kind, 0, parallel)
         index.add(family, slot, name)
         m.add_objective_term(name, cost)
         if slot in occupied:
@@ -250,37 +259,30 @@ def _add_slot_limits(
 def _add_grooming(
     m: MilpModel, index: VarIndex, lsp_family: str, slot_family: str,
     riders: Sequence[tuple[int, LspDemand]], slots: Sequence[Slot],
-    capacity: int, row_prefix: str, tag: str, parallel: int = 1,
+    capacity: int, row_prefix: str, tag: str,
 ) -> None:
-    """Per slot, the Mbps of the LSPs riding it fit in one open carrier.
-
-    With ``parallel`` above 1 the LSPs ride router pairs, keyed by their
-    q = 1 slot, and each row pools the carriers of that many parallel slots.
-    """
+    """Per slot, the Mbps of the LSPs riding it fit in its open carriers."""
     for slot in slots:
-        i, j, q = slot
         terms = [
             (name, d.bandwidth_mbps)
             for k, d in riders
             if (name := index.get(lsp_family, (k, *slot)))
         ]
-        terms.extend((index.get(slot_family, (i, j, q + p)), -capacity)
-                     for p in range(parallel))
+        terms.append((index.get(slot_family, slot), -capacity))
         m.add_constraint(_slot_name(row_prefix, slot), terms, "<=", 0, tag=tag)
 
 
-def _add_node_cut_sets(
-    m: MilpModel, index: VarIndex, slots: Sequence[Slot], instance: Instance
-) -> None:
-    """At least ``⌈Σ b / C⌉`` ``wb`` slots out of each router that sources
-    demand, and as many into each router that sinks it."""
+def _add_node_cut_sets(m: MilpModel, index: VarIndex, instance: Instance) -> None:
+    """At least ``⌈Σ b / C⌉`` open ``wb`` lightpaths out of each router that
+    sources demand, and as many into each router that sinks it."""
     capacity = instance.lightpath_capacity_mbps
+    wb = index.items("wb")
     for node in instance.topology.nodes:
         for prefix, end in (("cutout", 0), ("cutin", 1)):
             mbps = sum(d.bandwidth_mbps for d in instance.traffic.demands
                        if (d.source, d.destination)[end] == node)
             if mbps:
-                terms = [(index.get("wb", s), 1) for s in slots if s[end] == node]
+                terms = [(name, 1) for s, name in wb if s[end] == node]
                 m.add_constraint(f"{prefix}_n{node}", terms, ">=",
                                  -(-mbps // capacity), tag="node-cut-set")
 
@@ -473,30 +475,38 @@ def build_working_mpls(
 ) -> StageModel:
     """Logical topology plus working LSP routing, MPLS-layer cost only.
 
-    With ``per_pair`` each LSP gets one binary per router pair, ``wd_k_i_j_1``,
-    and each pair one grooming row over all its parallel slots. No LSP then
-    gets a pair into its source or out of its destination. At a non-negative
-    transit price this keeps the optimum value: a flow using such a pair is a
-    path plus cycles, and dropping the cycles breaks no row and costs nothing.
+    With ``per_pair`` the model works over router pairs, each keyed by its
+    q = 1 slot: ``wb_i_j_1`` is an integer in [0, q_max] that counts the
+    pair's open lightpaths (a binary when q_max is 1), each LSP gets one
+    binary per pair, ``wd_k_i_j_1``, and each pair one grooming row, its
+    riders' Mbps at most ``C`` times its count. The interface rows sum the
+    counts, and no slot-symmetry rows are needed. A slot-level design with
+    its open slots of each pair first (which the slot-symmetry rows ask for)
+    maps to exactly one count per pair, at the same cost, so the optimum
+    value is unchanged. No LSP gets a pair into its source or out of its
+    destination either. At a non-negative transit price this keeps the
+    optimum value too: a flow using such a pair is a path plus cycles, and
+    dropping the cycles breaks no row and costs nothing.
     """
     m = MilpModel("working-mpls")
     index = VarIndex()
     slots = _slots(instance, cfg)
-    lsp_slots = tuple(s for s in slots if s[2] == 1) if per_pair else slots
+    if per_pair:
+        slots = tuple(s for s in slots if s[2] == 1)
     nodes = instance.topology.nodes
     demands = instance.traffic.demands
 
-    _add_slot_binaries(m, index, "wb", slots, costs.lightpath_cost)
+    _add_slot_binaries(m, index, "wb", slots, costs.lightpath_cost,
+                       parallel=cfg.effective_q_max(instance) if per_pair else 1)
     for k, d in enumerate(demands):
         coeff = _transit_coeff(costs, d)
-        _add_flow(m, index, "wd", k, (d.source, d.destination), lsp_slots,
+        _add_flow(m, index, "wd", k, (d.source, d.destination), slots,
                   nodes, "working-flow", f"wd_{k}", f"wflow_k{k}", cost=coeff,
                   simple=per_pair)
         # arrival at the destination is not transit
         m.add_objective_constant(-coeff)
-    _add_grooming(m, index, "wd", "wb", tuple(enumerate(demands)), lsp_slots,
-                  instance.lightpath_capacity_mbps, "groom", "grooming-capacity",
-                  parallel=cfg.effective_q_max(instance) if per_pair else 1)
+    _add_grooming(m, index, "wd", "wb", tuple(enumerate(demands)), slots,
+                  instance.lightpath_capacity_mbps, "groom", "grooming-capacity")
     _add_slot_limits(m, index, "wb", slots, nodes,
                      cfg.effective_interfaces(instance))
 
@@ -770,28 +780,32 @@ def build_integrated_working(
 
     With ``relaxed`` it builds a route-free relaxation over router pairs.
     Without the wavelength-capacity rows an open slot's cheapest route is a
-    shortest path, so the route variables project out and each ``wb`` also
-    pays ``wavelength_cost`` per hop of its ``shortest_routes`` route. The
-    parallel slots of a pair then differ in nothing but their index, so each
-    LSP gets one binary per pair (``wd_k_i_j_1``: LSP k crosses pair (i, j))
-    and each pair one grooming row: its riders' Mbps fit in ``C`` times its
-    open slots (see ``build_working_mpls``, which also omits every pair into
-    a demand's source or out of its destination without changing the
-    optimum value). Every slot-level design maps to a pair-level one at no
-    higher cost, so the relaxation's optimum is a lower bound on the full
-    model's, at any gap. A pair-level solution only says how much each pair
-    carries: it certifies when each pair's riders pack into its open slots
-    and ``route_on_shortest_paths`` finds the routes fit every link. The
-    packed design is then a full design at the relaxation's cost, so it is
-    optimal for the full model. With one slot per pair the relaxation is
-    the slot-level one.
+    shortest path, so the route variables project out and each open
+    lightpath also pays ``wavelength_cost`` per hop of its
+    ``shortest_routes`` route. The parallel slots of a pair then differ in
+    nothing but their index, so each pair gets one count of open
+    lightpaths, ``wb_i_j_1`` in [0, q_max], each LSP one binary per pair
+    (``wd_k_i_j_1``: LSP k crosses pair (i, j)), and each pair one grooming
+    row: its riders' Mbps fit in ``C`` times its count (see
+    ``build_working_mpls``, which also omits every pair into a demand's
+    source or out of its destination without changing the optimum value).
+    Every slot-level design maps to a pair-level one at no higher cost, so
+    the relaxation's optimum is a lower bound on the full model's, at any
+    gap. A pair-level solution only says how much each pair carries: a
+    count of n opens slots (i, j, 1..n), and the solution certifies when
+    each pair's riders pack into its open slots and
+    ``route_on_shortest_paths`` finds the routes fit every link. The packed
+    design is then a full design at the relaxation's cost, so it is optimal
+    for the full model. With one slot per pair the relaxation is the
+    slot-level one.
 
     The relaxation also carries the network-loading cut-set rows
-    (Magnanti, Mirchandani & Vachani 1995): at least ``⌈Σ b / C⌉`` open
-    slots out of each router, summed over the demands it sources, and the
-    same into each router over the demands it sinks. Every integer design
-    meets them, since each Mbps leaving a router rides an open slot out of
-    it and a slot carries at most ``C``. So the rows cut only fractional
+    (Magnanti, Mirchandani & Vachani 1995), which likewise use one integer
+    capacity count per edge: at least ``⌈Σ b / C⌉`` open lightpaths out of
+    each router, summed over the demands it sources, and the same into each
+    router over the demands it sinks. Every integer design meets them,
+    since each Mbps leaving a router rides an open lightpath out of it and
+    a lightpath carries at most ``C``. So the rows cut only fractional
     points: the optimum value stays the same, and a certified design is
     still optimal for the full model. Only the LP bound rises.
     """
@@ -799,16 +813,15 @@ def build_integrated_working(
     m = base.model
     index = base.index
     m.name = "integrated-working"
-    slots = _slots(instance, cfg)
     if relaxed:
         routes = shortest_routes(instance.topology)
-        for slot in slots:
+        for slot, name in index.items("wb"):
             hops = len(routes[slot[:2]]) - 1
-            m.add_objective_term(index.get("wb", slot),
-                                 costs.wavelength_cost * hops)
-        _add_node_cut_sets(m, index, slots, instance)
+            m.add_objective_term(name, costs.wavelength_cost * hops)
+        _add_node_cut_sets(m, index, instance)
         return base
 
+    slots = _slots(instance, cfg)
     arcs = instance.topology.directed_arcs()
     nodes = instance.topology.nodes
 

@@ -214,14 +214,17 @@ def _decode_layer(
 ) -> tuple[tuple[LightpathKey, ...], dict[str, tuple[LightpathKey, ...]]]:
     """A solved MPLS layer -> its open slots and each demand's path.
 
-    When the stage also routes its slots over ``route_family``, a closed slot
-    that holds a fiber arc is an error.
+    A slot variable of value n opens slots (i, j, q), ..., (i, j, q + n - 1):
+    a binary opens its own slot, and a router pair's count of n opens
+    (i, j, 1..n). When the stage also routes its slots over
+    ``route_family``, a closed slot that holds a fiber arc is an error.
     """
     open_slots = []
     for slot, name in sm.index.items(slot_family):
-        if _is_one(sol.values, name):
-            open_slots.append(slot)
-        elif route_family is not None:
+        i, j, q = slot
+        count = int(sol.values.get(name, 0))
+        open_slots.extend((i, j, q + p) for p in range(count))
+        if not count and route_family is not None:
             for key, route_name in sm.index.group(route_family, slot):
                 if _is_one(sol.values, route_name):
                     raise DecodeError(

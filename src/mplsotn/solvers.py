@@ -156,6 +156,7 @@ def _solve_embedded(model: MilpModel, *, gap: float,
     variables = model.variables
     res = scipy_milp(
         mps=mps_text(model),
+        shape=_shape(model),
         integral=any(v.kind is not VarKind.CONTINUOUS for v in variables),
         gap=float(gap),
         time_limit=None if time_limit is None else float(time_limit),
@@ -200,6 +201,12 @@ def _solve_embedded(model: MilpModel, *, gap: float,
 
     return Solution(status, float(model.objective_value(snapped)), snapped,
                     achieved, **stats)
+
+
+def _shape(model: MilpModel) -> tuple[int, int, int]:
+    """The columns, rows and row entries ``mps_text`` writes for ``model``."""
+    rows = model.constraints
+    return len(model.variables), len(rows), sum(len(con.terms) for con in rows)
 
 
 _ROW_TYPE = {"<=": "L", ">=": "G", "=": "E"}
@@ -269,8 +276,8 @@ _MILP_STATUS = {"kOptimal": 0, "kTimeLimit": 1, "kIterationLimit": 1,
 _LIMITS = ("kTimeLimit", "kIterationLimit", "kSolutionLimit")
 
 
-def scipy_milp(*, mps: str, integral: bool, gap: float,
-               time_limit: Optional[float] = None) -> HighsResult:
+def scipy_milp(*, mps: str, shape: tuple[int, int, int], integral: bool,
+               gap: float, time_limit: Optional[float] = None) -> HighsResult:
     """Solve the MPS text ``mps_text`` wrote, as ``scipy.optimize.milp`` would.
 
     HiGHS reads the text from a file in a ``mplsotn-*`` temporary directory,
@@ -283,6 +290,11 @@ def scipy_milp(*, mps: str, integral: bool, gap: float,
     purpose: ``milp`` reports HiGHS's ``kModelError`` as infeasible (2),
     but a model HiGHS cannot read is a fault of ours, not a stage without a
     design, so it is 4 and the solve ends ``ERROR``.
+
+    ``shape`` is the columns, rows and row entries the text holds. The
+    reader drops an entry for a row the text never declared without an
+    error, so a read that does not return ``kOk``, or that holds other
+    counts, is a model HiGHS could not read.
     """
     h = _highs
     highs = h._Highs()
@@ -297,10 +309,10 @@ def scipy_milp(*, mps: str, integral: bool, gap: float,
         path = Path(folder) / "model.mps"
         path.write_text(mps)
         read = highs.readModel(str(path))
-    if read == h.HighsStatus.kError:
-        status = h.HighsModelStatus.kModelError
-        return HighsResult(_MILP_STATUS.get(status.name, 4),
-                           highs.modelStatusToString(status))
+    held = (highs.getNumCol(), highs.getNumRow(), highs.getNumNz())
+    if read != h.HighsStatus.kOk or held != shape:
+        return HighsResult(4, f"model error: HiGHS read it with status {read.name}"
+                              f" as {held} columns, rows and entries, not {shape}")
     # HiGHS 1.12 prints some MIP notes from C to fd 1 whatever its output
     # options say; they go to fd 2, so a report on stdout stays clean
     sys.stdout.flush()

@@ -24,6 +24,7 @@ from mplsotn.formulation import (
     shortest_routes,
 )
 from mplsotn.instances import four_node_ring_chord, generate_instance
+from mplsotn.milp import VarKind
 from mplsotn.model import (
     DesignConfig,
     Instance,
@@ -327,6 +328,43 @@ def test_route_free_relaxation_attains_the_full_optimum(name, optimum):
     assert solved(relaxed) == solved(full) == optimum
 
 
+def _ladder_mesh(n: int) -> Instance:
+    return generate_instance("mesh", n, seed=1, demand_count=n,
+                             bandwidth_profile="mixed")
+
+
+# the relaxation's optimum at q_max 1, 2 and 3, as the slot-level form with
+# q_max parallel binaries and slot-symmetry rows per pair solved it; None
+# where it is infeasible (fam-5-s0's three 9 Gbps copies need two slots)
+RELAXED_OPTIMA = {
+    "ring4": (23, 23, 23),
+    "ring4-chord": (20, 20, 20),
+    "ring5-chord": (46, 46, 46),
+    "fam-5-s0": (None, Fraction(971, 5), 167),
+    "mesh10-s1": (218, 218, 218),
+}
+
+
+@pytest.mark.parametrize("q_max", [1, 2, 3])
+@pytest.mark.parametrize("name", sorted(RELAXED_OPTIMA))
+def test_pair_counts_keep_the_relaxed_optimum_of_parallel_slots(name, q_max):
+    inst = (mesh_family(5, 0) if name == "fam-5-s0"
+            else _ladder_mesh(10) if name == "mesh10-s1" else desk(name))
+    cfg = DesignConfig(q_max=q_max)
+    relaxed = build_integrated_working(inst, cfg, default_cost_model(inst),
+                                       relaxed=True)
+    counts = {v.kind for v in relaxed.model.variables
+              if v.name.startswith("wb_")}
+    assert counts == {VarKind.BINARY if q_max == 1 else VarKind.INTEGER}
+    sol = solve(relaxed.model)
+    want = RELAXED_OPTIMA[name][q_max - 1]
+    if want is None:
+        assert sol.status.value == "infeasible"
+    else:
+        assert sol.status.value == "optimal"
+        assert relaxed.model.objective_value(sol.values) == want
+
+
 @pytest.mark.parametrize("name", ["ring4", "ring5-chord", "fam-5-s0"])
 def test_relaxation_omits_lsp_slots_no_simple_path_uses(name):
     inst = mesh_family(5, 0) if name == "fam-5-s0" else desk(name)
@@ -351,18 +389,29 @@ def test_relaxation_grooms_each_router_pair_over_its_parallel_slots(name):
     wb = dict(relaxed.index.items("wb"))
     wd = relaxed.index.items("wd")
     capacity = inst.lightpath_capacity_mbps
+    nodes = inst.topology.nodes
+    # one count of open lightpaths per router pair, keyed by its q = 1 slot
+    assert list(wb) == [(i, j, 1) for i in nodes for j in nodes if i != j]
+    variables = {v.name: v for v in relaxed.model.variables}
+    assert inst.max_parallel_lightpaths == 2
+    assert {(variables[var].kind, variables[var].lower, variables[var].upper)
+            for var in wb.values()} == {(VarKind.INTEGER, 0, 2)}
     expected = set()
-    for (i, j, q), _var in wb.items():
-        if q != 1:
-            continue
+    for (i, j, _q), count in wb.items():
         riders = {(var, d.bandwidth_mbps) for (k, *pair), var in wd
                   for d in [inst.traffic.demands[k]] if pair == [i, j, 1]}
-        carriers = {(var, -capacity) for s, var in wb.items() if s[:2] == (i, j)}
-        assert len(carriers) == inst.max_parallel_lightpaths
-        expected.add(frozenset(riders | carriers))
+        expected.add(frozenset(riders | {(count, -capacity)}))
     rows = [c for c in relaxed.model.constraints if c.tag == "grooming-capacity"]
     assert len(rows) == len(expected)
     assert {frozenset(c.terms) for c in rows if c.sense == "<=" and c.rhs == 0} == expected
+    # a count has no parallel slots to order, and each interface row sums
+    # the counts of the pairs at its router
+    assert "slot-symmetry" not in relaxed.model.tags()
+    ifaces = {c.name: frozenset(c.terms) for c in relaxed.model.constraints
+              if c.tag == "interface-limit"}
+    assert ifaces == {f"ifaces_n{n}": frozenset((var, 1) for s, var in wb.items()
+                                                if n in s[:2])
+                      for n in nodes}
 
 
 @pytest.mark.parametrize("name", ["ring4", "ring5-chord", "fam-5-s0"])

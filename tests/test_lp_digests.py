@@ -6,12 +6,13 @@ and ``mesh_family(5, 0)`` under every option and approach at gap 0; the mesh
 adds the rows the desk instances never build (``pr2``, ``pairnode2`` and the
 shared-restoration ``brsy``/``brscont``/``brsban`` rows). Under
 ``none/integrated`` the pinned ``integrated-working`` is stage I's route-free
-relaxation over router pairs, without the LSP pairs into a demand's source or
-out of its destination and with its node cut-set rows: its LSPs pack into
-their pairs' open slots and its shortest routes fit every link here, so the
-full model is never solved after it. A refactor of the builders leaves every digest
-unchanged; a deliberate change to a formulation updates the pinned values
-below and says why.
+relaxation over router pairs, with one count of open lightpaths per pair,
+without the LSP pairs into a demand's source or out of its destination and
+with its node cut-set rows: its LSPs pack into their pairs' open slots and
+its shortest routes fit every link here, so the full model is never solved
+after it. A refactor of the builders leaves every digest unchanged; a
+deliberate change to a formulation updates the pinned values below and says
+why.
 
 A later stage's model depends on the optimum HiGHS returned for the earlier
 stages, so the pins belong to one solver build (scipy 1.17.1). After a solver
@@ -76,7 +77,7 @@ PINNED = {
     },
     "fam-5-s0/none/integrated": {
         "integrated-working":
-            "4368fc9f33dad15c2c39e0bd30402e51bc8330cb3b922841f14ff2518ac28190",
+            "3364118788fdbe018a064ad69a76a5be1404aabfadd346b85ce04d6451c48ac1",
     },
     "fam-5-s0/none/sequential": {
         "working-mpls":
@@ -146,7 +147,7 @@ PINNED = {
     },
     "ring4-chord/none/integrated": {
         "integrated-working":
-            "f6a8f0c814fdc661fbd175fbb595a9373be531956e3bd297837fb9df11617e8c",
+            "c395e55de44ae60d22a72e652d9f237c290f3d3c95c04aeafa25e63addd565b8",
     },
     "ring4-chord/none/sequential": {
         "working-mpls":
@@ -218,7 +219,7 @@ PINNED = {
     },
     "ring4/none/integrated": {
         "integrated-working":
-            "97a9a0161e9122bb9119305e495afc095c0c8a7649dd6e8d9dab03ba86b5e94c",
+            "a33ca9a21824e14f79c79fbdd0730c5f96574628d8a78e00ea0877825d956269",
     },
     "ring4/none/sequential": {
         "working-mpls":
@@ -290,7 +291,7 @@ PINNED = {
     },
     "ring5-chord/none/integrated": {
         "integrated-working":
-            "3effd5a5c01d7580796ed33d945a5145bdc93f9ee12b0bdb072c59e97b1c8e57",
+            "e480d74690b8e6387ba8d5e3aeb6339136a1bb8a51b61b060f16c778c8e3696a",
     },
     "ring5-chord/none/sequential": {
         "working-mpls":

@@ -200,13 +200,13 @@ def test_integrated_none_falls_back_to_the_full_model_when_a_link_overflows():
     assert relaxed.variables < full.variables
     assert full.objective_exact == design.cost.total
     assert full.time_budget_seconds < cfg.time_limit_seconds
-    # on fam-5-s0 the node cut-set rows lead HiGHS to a relaxed optimum
-    # whose shortest routes fit two wavelengths a link, so it certifies
-    tight0 = _with_wavelengths(support.mesh_family(5, 0), 2)
+    # on fam-6-s0 HiGHS returns a relaxed optimum whose shortest routes fit
+    # two wavelengths a link, so it certifies
+    tight0 = _with_wavelengths(support.mesh_family(6, 0), 2)
     certified0 = run_design(tight0, cfg)
     [trace] = certified0.traces
-    assert trace.variables == relaxed.variables == 144
-    assert certified0.cost.total == trace.objective_exact == Fraction(971, 5)
+    assert relaxed.variables == 124 and trace.variables == 219
+    assert certified0.cost.total == trace.objective_exact == Fraction(996, 5)
     assert not verify_design(tight0, certified0)
 
 
@@ -250,17 +250,18 @@ def test_pair_packing_is_first_fit_decreasing_by_bandwidth_then_index():
 
 
 def test_integrated_none_certifies_the_relaxation_on_a_ladder_mesh():
-    # the 10-node mesh of perfbench's ladder-integrated workload: the pruned
+    # both meshes of perfbench's ladder-integrated workload: the pruned
     # relaxation's shortest routes fit, so the full model is never solved
-    inst = generate_instance("mesh", 10, seed=1, demand_count=10,
-                             bandwidth_profile="mixed")
-    design = run_design(
-        inst, exact_config(Survivability.NONE, approach=Approach.INTEGRATED))
-    [trace] = design.traces
-    assert trace.stage == "integrated-working"
-    assert trace.variables == 910
-    assert design.cost.total == trace.objective_exact == 218
-    assert not verify_design(inst, design)
+    cfg = exact_config(Survivability.NONE, approach=Approach.INTEGRATED)
+    for n, variables, total in ((10, 820, 218), (12, 1464, 266)):
+        inst = generate_instance("mesh", n, seed=1, demand_count=n,
+                                 bandwidth_profile="mixed")
+        design = run_design(inst, cfg)
+        [trace] = design.traces
+        assert trace.stage == "integrated-working"
+        assert trace.variables == variables
+        assert design.cost.total == trace.objective_exact == total
+        assert not verify_design(inst, design)
 
 
 def test_integrated_none_fallback_reports_an_infeasible_full_model():
@@ -546,6 +547,50 @@ def test_decode_route_lenient_tolerates_strays():
         decode_route(sol, sm, "pr", slot)
     # BRS booking rows can leave harmless slack arcs behind
     assert decode_route(sol, sm, "pr", slot, lenient=True) == (1, 3)
+
+
+def _layer(families, values):
+    """A crafted stage model over ``families`` and a solution of ``values``.
+
+    ``families`` maps a family to its keys; ``values`` maps (family, key) to
+    the value the solution gives that variable.
+    """
+    index = VarIndex()
+    for family, keys in families.items():
+        for key in keys:
+            index.add(family, key, f"{family}{len(index.items(family))}")
+    sol = Solution(status=SolveStatus.OPTIMAL, objective=0.0, gap=0.0,
+                   values={index.get(*fk): Fraction(v) for fk, v in values.items()})
+    return StageModel(MilpModel("crafted"), index), sol
+
+
+def test_decode_layer_opens_as_many_slots_as_a_pair_counts():
+    demands = ((0, LspDemand(id="d0", source=1, destination=2,
+                             bandwidth_mbps=1000)),)
+    sm, sol = _layer(
+        {"wb": [(1, 2, 1), (1, 3, 1), (2, 1, 1)], "wd": [(0, 1, 2, 1)]},
+        {("wb", (1, 2, 1)): 2, ("wb", (2, 1, 1)): 1, ("wd", (0, 1, 2, 1)): 1},
+    )
+    slots, paths = pipeline._decode_layer(sol, sm, "wb", "wd", demands)
+    assert slots == ((1, 2, 1), (1, 2, 2), (2, 1, 1))
+    assert paths == {"d0": ((1, 2, 1),)}
+
+
+def test_decode_layer_rejects_a_closed_slot_that_holds_a_fiber_arc():
+    demands = ((0, LspDemand(id="d0", source=1, destination=3,
+                             bandwidth_mbps=1000)),)
+    families = {"wb": [(1, 3, 1), (1, 3, 2)], "wd": [(0, 1, 3, 1)],
+                "wr": [((1, 3, 1), 1, 3), ((1, 3, 2), 1, 3)]}
+    chosen = {("wb", (1, 3, 1)): 1, ("wd", (0, 1, 3, 1)): 1,
+              ("wr", ((1, 3, 1), 1, 3)): 1}
+    sm, sol = _layer(families, chosen)
+    assert pipeline._decode_layer(sol, sm, "wb", "wd", demands,
+                                  route_family="wr") == (
+        ((1, 3, 1),), {"d0": ((1, 3, 1),)})
+    sm, sol = _layer(families, {**chosen, ("wr", ((1, 3, 2), 1, 3)): 1})
+    with pytest.raises(DecodeError,
+                       match=r"closed slot \(1, 3, 2\) occupies fiber arc \(1, 3\)"):
+        pipeline._decode_layer(sol, sm, "wb", "wd", demands, route_family="wr")
 
 
 # -- manifests and serialization --------------------------------------------------

@@ -213,12 +213,31 @@ def assert_highs_reads_per_term_floats(m: MilpModel, monkeypatch, tmp_path):
 def test_no_temporary_directory_outlives_a_solve(outcome, monkeypatch, tmp_path):
     monkeypatch.setattr(tempfile, "tempdir", str(tmp_path))
     if outcome == "read-error":
-        res = solvers.scipy_milp(mps="not an MPS file\n", integral=False, gap=0.0)
+        res = solvers.scipy_milp(mps="not an MPS file\n", shape=(0, 0, 0),
+                                 integral=False, gap=0.0)
         assert res.status == 4 and res.x is None
     else:
         m = knapsack() if outcome == "optimal" else infeasible_model()
         assert solve(m).status.value == outcome
     assert list(tmp_path.iterdir()) == []
+
+
+def test_a_row_entry_the_reader_drops_ends_the_solve():
+    # HiGHS drops the entry for r9, a row ROWS never declared, and reads
+    # the model without an error
+    text = "NAME x\nROWS\n N obj\nCOLUMNS\n c0 r9 1\nENDATA\n"
+    res = solvers.scipy_milp(mps=text, shape=(1, 0, 1), integral=False, gap=0.0)
+    assert res.status == 4 and res.x is None
+    assert "(1, 0, 0)" in res.message
+
+
+def test_every_column_row_and_entry_of_a_stage_model_reaches_highs(
+        ring4_brs_models, monkeypatch):
+    m = ring4_brs_models["lightpath-routing"]
+    sol, kwargs, result = solve_capturing_seam(m, monkeypatch)
+    assert kwargs["shape"] == (len(m.variables), len(m.constraints),
+                               sum(len(c.terms) for c in m.constraints))
+    assert result.status == 0 and sol.status is SolveStatus.OPTIMAL
 
 
 def milp_reference(m: MilpModel, gap: float = 0.0):
