@@ -369,3 +369,33 @@ def test_single_slot_relaxation_digest(name):
                                   default_cost_model(inst), relaxed=True)
     text = write_model(sm.model)
     assert hashlib.sha256(text.encode()).hexdigest() == SINGLE_SLOT_RELAXATION[name]
+
+
+# ``transit_double_count`` keeps each protected LSP's arrival in stage II's
+# objective. No roster key above sets it, so these pin that branch of the
+# stage-II model, sequential and integrated.
+DOUBLE_COUNT = {
+    "fam-5-s0/spare-unprotected/integrated": (
+        "integrated-protection",
+        "3e1696e154b5a9e316aa5b6ce65cd39bb68374f2b78c93d76b3e4d9f1d8ad464"),
+    "fam-5-s0/spare-unprotected/sequential": (
+        "protection-mpls",
+        "6fcf23fe6da25078934b3765e406acd458aef7ccd079ab3375349252fda9be87"),
+    "ring4/single/integrated": (
+        "integrated-protection",
+        "d0441697d07ee305c90ce9522c2c237ed58d770b160abd33a76f27dc765f51ca"),
+    "ring4/single/sequential": (
+        "protection-mpls",
+        "e63b082c745153ad5436c09147b3870d00245e882001557bfbb7827d5c7fdbf4"),
+}
+
+
+@pytest.mark.parametrize("key", sorted(DOUBLE_COUNT))
+def test_double_counted_transit_stage_two_digest(key, tmp_path):
+    name, option, approach = key.split("/")
+    cfg = exact_config(Survivability(option), Approach(approach),
+                       transit_double_count=True)
+    run_design(INSTANCES[name](), cfg, keep_artifacts_dir=tmp_path)
+    stage, digest = DOUBLE_COUNT[key]
+    text = (tmp_path / f"{stage}.lp").read_bytes()
+    assert hashlib.sha256(text).hexdigest() == digest

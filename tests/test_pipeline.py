@@ -180,6 +180,44 @@ def test_integrated_protected_ring4(ring4):
     assert design.cost.total <= sequential.cost.total
 
 
+# (instance, option, approach) -> design totals without and with
+# ``transit_double_count``
+DOUBLE_COUNT_TOTALS = {
+    ("ring4", Survivability.SINGLE_LAYER, Approach.SEQUENTIAL): (46, 54),
+    ("ring4", Survivability.SINGLE_LAYER, Approach.INTEGRATED): (46, 54),
+    ("fam-5-s0", Survivability.MULTI_SPARE_UNPROTECTED, Approach.SEQUENTIAL):
+        (Fraction(1757, 5), Fraction(1813, 5)),
+    ("fam-5-s0", Survivability.MULTI_SPARE_UNPROTECTED, Approach.INTEGRATED):
+        (Fraction(1727, 5), Fraction(1783, 5)),
+}
+
+
+@pytest.mark.parametrize("name,option,approach", sorted(
+    DOUBLE_COUNT_TOTALS, key=lambda c: (c[0], c[1].value, c[2].value)))
+def test_double_counted_transit_adds_stage_two_arrivals(name, option, approach):
+    inst = (support.desk(name) if name == "ring4"
+            else support.mesh_family(5, 0))
+    base = cached_design(inst, exact_config(option, approach))
+    counted = cached_design(
+        inst, exact_config(option, approach, transit_double_count=True))
+    assert (base.cost.total, counted.cost.total) == DOUBLE_COUNT_TOTALS[
+        (name, option, approach)]
+    assert counted.lsp_routes == base.lsp_routes
+    assert counted.logical == base.logical
+    # each protected LSP's arrival at its destination now pays transit once
+    by_id = {d.id: d for d in inst.traffic.demands}
+    price = default_cost_model(inst).transit_cost_per_gbps
+    arrivals = sum(price * by_id[r.demand_id].bandwidth_gbps
+                   for r in counted.lsp_routes if r.protection)
+    assert arrivals > 0
+    stage_one, stage_two = base.traces[:2]
+    assert counted.traces[0].objective_exact == stage_one.objective_exact
+    assert (counted.traces[1].objective_exact
+            == stage_two.objective_exact + arrivals)
+    assert counted.cost.transit == base.cost.transit + arrivals
+    assert verify_design(inst, base) == verify_design(inst, counted) == ()
+
+
 def _with_wavelengths(inst, count):
     return dataclasses.replace(inst, topology=dataclasses.replace(
         inst.topology, wavelengths_per_link=count))
