@@ -24,9 +24,11 @@ family      meaning
 
 The sequential approach solves four of these in order (working MPLS,
 protection MPLS, lightpath routing, lightpath protection); the integrated
-approach merges each MPLS stage with its optical stage. Constraint rows are
-tagged with functional names (``working-flow``, ``grooming-capacity``, ...)
-for kept artifacts and tests.
+approach merges each MPLS stage with its optical stage. One layer builder
+writes the MPLS layer of stages I and II and of both integrated models, under
+the ``WORKING`` or ``PROTECTION`` names, which travel with the model to its
+decoder. Constraint rows are tagged with functional names (``working-flow``,
+``grooming-capacity``, ...) for kept artifacts and tests.
 """
 
 from __future__ import annotations
@@ -34,7 +36,7 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Mapping, Optional, Sequence
+from typing import Iterable, Mapping, NamedTuple, Optional, Sequence
 
 from .milp import MilpModel, VarKind
 from .model import (
@@ -84,10 +86,30 @@ class VarIndex:
         return self._groups.get((family, head), ())
 
 
+class LayerNames(NamedTuple):
+    """An MPLS layer's slot, LSP and route families, row stems and tags."""
+
+    slot: str
+    path: str
+    route: str
+    flow_row: str
+    flow_tag: str
+    groom_row: str
+    groom_tag: str
+    route_row: str
+
+
+WORKING = LayerNames("wb", "wd", "wr", "wflow", "working-flow", "groom",
+                     "grooming-capacity", "lproute")
+PROTECTION = LayerNames("pb", "pd", "sr", "pflow", "protection-flow", "pgroom",
+                        "spare-grooming-capacity", "sproute")
+
+
 @dataclass(frozen=True)
 class StageModel:
     model: MilpModel
     index: VarIndex
+    layer: Optional[LayerNames] = None
 
     @property
     def stage(self) -> str:
@@ -195,33 +217,6 @@ def _slot_name(prefix: str, slot: Slot) -> str:
     return f"{prefix}_{i}_{j}_{q}"
 
 
-def _add_slot_binaries(
-    m: MilpModel,
-    index: VarIndex,
-    family: str,
-    slots: Sequence[Slot],
-    cost: Fraction,
-    occupied: frozenset[Slot] = frozenset(),
-    parallel: int = 1,
-) -> None:
-    """One priced binary per lightpath slot; ``occupied`` slots are barred.
-
-    With ``parallel`` above 1 each slot stands for its router pair, and its
-    variable is an integer in [0, ``parallel``] that counts the pair's open
-    lightpaths, each paying ``cost``.
-    """
-    kind = VarKind.BINARY if parallel == 1 else VarKind.INTEGER
-    for slot in slots:
-        name = m.add_variable(_slot_name(family, slot), kind, 0, parallel)
-        index.add(family, slot, name)
-        m.add_objective_term(name, cost)
-        if slot in occupied:
-            m.add_constraint(
-                _slot_name("slotexcl", slot), [(name, 1)], "<=", 0,
-                tag="slot-exclusive",
-            )
-
-
 def _add_slot_limits(
     m: MilpModel,
     index: VarIndex,
@@ -254,22 +249,6 @@ def _add_slot_limits(
             prev_fixed - this_fixed,
             tag="slot-symmetry",
         )
-
-
-def _add_grooming(
-    m: MilpModel, index: VarIndex, lsp_family: str, slot_family: str,
-    riders: Sequence[tuple[int, LspDemand]], slots: Sequence[Slot],
-    capacity: int, row_prefix: str, tag: str,
-) -> None:
-    """Per slot, the Mbps of the LSPs riding it fit in its open carriers."""
-    for slot in slots:
-        terms = [
-            (name, d.bandwidth_mbps)
-            for k, d in riders
-            if (name := index.get(lsp_family, (k, *slot)))
-        ]
-        terms.append((index.get(slot_family, slot), -capacity))
-        m.add_constraint(_slot_name(row_prefix, slot), terms, "<=", 0, tag=tag)
 
 
 def _add_node_cut_sets(m: MilpModel, index: VarIndex, instance: Instance) -> None:
@@ -466,54 +445,103 @@ def brs_needed_spares(
     return {key: len(slots) for key, slots in out.items()}
 
 
-# -- stage I: working MPLS ----------------------------------------------------
+# -- stages I and II: one MPLS layer ----------------------------------------
 
 
-def build_working_mpls(
-    instance: Instance, cfg: DesignConfig, costs: CostModel,
-    per_pair: bool = False,
+def _build_layer(
+    name: str, instance: Instance, cfg: DesignConfig, costs: CostModel,
+    riders: Sequence[tuple[int, LspDemand]],
+    working_paths: Optional[Mapping[str, tuple[Slot, ...]]] = None,
+    occupied: frozenset[Slot] = frozenset(), subtract_arrival: bool = True,
+    per_pair: bool = False, routed: bool = False,
 ) -> StageModel:
-    """Logical topology plus working LSP routing, MPLS-layer cost only.
+    """Priced lightpath slots, a priced unit flow per rider, grooming rows.
 
-    With ``per_pair`` the model works over router pairs, each keyed by its
-    q = 1 slot: ``wb_i_j_1`` is an integer in [0, q_max] that counts the
-    pair's open lightpaths (a binary when q_max is 1), each LSP gets one
-    binary per pair, ``wd_k_i_j_1``, and each pair one grooming row, its
-    riders' Mbps at most ``C`` times its count. The interface rows sum the
-    counts, and no slot-symmetry rows are needed. A slot-level design with
-    its open slots of each pair first (which the slot-symmetry rows ask for)
-    maps to exactly one count per pair, at the same cost, so the optimum
-    value is unchanged. No LSP gets a pair into its source or out of its
-    destination either. At a non-negative transit price this keeps the
-    optimum value too: a flow using such a pair is a path plus cycles, and
-    dropping the cycles breaks no row and costs nothing.
+    Without ``working_paths`` this is the working layer (``WORKING``). With
+    them it is the protection layer (``PROTECTION``), empty when it has no
+    riders: each rider keeps off its working path's slots and intermediate
+    routers, and the ``occupied`` slots are barred. Each rider's arrival at
+    its destination, which is not transit, is taken off the objective when
+    ``subtract_arrival`` is set. With ``routed`` each slot also gets a
+    physical route that runs exactly when the slot is open.
+
+    With ``per_pair`` the layer works over router pairs, each keyed by its
+    q = 1 slot: the slot variable is an integer in [0, q_max] that counts
+    the pair's open lightpaths (a binary when q_max is 1), each LSP gets one
+    binary per pair, and each pair one grooming row, its riders' Mbps at
+    most ``C`` times its count. The interface rows sum the counts, and no
+    slot-symmetry rows are needed. A slot-level design with its open slots
+    of each pair first (which the slot-symmetry rows ask for) maps to
+    exactly one count per pair, at the same cost, so the optimum value is
+    unchanged. No LSP gets a pair into its source or out of its destination
+    either. At a non-negative transit price this keeps the optimum value
+    too: a flow using such a pair is a path plus cycles, and dropping the
+    cycles breaks no row and costs nothing.
     """
-    m = MilpModel("working-mpls")
+    names = WORKING if working_paths is None else PROTECTION
+    m = MilpModel(name)
     index = VarIndex()
+    if working_paths is not None and not riders:
+        return StageModel(m, index, names)
     slots = _slots(instance, cfg)
     if per_pair:
         slots = tuple(s for s in slots if s[2] == 1)
     nodes = instance.topology.nodes
-    demands = instance.traffic.demands
+    parallel = cfg.effective_q_max(instance) if per_pair else 1
 
-    _add_slot_binaries(m, index, "wb", slots, costs.lightpath_cost,
-                       parallel=cfg.effective_q_max(instance) if per_pair else 1)
-    for k, d in enumerate(demands):
+    for slot in slots:
+        var = m.add_variable(
+            _slot_name(names.slot, slot),
+            VarKind.BINARY if parallel == 1 else VarKind.INTEGER, 0, parallel)
+        index.add(names.slot, slot, var)
+        m.add_objective_term(var, costs.lightpath_cost)
+        if slot in occupied:
+            m.add_constraint(_slot_name("slotexcl", slot), [(var, 1)], "<=",
+                             0, tag="slot-exclusive")
+    for k, d in riders:
         coeff = _transit_coeff(costs, d)
-        _add_flow(m, index, "wd", k, (d.source, d.destination), slots,
-                  nodes, "working-flow", f"wd_{k}", f"wflow_k{k}", cost=coeff,
-                  simple=per_pair)
-        # arrival at the destination is not transit
-        m.add_objective_constant(-coeff)
-    _add_grooming(m, index, "wd", "wb", tuple(enumerate(demands)), slots,
-                  instance.lightpath_capacity_mbps, "groom", "grooming-capacity")
-    _add_slot_limits(m, index, "wb", slots, nodes,
-                     cfg.effective_interfaces(instance))
+        path = working_paths[d.id] if working_paths is not None else ()
+        # barred routers are excluded from both row sides
+        _add_flow(m, index, names.path, k, (d.source, d.destination), slots,
+                  nodes, names.flow_tag, f"{names.path}_{k}",
+                  f"{names.flow_row}_k{k}", cost=coeff,
+                  avoid=frozenset(_intermediates(path)), simple=per_pair)
+        if subtract_arrival:
+            m.add_objective_constant(-coeff)
+        # a protected LSP's two paths never share a lightpath slot
+        for slot in path:
+            var = index.get(names.path, (k, *slot))
+            if var:
+                m.add_constraint(
+                    f"arcdisj_k{k}_{slot[0]}_{slot[1]}_{slot[2]}",
+                    [(var, 1)], "<=", 0, tag="logical-arc-disjoint",
+                )
+    # per slot, the Mbps of the LSPs riding it fit in its open carriers
+    for slot in slots:
+        terms = [(var, d.bandwidth_mbps) for k, d in riders
+                 if (var := index.get(names.path, (k, *slot)))]
+        terms.append((index.get(names.slot, slot),
+                      -instance.lightpath_capacity_mbps))
+        m.add_constraint(_slot_name(names.groom_row, slot), terms, "<=", 0,
+                         tag=names.groom_tag)
+    _add_slot_limits(m, index, names.slot, slots, nodes,
+                     cfg.effective_interfaces(instance), occupied)
+    if routed:
+        arcs = instance.topology.directed_arcs()
+        for slot in slots:
+            _add_route(m, index, names.route, slot, arcs, nodes,
+                       "lightpath-flow", names.route_row,
+                       cost=costs.wavelength_cost,
+                       exists=index.get(names.slot, slot))
+    return StageModel(m, index, names)
 
-    return StageModel(m, index)
 
-
-# -- stage II: protection MPLS ------------------------------------------------
+def build_working_mpls(
+    instance: Instance, cfg: DesignConfig, costs: CostModel
+) -> StageModel:
+    """Logical topology plus working LSP routing, MPLS-layer cost only."""
+    return _build_layer("working-mpls", instance, cfg, costs,
+                        tuple(enumerate(instance.traffic.demands)))
 
 
 def build_protection_mpls(
@@ -530,41 +558,9 @@ def build_protection_mpls(
     slot of their own working path, keep off their working path's
     intermediate routers, and ride spare carriers only.
     """
-    m = MilpModel("protection-mpls")
-    index = VarIndex()
-    if not plan.protected_demands:
-        return StageModel(m, index)
-
-    slots = _slots(instance, cfg)
-    nodes = instance.topology.nodes
-    protected = plan.indexed_demands(instance)
-    occupied = frozenset(work_slots)
-
-    _add_slot_binaries(m, index, "pb", slots, costs.lightpath_cost, occupied)
-    for k, d in protected:
-        coeff = _transit_coeff(costs, d)
-        # barred routers are excluded from both row sides
-        _add_flow(m, index, "pd", k, (d.source, d.destination), slots, nodes,
-                  "protection-flow", f"pd_{k}", f"pflow_k{k}", cost=coeff,
-                  avoid=frozenset(_intermediates(working_paths[d.id])))
-        if not cfg.transit_double_count:
-            m.add_objective_constant(-coeff)
-        # a protected LSP's two paths never share a lightpath slot
-        for slot in working_paths[d.id]:
-            name = index.get("pd", (k, *slot))
-            if name:
-                m.add_constraint(
-                    f"arcdisj_k{k}_{slot[0]}_{slot[1]}_{slot[2]}",
-                    [(name, 1)], "<=", 0, tag="logical-arc-disjoint",
-                )
-
-    _add_grooming(m, index, "pd", "pb", protected, slots,
-                  instance.lightpath_capacity_mbps, "pgroom",
-                  "spare-grooming-capacity")
-    _add_slot_limits(m, index, "pb", slots, nodes,
-                     cfg.effective_interfaces(instance), occupied)
-
-    return StageModel(m, index)
+    return _build_layer("protection-mpls", instance, cfg, costs,
+                        plan.indexed_demands(instance), working_paths,
+                        frozenset(work_slots), not cfg.transit_double_count)
 
 
 # -- stage III: lightpath routing (sequential) --------------------------------
@@ -787,8 +783,8 @@ def build_integrated_working(
     lightpaths, ``wb_i_j_1`` in [0, q_max], each LSP one binary per pair
     (``wd_k_i_j_1``: LSP k crosses pair (i, j)), and each pair one grooming
     row: its riders' Mbps fit in ``C`` times its count (see
-    ``build_working_mpls``, which also omits every pair into a demand's
-    source or out of its destination without changing the optimum value).
+    ``_build_layer``, which also omits every pair into a demand's source or
+    out of its destination without changing the optimum value).
     Every slot-level design maps to a pair-level one at no higher cost, so
     the relaxation's optimum is a lower bound on the full model's, at any
     gap. A pair-level solution only says how much each pair carries: a
@@ -809,10 +805,11 @@ def build_integrated_working(
     points: the optimum value stays the same, and a certified design is
     still optimal for the full model. Only the LP bound rises.
     """
-    base = build_working_mpls(instance, cfg, costs, per_pair=relaxed)
+    base = _build_layer("integrated-working", instance, cfg, costs,
+                        tuple(enumerate(instance.traffic.demands)),
+                        per_pair=relaxed, routed=not relaxed)
     m = base.model
     index = base.index
-    m.name = "integrated-working"
     if relaxed:
         routes = shortest_routes(instance.topology)
         for slot, name in index.items("wb"):
@@ -821,15 +818,7 @@ def build_integrated_working(
         _add_node_cut_sets(m, index, instance)
         return base
 
-    slots = _slots(instance, cfg)
-    arcs = instance.topology.directed_arcs()
-    nodes = instance.topology.nodes
-
-    for slot in slots:
-        _add_route(m, index, "wr", slot, arcs, nodes, "lightpath-flow",
-                   "lproute", cost=costs.wavelength_cost,
-                   exists=index.get("wb", slot))
-
+    slots = [slot for slot, _name in index.items("wb")]
     for link in instance.topology.links:
         m.add_constraint(
             f"wavecap_{link[0]}_{link[1]}", _link_terms(index, "wr", slots, link),
@@ -856,31 +845,22 @@ def build_integrated_protection(
     spare carriers themselves (double protection), and shared-restoration
     wavelength accounting. The working layer is fixed throughout.
     """
-    # graft the MPLS-layer protection model, then add the optical layer
-    base = build_protection_mpls(
-        instance, cfg, costs, plan, work_slots, working_paths
-    )
+    # the routed protection layer, then the optical protection around it
+    protected = plan.indexed_demands(instance)
+    base = _build_layer(
+        "integrated-protection", instance, cfg, costs, protected, working_paths,
+        frozenset(work_slots), not cfg.transit_double_count, routed=True)
     m = base.model
     index = base.index
-    m.name = "integrated-protection"
-    if not plan.protected_demands and not plan.protect_work_carriers:
+    if not protected and not plan.protect_work_carriers:
         return base
 
-    slots = _slots(instance, cfg)
     arcs = instance.topology.directed_arcs()
     nodes = instance.topology.nodes
     links = instance.topology.links
     w_limit = instance.topology.wavelengths_per_link
-    protected = plan.indexed_demands(instance)
     w1 = _link_loads(links, (carrier_routes[s] for s in work_slots))
-
-    spare_capable = [s for s in slots if index.get("pb", s) is not None]
-
-    # spare carriers route iff they exist
-    for slot in spare_capable:
-        _add_route(m, index, "sr", slot, arcs, nodes, "lightpath-flow",
-                   "sproute", cost=costs.wavelength_cost,
-                   exists=index.get("pb", slot))
+    spare_capable = [slot for slot, _name in index.items("pb")]
 
     # physical disjointness between each demand's working path and the spare
     # carriers its protection LSP rides, conditioned on the riding decision

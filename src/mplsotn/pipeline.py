@@ -4,10 +4,11 @@ The sequential approach chains two to four models, each consuming the decoded
 results of the previous one. The integrated approach merges each MPLS stage
 with its optical counterpart. Decoding is strict: a solution that does not
 describe simple paths is reported as an error, never patched up. The one
-exception is optical protection routes under shared restoration, where the
-solver may legally return zero-cost cycle slack; those arcs are discarded
-(dropping them can only relax wavelength usage, and an accounting check below
-still ties the final design back to the stage objectives).
+exception is optical protection routes (``pr`` under every multilayer option,
+``pr2`` under integrated ``double``), which decode leniently: arcs left over
+once a route reaches its end are discarded. Dropping them can only relax
+wavelength usage, and ``_check_accounting`` still bounds the design's total
+by the stage objectives.
 """
 
 from __future__ import annotations
@@ -205,33 +206,29 @@ def _decode_routes(
 
 
 def _decode_layer(
-    sol: Solution,
-    sm: StageModel,
-    slot_family: str,
-    path_family: str,
-    demands: Sequence[tuple[int, LspDemand]],
-    route_family: Optional[str] = None,
+    sol: Solution, sm: StageModel, demands: Sequence[tuple[int, LspDemand]],
 ) -> tuple[tuple[LightpathKey, ...], dict[str, tuple[LightpathKey, ...]]]:
     """A solved MPLS layer -> its open slots and each demand's path.
 
     A slot variable of value n opens slots (i, j, q), ..., (i, j, q + n - 1):
     a binary opens its own slot, and a router pair's count of n opens
-    (i, j, 1..n). When the stage also routes its slots over
-    ``route_family``, a closed slot that holds a fiber arc is an error.
+    (i, j, 1..n). A closed slot that holds an arc of the layer's route
+    family is an error; a layer without routes has no such arcs.
     """
+    layer = sm.layer
     open_slots = []
-    for slot, name in sm.index.items(slot_family):
+    for slot, name in sm.index.items(layer.slot):
         i, j, q = slot
         count = int(sol.values.get(name, 0))
         open_slots.extend((i, j, q + p) for p in range(count))
-        if not count and route_family is not None:
-            for key, route_name in sm.index.group(route_family, slot):
+        if not count:
+            for key, route_name in sm.index.group(layer.route, slot):
                 if _is_one(sol.values, route_name):
                     raise DecodeError(
                         f"{sm.stage}: closed slot {slot} occupies fiber arc {key[1:]}"
                     )
     paths = {
-        d.id: decode_slot_path(sol, sm, path_family, k, d.source, d.destination)
+        d.id: decode_slot_path(sol, sm, layer.path, k, d.source, d.destination)
         for k, d in demands
     }
     return tuple(sorted(open_slots)), paths
@@ -434,7 +431,7 @@ def _run_sequential(
 ) -> Design:
     demands = tuple(enumerate(instance.traffic.demands))
     sm = build_working_mpls(instance, cfg, cost_model)
-    work_slots, working_paths = _decode_layer(stage(sm), sm, "wb", "wd", demands)
+    work_slots, working_paths = _decode_layer(stage(sm), sm, demands)
 
     plan = compute_protection_plan(instance, cfg, working_paths)
     spare_slots: tuple[LightpathKey, ...] = ()
@@ -443,11 +440,8 @@ def _run_sequential(
         sm = build_protection_mpls(
             instance, cfg, cost_model, plan, work_slots, working_paths
         )
-        sol = stage(sm)
-        protected = plan.indexed_demands(instance)
         spare_slots, protection_paths = _decode_layer(
-            sol, sm, "pb", "pd", protected
-        )
+            stage(sm), sm, plan.indexed_demands(instance))
 
     sm = build_lightpath_routing_seq(
         instance, cost_model, work_slots, spare_slots,
@@ -499,9 +493,7 @@ def _run_integrated(
     budget = None
     if cfg.survivability is Survivability.NONE:
         sm = build_integrated_working(instance, cfg, cost_model, relaxed=True)
-        work_slots, pair_paths = _decode_layer(
-            stage(sm), sm, "wb", "wd", demands
-        )
+        work_slots, pair_paths = _decode_layer(stage(sm), sm, demands)
         working_paths = _pack_pairs(demands, work_slots, pair_paths,
                                     instance.lightpath_capacity_mbps)
         if working_paths is not None:
@@ -514,9 +506,7 @@ def _run_integrated(
     if carrier_routes is None:
         sm = build_integrated_working(instance, cfg, cost_model)
         sol = stage(sm, budget)
-        work_slots, working_paths = _decode_layer(
-            sol, sm, "wb", "wd", demands, route_family="wr"
-        )
+        work_slots, working_paths = _decode_layer(sol, sm, demands)
         carrier_routes = _decode_routes(sol, sm, "wr", work_slots)
 
     spare_slots: tuple[LightpathKey, ...] = ()
@@ -529,10 +519,8 @@ def _run_integrated(
             carrier_routes,
         )
         sol = stage(sm)
-        protected = plan.indexed_demands(instance)
         spare_slots, protection_paths = _decode_layer(
-            sol, sm, "pb", "pd", protected, route_family="sr"
-        )
+            sol, sm, plan.indexed_demands(instance))
         carrier_routes.update(_decode_routes(sol, sm, "sr", spare_slots))
         protection_routes = _decode_routes(
             sol, sm, "pr", plan.protected_carriers(work_slots, ()), lenient=True

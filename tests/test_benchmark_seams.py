@@ -15,7 +15,7 @@ from pathlib import Path
 
 import pytest
 
-from mplsotn import Survivability, pipeline
+from mplsotn import Approach, Survivability, pipeline
 
 from support import desk, exact_config
 
@@ -55,3 +55,14 @@ def test_a_traced_run_solves_and_decodes_through_the_wrapped_seams(tracing):
     assert nodes == [t.node_count for t in design.traces
                      if t.stage != "protection-mpls"]
     assert sum(nodes) > 0
+
+
+def test_a_traced_integrated_run_files_each_layer_under_its_stage(tracing):
+    tracer = tracing.Tracer()
+    with tracer.installed():
+        pipeline.run_design(desk("ring4"), exact_config(
+            Survivability.MULTI_DOUBLE, Approach.INTEGRATED))
+    # a model built under another stage's name would misfile its metrics
+    for span_name in ("formulation.build", "solvers.solve"):
+        assert [s.stage for s in tracer.spans if s.name == span_name] == [
+            "integrated-working", "integrated-protection"]

@@ -33,7 +33,7 @@ from mplsotn.model import (
     Survivability,
     TrafficMatrix,
 )
-from mplsotn.pipeline import default_cost_model
+from mplsotn.pipeline import _decode_layer, default_cost_model
 from mplsotn.solvers import solve
 
 from support import desk, mesh_family
@@ -168,6 +168,8 @@ def test_protection_stage_empty_when_nothing_to_protect(ring4):
     assert sm.model.variables == ()
     sol = solve(sm.model)
     assert sol.solver_name == "trivial" and sol.objective == 0.0
+    # and decodes to no spare slots and no protection paths
+    assert _decode_layer(sol, sm, plan.indexed_demands(ring4)) == ((), {})
 
 
 def test_routing_stage_pair_rows_follow_option(ring4):

@@ -13,7 +13,12 @@ import pytest
 
 from mplsotn import pipeline, solvers
 from mplsotn.evaluate import verify_design
-from mplsotn.formulation import StageModel, VarIndex, build_integrated_working
+from mplsotn.formulation import (
+    WORKING,
+    StageModel,
+    VarIndex,
+    build_integrated_working,
+)
 from mplsotn.instances import generate_instance
 from mplsotn.milp import MilpModel, Solution, SolveStatus, VarKind
 from mplsotn.model import (
@@ -588,7 +593,7 @@ def test_decode_route_lenient_tolerates_strays():
 
 
 def _layer(families, values):
-    """A crafted stage model over ``families`` and a solution of ``values``.
+    """A crafted working layer over ``families`` and a solution of ``values``.
 
     ``families`` maps a family to its keys; ``values`` maps (family, key) to
     the value the solution gives that variable.
@@ -599,7 +604,7 @@ def _layer(families, values):
             index.add(family, key, f"{family}{len(index.items(family))}")
     sol = Solution(status=SolveStatus.OPTIMAL, objective=0.0, gap=0.0,
                    values={index.get(*fk): Fraction(v) for fk, v in values.items()})
-    return StageModel(MilpModel("crafted"), index), sol
+    return StageModel(MilpModel("crafted"), index, WORKING), sol
 
 
 def test_decode_layer_opens_as_many_slots_as_a_pair_counts():
@@ -609,7 +614,7 @@ def test_decode_layer_opens_as_many_slots_as_a_pair_counts():
         {"wb": [(1, 2, 1), (1, 3, 1), (2, 1, 1)], "wd": [(0, 1, 2, 1)]},
         {("wb", (1, 2, 1)): 2, ("wb", (2, 1, 1)): 1, ("wd", (0, 1, 2, 1)): 1},
     )
-    slots, paths = pipeline._decode_layer(sol, sm, "wb", "wd", demands)
+    slots, paths = pipeline._decode_layer(sol, sm, demands)
     assert slots == ((1, 2, 1), (1, 2, 2), (2, 1, 1))
     assert paths == {"d0": ((1, 2, 1),)}
 
@@ -622,13 +627,12 @@ def test_decode_layer_rejects_a_closed_slot_that_holds_a_fiber_arc():
     chosen = {("wb", (1, 3, 1)): 1, ("wd", (0, 1, 3, 1)): 1,
               ("wr", ((1, 3, 1), 1, 3)): 1}
     sm, sol = _layer(families, chosen)
-    assert pipeline._decode_layer(sol, sm, "wb", "wd", demands,
-                                  route_family="wr") == (
+    assert pipeline._decode_layer(sol, sm, demands) == (
         ((1, 3, 1),), {"d0": ((1, 3, 1),)})
     sm, sol = _layer(families, {**chosen, ("wr", ((1, 3, 2), 1, 3)): 1})
     with pytest.raises(DecodeError,
                        match=r"closed slot \(1, 3, 2\) occupies fiber arc \(1, 3\)"):
-        pipeline._decode_layer(sol, sm, "wb", "wd", demands, route_family="wr")
+        pipeline._decode_layer(sol, sm, demands)
 
 
 # -- manifests and serialization --------------------------------------------------
