@@ -278,7 +278,8 @@ class SolveMemo:
 
     ``run_design(..., shared=memo)`` looks each stage model up before solving
     it. The key is the whole model (name, variables, rows, objective) plus the
-    gap, so a hit is an equal model. A stored solution is reused only when
+    gap and the feasibility-jump switch, so a hit is an equal model solved
+    the same way. A stored solution is reused only when
     its status does not depend on the time limit and its solve fits the
     caller's stage budget; otherwise the caller solves the model itself and
     the first solution stays stored. A hit still writes the caller's kept
@@ -289,17 +290,17 @@ class SolveMemo:
         self._solutions: dict[tuple, Solution] = {}
 
     def solve(self, sm: StageModel, gap: float, budget: float,
-              keep_dir: Optional[Path]) -> Solution:
+              keep_dir: Optional[Path], feasibility_jump: bool = True) -> Solution:
         m = sm.model
         key = (m.name, m.variables, m.constraints, m.objective_terms,
-               m.objective_constant, gap)
+               m.objective_constant, gap, feasibility_jump)
         sol = self._solutions.get(key)
         if (sol is not None and sol.status in _SETTLED
                 and sol.wall_seconds <= budget):
             keep_artifacts(m, sol, keep_dir, sm.stage)
             return sol
         sol = solve(m, gap=gap, time_limit=budget, keep_dir=keep_dir,
-                    stage=sm.stage)
+                    stage=sm.stage, feasibility_jump=feasibility_jump)
         self._solutions.setdefault(key, sol)
         return sol
 
@@ -311,11 +312,13 @@ def _run_stage(
     keep_dir: Optional[Path],
     shared: Optional[SolveMemo],
     traces: list[StageTrace],
+    feasibility_jump: bool = True,
 ) -> Solution:
     gap = cfg.optimality_gap
-    sol = (shared.solve(sm, gap, budget, keep_dir) if shared is not None
+    sol = (shared.solve(sm, gap, budget, keep_dir, feasibility_jump)
+           if shared is not None
            else solve(sm.model, gap=gap, time_limit=budget, keep_dir=keep_dir,
-                      stage=sm.stage))
+                      stage=sm.stage, feasibility_jump=feasibility_jump))
     exact = sm.model.objective_value(sol.values) if sol.status.has_solution else None
     traces.append(StageTrace(
         stage=sm.stage,
@@ -487,13 +490,21 @@ def _run_integrated(
     full model; at a nonzero gap the reported gap is against that bound, so
     it overstates the true gap. Otherwise the full model is solved with what
     is left of the stage budget, and its trace replaces the relaxation's.
+
+    HiGHS solves the relaxation without its feasibility-jump heuristic, whose
+    incumbents on these models are far above the optimum and which costs
+    about a third of the solve. Which optimal point the search returns
+    decides only whether the certificate holds, never the total: the bound
+    is the relaxation's optimum either way, and a miss falls back to the
+    full model. Every other model is solved with ``milp``'s options.
     """
     demands = tuple(enumerate(instance.traffic.demands))
     carrier_routes = None
     budget = None
     if cfg.survivability is Survivability.NONE:
         sm = build_integrated_working(instance, cfg, cost_model, relaxed=True)
-        work_slots, pair_paths = _decode_layer(stage(sm), sm, demands)
+        sol = stage(sm, feasibility_jump=False)
+        work_slots, pair_paths = _decode_layer(sol, sm, demands)
         working_paths = _pack_pairs(demands, work_slots, pair_paths,
                                     instance.lightpath_capacity_mbps)
         if working_paths is not None:
@@ -547,10 +558,12 @@ def _run(
 ) -> Design:
     traces: list[StageTrace] = []
 
-    def stage(sm: StageModel, budget: Optional[float] = None) -> Solution:
+    def stage(sm: StageModel, budget: Optional[float] = None,
+              feasibility_jump: bool = True) -> Solution:
         if budget is None:
             budget = budgets[sm.stage]
-        return _run_stage(sm, cfg, budget, keep_dir, shared, traces)
+        return _run_stage(sm, cfg, budget, keep_dir, shared, traces,
+                          feasibility_jump)
 
     runner = (_run_integrated if cfg.approach is Approach.INTEGRATED
               else _run_sequential)

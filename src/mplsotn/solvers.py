@@ -23,7 +23,11 @@ binding's ``HighsLp``, takes its costs only as an array of that library.
 ``mps_text`` keeps the model's column and row order and writes every number
 so that it parses to the float ``scipy.optimize.milp`` would hand HiGHS, so
 HiGHS holds the same LP and runs the same search. ``scipy_milp`` sets
-``milp``'s options and reads the result back in ``milp``'s terms.
+``milp``'s options and reads the result back in ``milp``'s terms. The one
+exception is the integrated relaxation, which HiGHS solves without its
+feasibility-jump heuristic: the design reads that model only through a
+certificate whose value is the relaxation's optimum, the same whichever
+optimal point the search returns (see ``scipy_milp``).
 
 The binding is loaded when this module loads. Without scipy or the binding
 no solve can run, and every solve reports ``NO_SOLVER`` instead of the
@@ -118,8 +122,13 @@ OPTIMAL_GAP_EPSILON = 1e-9
 def solve(model: MilpModel, *, gap: float = 0.0,
           time_limit: Optional[float] = None,
           keep_dir: Optional[Path] = None,
-          stage: str = "model") -> Solution:
-    """Solve ``model``; with ``keep_dir``, keep its files there under ``stage``."""
+          stage: str = "model",
+          feasibility_jump: bool = True) -> Solution:
+    """Solve ``model``; with ``keep_dir``, keep its files there under ``stage``.
+
+    ``feasibility_jump=False`` turns off the primal heuristic HiGHS runs
+    before the root LP (see ``scipy_milp``).
+    """
     start = time.perf_counter()
     if not model.variables:
         # nothing to decide; the objective is its constant
@@ -128,7 +137,8 @@ def solve(model: MilpModel, *, gap: float = 0.0,
     else:
         sol = (Solution(SolveStatus.NO_SOLVER, message=_NO_SCIPY)
                if scipy_milp is None
-               else _solve_embedded(model, gap=gap, time_limit=time_limit))
+               else _solve_embedded(model, gap=gap, time_limit=time_limit,
+                                    feasibility_jump=feasibility_jump))
         sol = replace(sol, wall_seconds=time.perf_counter() - start)
         bad = check_solution(model, sol.values) if sol.status.has_solution else []
         if bad:
@@ -152,7 +162,8 @@ def keep_artifacts(model: MilpModel, sol: Solution, directory: Optional[Path],
 
 
 def _solve_embedded(model: MilpModel, *, gap: float,
-                    time_limit: Optional[float]) -> Solution:
+                    time_limit: Optional[float],
+                    feasibility_jump: bool) -> Solution:
     variables = model.variables
     res = scipy_milp(
         mps=mps_text(model),
@@ -160,6 +171,7 @@ def _solve_embedded(model: MilpModel, *, gap: float,
         integral=any(v.kind is not VarKind.CONTINUOUS for v in variables),
         gap=float(gap),
         time_limit=None if time_limit is None else float(time_limit),
+        feasibility_jump=feasibility_jump,
     )
 
     # search statistics ride on every outcome, the failed ones included;
@@ -277,7 +289,8 @@ _LIMITS = ("kTimeLimit", "kIterationLimit", "kSolutionLimit")
 
 
 def scipy_milp(*, mps: str, shape: tuple[int, int, int], integral: bool,
-               gap: float, time_limit: Optional[float] = None) -> HighsResult:
+               gap: float, time_limit: Optional[float] = None,
+               feasibility_jump: bool = True) -> HighsResult:
     """Solve the MPS text ``mps_text`` wrote, as ``scipy.optimize.milp`` would.
 
     HiGHS reads the text from a file in a ``mplsotn-*`` temporary directory,
@@ -285,7 +298,15 @@ def scipy_milp(*, mps: str, shape: tuple[int, int, int], integral: bool,
     off, ``mip_rel_gap`` and the time limit) and the reading of the result
     are those of ``milp``, so HiGHS runs the same search and every answer
     matches ``milp``'s bit for bit. ``integral`` says whether some column is
-    integer. ``x`` is None wherever ``milp`` returns none, and the search
+    integer.
+
+    The one exception is ``feasibility_jump=False``, which turns off the
+    heuristic HiGHS runs before the root LP and so changes the search. Only
+    the integrated relaxation sets it: the design reads that model only
+    through its certificate (the LSPs pack and the shortest routes fit),
+    whose value, the relaxation's optimum, belongs to the instance. Which
+    optimum HiGHS returns decides only whether the run falls back to the
+    full model, never the total. ``x`` is None wherever ``milp`` returns none, and the search
     statistics ride only on a MILP with a point. One status differs on
     purpose: ``milp`` reports HiGHS's ``kModelError`` as infeasible (2),
     but a model HiGHS cannot read is a fault of ours, not a stage without a
@@ -301,6 +322,8 @@ def scipy_milp(*, mps: str, shape: tuple[int, int, int], integral: bool,
     options = {"log_to_console": False, "mip_rel_gap": gap}
     if time_limit is not None:
         options["time_limit"] = time_limit
+    if not feasibility_jump:
+        options["mip_heuristic_run_feasibility_jump"] = False
     for key, val in options.items():
         if highs.setOptionValue(key, val) != h.HighsStatus.kOk:
             raise ValueError(f"HiGHS rejects option {key}={val!r}")

@@ -25,6 +25,7 @@ import pytest
 
 from support import OPTIONS, desk, exact_config, mesh_family
 
+from mplsotn import solvers
 from mplsotn.formulation import build_integrated_working
 from mplsotn.milp import write_model
 from mplsotn.model import Approach, DesignConfig, Survivability
@@ -352,6 +353,33 @@ def test_stage_lp_digests(key, tmp_path):
         for p in tmp_path.glob("*.lp")
     }
     assert digests == PINNED[key]
+
+
+# The MPS text of every model HiGHS reads over the roster, in roster order
+# and solve order within a design: the LP pins above cover what the builders
+# emit, this one what reaches HiGHS, so a change to any byte it reads (the
+# number printer, the column order, a bound) fails here too.
+ROSTER_MPS = (
+    "244271c5584af38b9ba33b6976afff9ae3c640c9e4087873c598646adb4f9700")
+
+
+def test_roster_mps_digest(monkeypatch):
+    digest = hashlib.sha256()
+    scipy_milp = solvers.scipy_milp
+
+    def recording(**kwargs):
+        digest.update(kwargs["mps"].encode())
+        return scipy_milp(**kwargs)
+
+    monkeypatch.setattr(solvers, "scipy_milp", recording)
+    for key in sorted(PINNED):
+        name, option, approach = key.split("/")
+        try:
+            run_design(INSTANCES[name](),
+                       exact_config(Survivability(option), Approach(approach)))
+        except (StageInfeasibleError, DecodeError):
+            pass
+    assert digest.hexdigest() == ROSTER_MPS
 
 
 # With one slot per router pair the pair-level relaxation and the slot-level

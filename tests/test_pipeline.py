@@ -253,11 +253,9 @@ def test_integrated_none_falls_back_to_the_full_model_when_a_link_overflows():
     assert not verify_design(tight0, certified0)
 
 
-def test_integrated_none_falls_back_when_a_pair_does_not_pack():
-    # three 6 Gbps LSPs fill two 10 Gbps slots of pair (1, 2) in the pair
-    # relaxation, but no two of them share a slot: the pair bound lies below
-    # the full optimum, and the full model runs
-    inst = Instance(
+def _three_sixes() -> Instance:
+    """Ring4 with three 6 Gbps LSPs 1 -> 2, whose pair relaxation cannot pack."""
+    return Instance(
         name="ring4-three-sixes",
         topology=PhysicalTopology(nodes=(1, 2, 3, 4),
                                   links=((1, 2), (2, 3), (3, 4), (1, 4))),
@@ -266,6 +264,13 @@ def test_integrated_none_falls_back_when_a_pair_does_not_pack():
             for k in (1, 2, 3))),
         max_parallel_lightpaths=2,
     )
+
+
+def test_integrated_none_falls_back_when_a_pair_does_not_pack():
+    # three 6 Gbps LSPs fill two 10 Gbps slots of pair (1, 2) in the pair
+    # relaxation, but no two of them share a slot: the pair bound lies below
+    # the full optimum, and the full model runs
+    inst = _three_sixes()
     cfg = exact_config(Survivability.NONE, approach=Approach.INTEGRATED)
     costs = default_cost_model(inst)
     relaxed = build_integrated_working(inst, cfg, costs, relaxed=True)
@@ -347,6 +352,49 @@ class _SeededHighs:
         highs = self._core._Highs()
         highs.setOptionValue("random_seed", self._seed)
         return highs
+
+
+class _RecordingHighs:
+    """scipy's HiGHS binding, recording the options each solver is given."""
+
+    def __init__(self, core):
+        self._core = core
+        self.options: list[dict] = []
+
+    def __getattr__(self, name):
+        return getattr(self._core, name)
+
+    def _Highs(self):
+        highs, options = self._core._Highs(), {}
+        self.options.append(options)
+
+        class Recorded:
+            def __getattr__(self, name):
+                return getattr(highs, name)
+
+            def setOptionValue(self, key, value):
+                options[key] = value
+                return highs.setOptionValue(key, value)
+
+        return Recorded()
+
+
+JUMP = "mip_heuristic_run_feasibility_jump"
+
+
+def test_only_the_integrated_relaxation_runs_without_feasibility_jump(
+        monkeypatch):
+    recording = _RecordingHighs(solvers._highs)
+    monkeypatch.setattr(solvers, "_highs", recording)
+    integrated = exact_config(Survivability.NONE, approach=Approach.INTEGRATED)
+    # ring4 certifies its relaxation, the one solve; three 6 Gbps LSPs do
+    # not, and the full model follows; sequential brs solves three models
+    run_design(support.desk("ring4"), integrated)
+    run_design(_three_sixes(), integrated)
+    run_design(support.desk("ring4"),
+               exact_config(Survivability.MULTI_INTERLAYER_BRS))
+    assert [o.get(JUMP, True) for o in recording.options] == [
+        False, False, True, True, True, True]
 
 
 def test_sequential_brs_decodes_at_another_highs_seed(monkeypatch):
