@@ -1,10 +1,11 @@
 """Solver-agnostic mixed-integer linear models.
 
 A model is an ordered collection of named variables, tagged linear
-constraints, and a minimization objective with an affine constant. Models are
-written to LP-format text, which any LP-reading solver accepts; the writer is
-deterministic (variables and rows appear in insertion order) so identical
-builds yield byte-identical files.
+constraints, and a minimization objective with an affine constant. Every
+number in it is exact: an ``int`` where it is whole, a ``Fraction`` otherwise
+(``Rational``). Models are written to LP-format text, which any LP-reading
+solver accepts; the writer is deterministic (variables and rows appear in
+insertion order) so identical builds yield byte-identical files.
 """
 
 from __future__ import annotations
@@ -43,44 +44,41 @@ class SolveStatus(enum.Enum):
         )
 
 
-# Fractions are immutable, so every small int coefficient, bound and snapped
-# value can share one object instead of allocating its own.
-_SMALL_INT_LIMIT = 256
-_SMALL_INTS = tuple(Fraction(i) for i in range(-_SMALL_INT_LIMIT, _SMALL_INT_LIMIT + 1))
-_ZERO = _SMALL_INTS[_SMALL_INT_LIMIT]
-_ONE = _SMALL_INTS[_SMALL_INT_LIMIT + 1]
+# An exact number of a model: whole ones are ints, whose arithmetic, hashing
+# and comparisons cost a fraction of a Fraction's.
+Rational = int | Fraction
 
 
-def as_fraction(x) -> Fraction:
-    # ints first: isinstance(x, Fraction) on a non-Fraction goes through the
-    # numbers ABC machinery, which costs more than the rest of this function
-    if isinstance(x, int):
-        if -_SMALL_INT_LIMIT <= x <= _SMALL_INT_LIMIT:
-            return _SMALL_INTS[x + _SMALL_INT_LIMIT]
-        return Fraction(x)
-    if isinstance(x, Fraction):
+def as_fraction(x) -> Rational:
+    """``x`` as an exact number: an ``int`` if it is whole, else a ``Fraction``."""
+    # exact types first: isinstance(x, Fraction) on another type goes through
+    # the numbers ABC machinery, which costs more than the rest of this
+    if type(x) is int:
         return x
-    if isinstance(x, float):
-        return Fraction(x).limit_denominator(10**12)
-    if isinstance(x, str):
-        return Fraction(x)
-    raise TypeError(f"cannot coerce {x!r} to a rational coefficient")
+    if type(x) is not Fraction:
+        if isinstance(x, float):
+            x = Fraction(x).limit_denominator(10**12)
+        elif isinstance(x, (int, str, Fraction)):
+            x = Fraction(x)
+        else:
+            raise TypeError(f"cannot coerce {x!r} to a rational coefficient")
+    return x.numerator if x.denominator == 1 else x
 
 
 @dataclass(frozen=True)
 class Variable:
     name: str
     kind: VarKind
-    lower: Fraction
-    upper: Fraction
+    lower: Rational
+    upper: Rational
 
 
 @dataclass(frozen=True)
 class Constraint:
     name: str
-    terms: tuple[tuple[str, Fraction], ...]
+    terms: tuple[tuple[str, Rational], ...]
     sense: str  # one of "<=", ">=", "="
-    rhs: Fraction
+    rhs: Rational
     tag: str = ""
 
 
@@ -96,8 +94,8 @@ class MilpModel:
         self._vars: dict[str, Variable] = {}
         self._constraints: list[Constraint] = []
         self._constraint_names: set[str] = set()
-        self._objective: dict[str, Fraction] = {}
-        self.objective_constant: Fraction = _ZERO
+        self._objective: dict[str, Rational] = {}
+        self.objective_constant: Rational = 0
 
     # -- variables ---------------------------------------------------------
 
@@ -108,13 +106,10 @@ class MilpModel:
         if name in self._vars:
             raise ModelError(f"variable {name!r} already defined")
         lo, hi = as_fraction(lower), as_fraction(upper)
-        # nearly every variable lies in [0, 1], given as the shared 0 and 1,
-        # which fit every kind; other bounds pay the Fraction comparisons
-        if lo is not _ZERO or hi is not _ONE:
-            if lo > hi:
-                raise ModelError(f"variable {name!r}: lower {lo} > upper {hi}")
-            if kind is VarKind.BINARY and (lo < 0 or hi > 1):
-                raise ModelError(f"binary variable {name!r} must live in [0, 1]")
+        if lo > hi:
+            raise ModelError(f"variable {name!r}: lower {lo} > upper {hi}")
+        if kind is VarKind.BINARY and (lo < 0 or hi > 1):
+            raise ModelError(f"binary variable {name!r} must live in [0, 1]")
         self._vars[name] = Variable(name, kind, lo, hi)
         return name
 
@@ -132,7 +127,7 @@ class MilpModel:
             raise ModelError(f"constraint {name!r} already defined")
         if not _NAME_RE.match(name):
             raise ModelError(f"constraint name {name!r} is not LP-safe")
-        folded: dict[str, Fraction] = {}
+        folded: dict[str, Rational] = {}
         repeated = False
         for var, coeff in terms:
             if var not in self._vars:
@@ -166,17 +161,20 @@ class MilpModel:
         self.objective_constant += as_fraction(value)
 
     @property
-    def objective_terms(self) -> tuple[tuple[str, Fraction], ...]:
+    def objective_terms(self) -> tuple[tuple[str, Rational], ...]:
         return tuple((v, c) for v, c in self._objective.items() if c != 0)
 
-    def objective_value(self, values: Mapping[str, Fraction]) -> Fraction:
-        """Exact objective; variables missing from ``values`` count as zero."""
+    def objective_value(self, values: Mapping[str, Rational]) -> Fraction:
+        """Exact objective, a ``Fraction`` even where whole.
+
+        Variables missing from ``values`` count as zero.
+        """
         total = self.objective_constant
         for var, coeff in self._objective.items():
             x = values.get(var)
             if x:
                 total += coeff * x
-        return total
+        return Fraction(total)
 
     def tags(self) -> tuple[str, ...]:
         return tuple(sorted({c.tag for c in self._constraints if c.tag}))
@@ -194,7 +192,7 @@ class MilpModel:
 # -- LP text ----------------------------------------------------------------
 
 
-def format_coefficient(c: Fraction) -> str:
+def format_coefficient(c: Rational) -> str:
     """Exact decimal if the fraction terminates, else ``repr`` of its float."""
     n, d = c.numerator, c.denominator
     if d == 1:
@@ -208,7 +206,7 @@ def format_coefficient(c: Fraction) -> str:
     return f"{'-' if n < 0 else ''}{whole}.{frac:0{k}d}"
 
 
-def _terms_text(terms: Sequence[tuple[str, Fraction]]) -> str:
+def _terms_text(terms: Sequence[tuple[str, Rational]]) -> str:
     if not terms:
         return "0 __zero__"
     chunks: list[str] = []
@@ -260,7 +258,7 @@ def write_model(m: MilpModel) -> str:
 class Solution:
     status: SolveStatus
     objective: Optional[float] = None
-    values: Mapping[str, Fraction] = field(default_factory=dict)
+    values: Mapping[str, Rational] = field(default_factory=dict)
     gap: Optional[float] = None
     wall_seconds: float = 0.0
     solver_name: str = ""
@@ -278,9 +276,10 @@ FEASIBILITY_TOLERANCE = 1e-6
 def snap_values(m: MilpModel, raw: Mapping[str, float]) -> tuple[dict, list[str]]:
     """Round integer variables within tolerance; report ones that will not snap.
 
-    Missing variables default to zero.
+    An integer or binary variable snaps to an ``int``, a continuous one to
+    ``as_fraction`` of its value. Missing variables default to zero.
     """
-    snapped: dict[str, Fraction] = {}
+    snapped: dict[str, Rational] = {}
     problems: list[str] = []
     for v in m.variables:
         x = raw.get(v.name, 0.0)
@@ -289,15 +288,15 @@ def snap_values(m: MilpModel, raw: Mapping[str, float]) -> tuple[dict, list[str]
             if abs(x - nearest) > INTEGRALITY_TOLERANCE:
                 problems.append(f"{v.name}={x!r} is not integral")
                 continue
-            snapped[v.name] = as_fraction(int(nearest))
+            snapped[v.name] = nearest
         elif x == 0:
-            snapped[v.name] = _ZERO
+            snapped[v.name] = 0
         else:
-            snapped[v.name] = Fraction(x).limit_denominator(10**12)
+            snapped[v.name] = as_fraction(x)
     return snapped, problems
 
 
-def check_solution(m: MilpModel, values: Mapping[str, Fraction],
+def check_solution(m: MilpModel, values: Mapping[str, Rational],
                    tolerance: float = FEASIBILITY_TOLERANCE) -> list[str]:
     """All bound and row violations beyond a nonnegative tolerance, in model order.
 
@@ -308,13 +307,13 @@ def check_solution(m: MilpModel, values: Mapping[str, Fraction],
     bad: list[str] = []
     tol = Fraction(tolerance).limit_denominator(10**12)
     for v in m.variables:
-        x = values.get(v.name, _ZERO)
+        x = values.get(v.name, 0)
         lo, hi = v.lower, v.upper
         if (x < lo and x < lo - tol) or (x > hi and x > hi + tol):
             bad.append(f"bound: {v.name}={x} outside [{lo}, {hi}]")
     nonzero = {var: x for var, x in values.items() if x}
     for c in m.constraints:
-        lhs = _ZERO
+        lhs = 0
         for var, coeff in c.terms:
             x = nonzero.get(var)
             if x is not None:

@@ -31,7 +31,7 @@ from .formulation import (
     compute_protection_plan,
     route_on_shortest_paths,
 )
-from .milp import SolveStatus, Solution
+from .milp import Rational, SolveStatus, Solution
 from .model import (
     Approach,
     CostModel,
@@ -133,7 +133,7 @@ def allocate_budgets(instance: Instance, cfg: DesignConfig) -> dict[str, float]:
 # -- decoding -------------------------------------------------------------------
 
 
-def _is_one(values: Mapping[str, Fraction], name: Optional[str]) -> bool:
+def _is_one(values: Mapping[str, Rational], name: Optional[str]) -> bool:
     return name is not None and values.get(name, 0) == 1
 
 

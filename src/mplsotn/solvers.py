@@ -44,7 +44,6 @@ import sys
 import tempfile
 import time
 from dataclasses import dataclass, replace
-from fractions import Fraction
 from pathlib import Path
 from typing import Optional
 
@@ -106,6 +105,7 @@ except ImportError as exc:
 
 from .milp import (
     MilpModel,
+    Rational,
     Solution,
     SolveStatus,
     VarKind,
@@ -224,7 +224,7 @@ def _shape(model: MilpModel) -> tuple[int, int, int]:
 _ROW_TYPE = {"<=": "L", ">=": "G", "=": "E"}
 
 
-def _number(c: Fraction) -> str:
+def _number(c: Rational) -> str:
     """Text that parses to ``float(c)``: the digits if ``c`` is whole, else a repr."""
     n, d = c.numerator, c.denominator
     return str(n) if d == 1 else repr(n / d)

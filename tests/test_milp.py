@@ -46,6 +46,15 @@ def test_as_fraction_coercions():
         as_fraction(object())
 
 
+def test_as_fraction_keeps_whole_numbers_as_ints():
+    for whole in (6, Fraction(6, 2), 3.0, "6/2"):
+        assert type(as_fraction(whole)) is int
+    assert as_fraction(Fraction(6, 2)) == as_fraction("6/2") == 3
+    assert as_fraction("1/3") == Fraction(1, 3)
+    assert type(as_fraction("1/3")) is Fraction
+    assert type(as_fraction(0.5)) is Fraction
+
+
 def test_model_guardrails():
     m = MilpModel("g")
     m.add_variable("a", VarKind.BINARY)
