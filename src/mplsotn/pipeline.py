@@ -279,11 +279,10 @@ class SolveMemo:
     ``run_design(..., shared=memo)`` looks each stage model up before solving
     it. The key is the whole model (name, variables, rows, objective) plus the
     gap and the feasibility-jump switch, so a hit is an equal model solved
-    the same way. A stored solution is reused only when
-    its status does not depend on the time limit and its solve fits the
-    caller's stage budget; otherwise the caller solves the model itself and
-    the first solution stays stored. A hit still writes the caller's kept
-    artifacts.
+    the same way. A stored solution is reused only when its status does not
+    depend on the time limit and its solve fits the caller's stage budget;
+    otherwise the caller solves the model itself and the first solution
+    stays stored. A hit still writes the caller's kept artifacts.
     """
 
     def __init__(self) -> None:
@@ -312,7 +311,7 @@ def _run_stage(
     keep_dir: Optional[Path],
     shared: Optional[SolveMemo],
     traces: list[StageTrace],
-    feasibility_jump: bool = True,
+    feasibility_jump: bool,
 ) -> Solution:
     gap = cfg.optimality_gap
     sol = (shared.solve(sm, gap, budget, keep_dir, feasibility_jump)

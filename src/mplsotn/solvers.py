@@ -298,15 +298,7 @@ def scipy_milp(*, mps: str, shape: tuple[int, int, int], integral: bool,
     off, ``mip_rel_gap`` and the time limit) and the reading of the result
     are those of ``milp``, so HiGHS runs the same search and every answer
     matches ``milp``'s bit for bit. ``integral`` says whether some column is
-    integer.
-
-    The one exception is ``feasibility_jump=False``, which turns off the
-    heuristic HiGHS runs before the root LP and so changes the search. Only
-    the integrated relaxation sets it: the design reads that model only
-    through its certificate (the LSPs pack and the shortest routes fit),
-    whose value, the relaxation's optimum, belongs to the instance. Which
-    optimum HiGHS returns decides only whether the run falls back to the
-    full model, never the total. ``x`` is None wherever ``milp`` returns none, and the search
+    integer. ``x`` is None wherever ``milp`` returns none, and the search
     statistics ride only on a MILP with a point. One status differs on
     purpose: ``milp`` reports HiGHS's ``kModelError`` as infeasible (2),
     but a model HiGHS cannot read is a fault of ours, not a stage without a
@@ -316,6 +308,14 @@ def scipy_milp(*, mps: str, shape: tuple[int, int, int], integral: bool,
     reader drops an entry for a row the text never declared without an
     error, so a read that does not return ``kOk``, or that holds other
     counts, is a model HiGHS could not read.
+
+    The one exception to ``milp``'s search is ``feasibility_jump=False``,
+    which turns off the heuristic HiGHS runs before the root LP. Only the
+    integrated relaxation sets it: the design reads that model only through
+    its certificate (the LSPs pack and the shortest routes fit), whose value,
+    the relaxation's optimum, belongs to the instance. Which optimum HiGHS
+    returns decides only whether the run falls back to the full model, never
+    the total.
     """
     h = _highs
     highs = h._Highs()

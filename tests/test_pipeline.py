@@ -521,7 +521,8 @@ def test_solve_memo_solves_an_equal_model_once(monkeypatch):
     ({"b_weight": 4}, 2),
     ({"gap": 0.01}, 2),
     ({"keep_dir": "kept"}, 1),
-], ids=["model", "gap", "keep-directory"])
+    ({"feasibility_jump": False}, 2),
+], ids=["model", "gap", "keep-directory", "feasibility-jump"])
 def test_solve_memo_keys_on_model_gap_and_solver(monkeypatch, tmp_path, change,
                                                  solves):
     stub = _StubSolve()
@@ -530,7 +531,8 @@ def test_solve_memo_keys_on_model_gap_and_solver(monkeypatch, tmp_path, change,
     memo.solve(_knapsack_stage(), 0.0, 10.0, None)
     keep = tmp_path / change["keep_dir"] if "keep_dir" in change else None
     memo.solve(_knapsack_stage(change.get("b_weight", 3)),
-               change.get("gap", 0.0), 10.0, keep)
+               change.get("gap", 0.0), 10.0, keep,
+               change.get("feasibility_jump", True))
     assert len(stub.calls) == solves
 
 
