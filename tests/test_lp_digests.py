@@ -12,7 +12,8 @@ with its node cut-set rows: its LSPs pack into their pairs' open slots and
 its shortest routes fit every link here, so the full model is never solved
 after it. A refactor of the builders leaves every digest unchanged; a
 deliberate change to a formulation updates the pinned values below and says
-why.
+why. ``ROSTER_MPS`` pins in one digest the MPS text of every model the
+roster hands HiGHS, so it also moves with a change to the MPS writer.
 
 A later stage's model depends on the optimum HiGHS returned for the earlier
 stages, so the pins belong to one solver build (scipy 1.17.1). After a solver
@@ -355,10 +356,9 @@ def test_stage_lp_digests(key, tmp_path):
     assert digests == PINNED[key]
 
 
-# The MPS text of every model HiGHS reads over the roster, in roster order
-# and solve order within a design: the LP pins above cover what the builders
-# emit, this one what reaches HiGHS, so a change to any byte it reads (the
-# number printer, the column order, a bound) fails here too.
+# Every MPS text HiGHS reads, in roster order and in solve order within a
+# design: the LP pins cover what the builders emit, this one every byte
+# that reaches HiGHS (the number printer, the column order, the bounds).
 ROSTER_MPS = (
     "244271c5584af38b9ba33b6976afff9ae3c640c9e4087873c598646adb4f9700")
 
