@@ -226,6 +226,8 @@ _ROW_TYPE = {"<=": "L", ">=": "G", "=": "E"}
 
 def _number(c: Rational) -> str:
     """Text that parses to ``float(c)``: the digits if ``c`` is whole, else a repr."""
+    if type(c) is int:
+        return str(c)
     n, d = c.numerator, c.denominator
     return str(n) if d == 1 else repr(n / d)
 
