@@ -488,13 +488,14 @@ def _build_layer(
         slots = tuple(s for s in slots if s[2] == 1)
     nodes = instance.topology.nodes
     parallel = cfg.effective_q_max(instance) if per_pair else 1
+    lightpath_cost = costs.lightpath_cost
 
     for slot in slots:
         var = m.add_variable(
             _slot_name(names.slot, slot),
             VarKind.BINARY if parallel == 1 else VarKind.INTEGER, 0, parallel)
         index.add(names.slot, slot, var)
-        m.add_objective_term(var, costs.lightpath_cost)
+        m.add_objective_term(var, lightpath_cost)
         if slot in occupied:
             m.add_constraint(_slot_name("slotexcl", slot), [(var, 1)], "<=",
                              0, tag="slot-exclusive")
@@ -528,10 +529,10 @@ def _build_layer(
                      cfg.effective_interfaces(instance), occupied)
     if routed:
         arcs = instance.topology.directed_arcs()
+        wavelength_cost = costs.wavelength_cost
         for slot in slots:
             _add_route(m, index, names.route, slot, arcs, nodes,
-                       "lightpath-flow", names.route_row,
-                       cost=costs.wavelength_cost,
+                       "lightpath-flow", names.route_row, cost=wavelength_cost,
                        exists=index.get(names.slot, slot))
     return StageModel(m, index, names)
 
@@ -812,9 +813,10 @@ def build_integrated_working(
     index = base.index
     if relaxed:
         routes = shortest_routes(instance.topology)
+        wavelength_cost = costs.wavelength_cost
         for slot, name in index.items("wb"):
             hops = len(routes[slot[:2]]) - 1
-            m.add_objective_term(name, costs.wavelength_cost * hops)
+            m.add_objective_term(name, wavelength_cost * hops)
         _add_node_cut_sets(m, index, instance)
         return base
 
