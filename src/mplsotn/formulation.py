@@ -228,7 +228,8 @@ def _add_slot_limits(
 ) -> None:
     """Interface limit per router and slot symmetry per router pair.
 
-    The fixed working layer's ``occupied`` slots enter both as constants.
+    The fixed working layer's ``occupied`` slots, not in ``slots``, use up
+    interfaces; the slot after one gets no symmetry row.
     """
     for node in nodes:
         fixed = sum(1 for (i, j, _q) in occupied if node in (i, j))
@@ -237,18 +238,11 @@ def _add_slot_limits(
                          tag="interface-limit")
 
     for (i, j, q) in slots:
-        if q == 1:
-            continue
-        prev_fixed = 1 if (i, j, q - 1) in occupied else 0
-        this_fixed = 1 if (i, j, q) in occupied else 0
-        m.add_constraint(
-            f"slotsym_{i}_{j}_{q}",
-            [(index.get(family, (i, j, q)), 1),
-             (index.get(family, (i, j, q - 1)), -1)],
-            "<=",
-            prev_fixed - this_fixed,
-            tag="slot-symmetry",
-        )
+        prev = index.get(family, (i, j, q - 1))
+        if prev is not None:
+            m.add_constraint(f"slotsym_{i}_{j}_{q}",
+                             [(index.get(family, (i, j, q)), 1), (prev, -1)],
+                             "<=", 0, tag="slot-symmetry")
 
 
 def _add_node_cut_sets(m: MilpModel, index: VarIndex, instance: Instance) -> None:
@@ -459,11 +453,11 @@ def _build_layer(
 
     Without ``working_paths`` this is the working layer (``WORKING``). With
     them it is the protection layer (``PROTECTION``), empty when it has no
-    riders: each rider keeps off its working path's slots and intermediate
-    routers, and the ``occupied`` slots are barred. Each rider's arrival at
-    its destination, which is not transit, is taken off the objective when
-    ``subtract_arrival`` is set. With ``routed`` each slot also gets a
-    physical route that runs exactly when the slot is open.
+    riders. The fixed working layer's ``occupied`` slots are not modelled,
+    and each rider keeps off its working path's intermediate routers. Each
+    rider's arrival at its destination, which is not transit, is taken off
+    the objective when ``subtract_arrival`` is set. With ``routed`` each
+    slot also gets a physical route that runs exactly when the slot is open.
 
     With ``per_pair`` the layer works over router pairs, each keyed by its
     q = 1 slot: the slot variable is an integer in [0, q_max] that counts
@@ -483,9 +477,8 @@ def _build_layer(
     index = VarIndex()
     if working_paths is not None and not riders:
         return StageModel(m, index, names)
-    slots = _slots(instance, cfg)
-    if per_pair:
-        slots = tuple(s for s in slots if s[2] == 1)
+    slots = tuple(s for s in _slots(instance, cfg)
+                  if s not in occupied and (s[2] == 1 or not per_pair))
     nodes = instance.topology.nodes
     parallel = cfg.effective_q_max(instance) if per_pair else 1
     lightpath_cost = costs.lightpath_cost
@@ -496,9 +489,6 @@ def _build_layer(
             VarKind.BINARY if parallel == 1 else VarKind.INTEGER, 0, parallel)
         index.add(names.slot, slot, var)
         m.add_objective_term(var, lightpath_cost)
-        if slot in occupied:
-            m.add_constraint(_slot_name("slotexcl", slot), [(var, 1)], "<=",
-                             0, tag="slot-exclusive")
     for k, d in riders:
         coeff = _transit_coeff(costs, d)
         path = working_paths[d.id] if working_paths is not None else ()
@@ -509,14 +499,6 @@ def _build_layer(
                   avoid=frozenset(_intermediates(path)), simple=per_pair)
         if subtract_arrival:
             m.add_objective_constant(-coeff)
-        # a protected LSP's two paths never share a lightpath slot
-        for slot in path:
-            var = index.get(names.path, (k, *slot))
-            if var:
-                m.add_constraint(
-                    f"arcdisj_k{k}_{slot[0]}_{slot[1]}_{slot[2]}",
-                    [(var, 1)], "<=", 0, tag="logical-arc-disjoint",
-                )
     # per slot, the Mbps of the LSPs riding it fit in its open carriers
     for slot in slots:
         terms = [(var, d.bandwidth_mbps) for k, d in riders
@@ -555,9 +537,9 @@ def build_protection_mpls(
 ) -> StageModel:
     """Spare carriers plus protection LSP routing over them.
 
-    The working layer is fixed. Protection LSPs may not reuse any lightpath
-    slot of their own working path, keep off their working path's
-    intermediate routers, and ride spare carriers only.
+    The working layer is fixed, and the slots it holds are not modelled.
+    So protection LSPs ride spare carriers only and never reuse a slot of
+    their own working path; they also keep off its intermediate routers.
     """
     return _build_layer("protection-mpls", instance, cfg, costs,
                         plan.indexed_demands(instance), working_paths,

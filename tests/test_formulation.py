@@ -145,18 +145,23 @@ def test_protection_stage_structure_and_optimum(ring4):
     cfg = cfg_for(Survivability.SINGLE_LAYER)
     wp = {"d1": ((1, 3, 1),)}
     plan = compute_protection_plan(ring4, cfg, wp)
-    sm = build_protection_mpls(ring4, cfg, default_cost_model(ring4), plan,
-                               [(1, 3, 1)], wp)
+    costs = default_cost_model(ring4)
+    sm = build_protection_mpls(ring4, cfg, costs, plan, [(1, 3, 1)], wp)
     assert sm.stage == "protection-mpls"
     tags = set(sm.model.tags())
     assert "protection-flow" in tags
-    assert "slot-exclusive" in tags
-    assert "logical-arc-disjoint" in tags
     assert "spare-grooming-capacity" in tags
     # disjointness between the pair's physical routes belongs to the next stage
     assert "pair-node-disjoint" not in tags and "pair-link-disjoint" not in tags
-    # occupied slot is barred, so the spare lands on (1, 3, 2)
-    assert solved(sm) == 17
+    integrated = build_integrated_protection(ring4, cfg, costs, plan,
+                                             [(1, 3, 1)], wp,
+                                             {(1, 3, 1): (1, 2, 3)})
+    # the working layer's slot is not modelled, so the spare lands on
+    # (1, 3, 2); the integrated spare also pays two wavelengths on 1-4-3
+    for stage, optimum in ((sm, 17), (integrated, 23)):
+        assert (1, 3, 1) not in {slot for slot, _name in stage.index.items("pb")}
+        assert (1, 3, 1) not in {key[1:] for key, _name in stage.index.items("pd")}
+        assert solved(stage) == optimum
 
 
 def test_protection_stage_empty_when_nothing_to_protect(ring4):

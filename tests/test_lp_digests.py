@@ -10,9 +10,11 @@ relaxation over router pairs, with one count of open lightpaths per pair,
 without the LSP pairs into a demand's source or out of its destination and
 with its node cut-set rows: its LSPs pack into their pairs' open slots and
 its shortest routes fit every link here, so the full model is never solved
-after it. A refactor of the builders leaves every digest unchanged; a
-deliberate change to a formulation updates the pinned values below and says
-why. ``ROSTER_MPS`` pins in one digest the MPS text of every model the
+after it. The stage-II models (``protection-mpls`` and
+``integrated-protection``) hold no variable, arc, grooming row or route for
+a slot the working layer holds, and no row that bars one. A refactor of the
+builders leaves every digest unchanged; a deliberate change to a
+formulation updates the pinned values below and says why. ``ROSTER_MPS`` pins in one digest the MPS text of every model the
 roster hands HiGHS, so it also moves with a change to the MPS writer.
 
 A later stage's model depends on the optimum HiGHS returned for the earlier
@@ -49,13 +51,13 @@ PINNED = {
         "integrated-working":
             "0e577a0d3108dcedf366c1dbf22b6ec5e96293c840dfcf72fa5c07e774b8fd80",
         "integrated-protection":
-            "2f2034b40a1d5783655b0f166b847f4382a24bafd144612731551c04928d6de8",
+            "4c9b9ceb2b68e0a4b1d41e2be2aeb8238b97f4446f4e97fcda5e521aacfbebf4",
     },
     "fam-5-s0/brs/sequential": {
         "working-mpls":
             "20a6bb0a2093510a5d30730a2e768b9bae3421f198575b100abc71d4ce413ced",
         "protection-mpls":
-            "a3139d7e6bbdcd4564bded64dc749c72245908e3b9f2846ede80b16330673806",
+            "d9c3cfa36e6fec141941760c26a1abe516dc334a2a819a81f32ae6c2b7aef741",
         "lightpath-routing":
             "de054d1ce5f3eb23505fc769274663c8a18136efae2673420e84c6deb0b47430",
         "lightpath-protection":
@@ -65,13 +67,13 @@ PINNED = {
         "integrated-working":
             "0e577a0d3108dcedf366c1dbf22b6ec5e96293c840dfcf72fa5c07e774b8fd80",
         "integrated-protection":
-            "951c67ee201123881246bbc4a610209bfaadf7869932d1b4e8061897da401fea",
+            "4f0c70ea584f36969de151c2283887332f50494c6f2a7d31ac5bcf55dfd722bc",
     },
     "fam-5-s0/double/sequential": {
         "working-mpls":
             "20a6bb0a2093510a5d30730a2e768b9bae3421f198575b100abc71d4ce413ced",
         "protection-mpls":
-            "a3139d7e6bbdcd4564bded64dc749c72245908e3b9f2846ede80b16330673806",
+            "d9c3cfa36e6fec141941760c26a1abe516dc334a2a819a81f32ae6c2b7aef741",
         "lightpath-routing":
             "6028788eed22554a908605f999bd7deb47af153c84ed8b43a0d930c6cf9a7a60",
         "lightpath-protection":
@@ -91,25 +93,25 @@ PINNED = {
         "integrated-working":
             "0e577a0d3108dcedf366c1dbf22b6ec5e96293c840dfcf72fa5c07e774b8fd80",
         "integrated-protection":
-            "0bd16b0f7f3d03acb9b486f3c8c1e9b8628fb52d438d2c8762ad9e7ebdc91d8c",
+            "2e571b786eba8c20a73caa76b11cda7b978c6fc9fd58582d2b27a24735e6fb59",
     },
     "fam-5-s0/single/sequential": {
         "working-mpls":
             "20a6bb0a2093510a5d30730a2e768b9bae3421f198575b100abc71d4ce413ced",
         "protection-mpls":
-            "2c3e3b056e5c6b9eb3d714ef46d72755fdaa31d6353b2c682266315b81486563",
+            "c85d65f930de24099bc0811df3474c215ec6eacbb2ca32e50afcdd6aa631c43f",
     },
     "fam-5-s0/spare-unprotected/integrated": {
         "integrated-working":
             "0e577a0d3108dcedf366c1dbf22b6ec5e96293c840dfcf72fa5c07e774b8fd80",
         "integrated-protection":
-            "354de9e34d69924254058630f01852455428d56132eaa0aabb1b6ff1d7316fb2",
+            "122ed85263736829c6cccfc358568deed6045bafc29f5621d48b13bf6b4d65ef",
     },
     "fam-5-s0/spare-unprotected/sequential": {
         "working-mpls":
             "20a6bb0a2093510a5d30730a2e768b9bae3421f198575b100abc71d4ce413ced",
         "protection-mpls":
-            "a3139d7e6bbdcd4564bded64dc749c72245908e3b9f2846ede80b16330673806",
+            "d9c3cfa36e6fec141941760c26a1abe516dc334a2a819a81f32ae6c2b7aef741",
         "lightpath-routing":
             "de054d1ce5f3eb23505fc769274663c8a18136efae2673420e84c6deb0b47430",
         "lightpath-protection":
@@ -161,13 +163,13 @@ PINNED = {
         "integrated-working":
             "51e0520255f5f14f95d4bfd8e55b78035a81ddc8254912550c6cbad28f16c151",
         "integrated-protection":
-            "273727a43607417734ffc2c6fdb3c6f19a71770d45fa34a6890b7e4cc3b8ea19",
+            "8a35a8c3b37d758031743451a74df0fe95abba86a1a4aaff1c284b972831dd0c",
     },
     "ring4-chord/single/sequential": {
         "working-mpls":
             "c51c7854db91a3671525c114935529e7f5aefdbede634a0b97198ed5f3ccc047",
         "protection-mpls":
-            "013bcb131ff73cc88ab90b3b1190e60f09c03dade052887d058d85363bf19cd9",
+            "fd66040ffdaee69d4d59d9d61ee0a3c0ec710a76cc2ff1ee947722e4dd9d618f",
         "lightpath-routing":
             "e6162438b3decaeeb0a1bd6777f8d58ee52eacbcf22e6040b92ad33bd3738ca5",
     },
@@ -233,13 +235,13 @@ PINNED = {
         "integrated-working":
             "106f4abaf7bb5d03db295cbcb032fe79a6bb0253bcda52658be8624928ce28f5",
         "integrated-protection":
-            "aca3cd0287da6a738f18b24e0a5dab6ef876374113e92e7cb0ac8bf486403e02",
+            "348a98416ec6697e9bfc3b531c958dbb3a9946ae2d1ce8186f9f1c42965e6749",
     },
     "ring4/single/sequential": {
         "working-mpls":
             "c51c7854db91a3671525c114935529e7f5aefdbede634a0b97198ed5f3ccc047",
         "protection-mpls":
-            "013bcb131ff73cc88ab90b3b1190e60f09c03dade052887d058d85363bf19cd9",
+            "fd66040ffdaee69d4d59d9d61ee0a3c0ec710a76cc2ff1ee947722e4dd9d618f",
         "lightpath-routing":
             "b13f1310bdead27cff0ebb4222cd575fc3da05749062238f4aee0ece7d8a6f86",
     },
@@ -305,13 +307,13 @@ PINNED = {
         "integrated-working":
             "a4d1f483436180d32defc113e7c9fb85963ed7473c0acf9f993692268eabd68c",
         "integrated-protection":
-            "dc042c45f7b0544a469542b80cec05446948f01b99d44165fb5c5b652776b332",
+            "6a934c7166c738faed42b103530306c9634f202920eee3fcc0101ee831ba88e8",
     },
     "ring5-chord/single/sequential": {
         "working-mpls":
             "4334f3bc12f5ab8f717758b5cb4f6b5a73c5623507e7f85826c38fac960805bc",
         "protection-mpls":
-            "49b81f862f5c4959e2bcf7e21b0c4c7365b4a1fc9e47ca639aa58fb27bdc75cb",
+            "5758b26f0dc1e3e183c9f819708f24096cc6f5c5e5a8959060d8661fa79f76f2",
         "lightpath-routing":
             "f94e42f915f236a05d514bd7d0d87ea98db55410118536cf2e732cefdf1a719d",
     },
@@ -360,7 +362,7 @@ def test_stage_lp_digests(key, tmp_path):
 # design: the LP pins cover what the builders emit, this one every byte
 # that reaches HiGHS (the number printer, the column order, the bounds).
 ROSTER_MPS = (
-    "244271c5584af38b9ba33b6976afff9ae3c640c9e4087873c598646adb4f9700")
+    "4a73cced759f2bc7334ce8ea3e969d514c9c3afd6c14dcdf3ebf2956d68709cc")
 
 
 def test_roster_mps_digest(monkeypatch):
@@ -405,16 +407,16 @@ def test_single_slot_relaxation_digest(name):
 DOUBLE_COUNT = {
     "fam-5-s0/spare-unprotected/integrated": (
         "integrated-protection",
-        "3e1696e154b5a9e316aa5b6ce65cd39bb68374f2b78c93d76b3e4d9f1d8ad464"),
+        "164a167965d2359a87587a0fffa81fd9f5164235d1955b4afddf82fd1b9c075d"),
     "fam-5-s0/spare-unprotected/sequential": (
         "protection-mpls",
-        "6fcf23fe6da25078934b3765e406acd458aef7ccd079ab3375349252fda9be87"),
+        "eb288d0f0197abf4e99492adfbd14cb4f261e7c1a30adc2ca02cf36bba8b09c9"),
     "ring4/single/integrated": (
         "integrated-protection",
-        "d0441697d07ee305c90ce9522c2c237ed58d770b160abd33a76f27dc765f51ca"),
+        "35380a70f761cc74e1d8f4ad7569317d169ba247e8609f221cff606eec2dcc07"),
     "ring4/single/sequential": (
         "protection-mpls",
-        "e63b082c745153ad5436c09147b3870d00245e882001557bfbb7827d5c7fdbf4"),
+        "2681a798eae161c883c95d1688c76ccbc81bb89569b62d56744905e0d207cafc"),
 }
 
 
