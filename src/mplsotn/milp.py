@@ -194,13 +194,19 @@ class MilpModel:
 
 def format_coefficient(c: Rational) -> str:
     """Exact decimal if the fraction terminates, else ``repr`` of its float."""
+    if type(c) is int:
+        return str(c)
     n, d = c.numerator, c.denominator
     if d == 1:
         return str(n)
     # for d = 2^a·5^b the fewest places k with d | 10^k is max(a, b) < bit
     # length of d, and a fraction in lowest terms leaves no trailing zero
-    k = next((k for k in range(d.bit_length()) if 10**k % d == 0), None)
-    if k is None:
+    # a loop: a generator here would make d a cell, which every call pays
+    # to create, the int path's included
+    for k in range(d.bit_length()):
+        if 10**k % d == 0:
+            break
+    else:
         return repr(float(c))
     whole, frac = divmod(abs(n) * 10**k // d, 10**k)
     return f"{'-' if n < 0 else ''}{whole}.{frac:0{k}d}"

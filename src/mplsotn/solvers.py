@@ -20,14 +20,15 @@ takes under 10 ms. The module is registered under its own name, so a later
 The model reaches HiGHS as free-format MPS text, which the binding's
 ``readModel`` reads from a temporary file; the one other way in, the
 binding's ``HighsLp``, takes its costs only as an array of that library.
-``mps_text`` keeps the model's column and row order and writes every number
-so that it parses to the float ``scipy.optimize.milp`` would hand HiGHS, so
-HiGHS holds the same LP and runs the same search. ``scipy_milp`` sets
-``milp``'s options and reads the result back in ``milp``'s terms. The one
-exception is the integrated relaxation, which HiGHS solves without its
-feasibility-jump heuristic: the design reads that model only through a
-certificate whose value is the relaxation's optimum, the same whichever
-optimal point the search returns (see ``scipy_milp``).
+``mps_text`` keeps the model's column and row order and prints every number
+with the LP text's ``format_coefficient``, whose text parses to the float
+``scipy.optimize.milp`` would hand HiGHS, so HiGHS holds the same LP and
+runs the same search. ``scipy_milp`` sets ``milp``'s options and reads the
+result back in ``milp``'s terms. The one exception is the integrated
+relaxation, which HiGHS solves without its feasibility-jump heuristic: the
+design reads that model only through a certificate whose value is the
+relaxation's optimum, the same whichever optimal point the search returns
+(see ``scipy_milp``).
 
 The binding is loaded when this module loads. Without scipy or the binding
 no solve can run, and every solve reports ``NO_SOLVER`` instead of the
@@ -50,20 +51,16 @@ from typing import Optional
 _CORE = "scipy.optimize._highspy._core"
 
 
-def _scipy_folder() -> Path:
-    """Where scipy is installed; ``find_spec`` runs no ``__init__``."""
-    spec = importlib.util.find_spec("scipy")
-    if spec is None or not spec.submodule_search_locations:
-        raise ImportError("no module named 'scipy'")
-    return Path(spec.submodule_search_locations[0])
-
-
-def _load_highs(scipy_folder: Path):
+def _load_highs():
     """scipy's HiGHS binding, without importing scipy or ``scipy.optimize``."""
     core = sys.modules.get(_CORE)
     if core is not None:
         return core
-    folder = scipy_folder / "optimize" / "_highspy"
+    # find_spec runs no __init__
+    spec = importlib.util.find_spec("scipy")
+    if spec is None or not spec.submodule_search_locations:
+        raise ImportError("no module named 'scipy'")
+    folder = Path(spec.submodule_search_locations[0]) / "optimize" / "_highspy"
     path = next((folder / f"_core{suffix}"
                  for suffix in importlib.machinery.EXTENSION_SUFFIXES
                  if (folder / f"_core{suffix}").is_file()), None)
@@ -83,33 +80,24 @@ def _load_highs(scipy_folder: Path):
     return module
 
 
-def _scipy_version(scipy_folder: Path) -> str:
-    """``scipy.__version__``, read from ``scipy/version.py`` run on its own."""
-    path = scipy_folder / "version.py"
-    if not path.is_file():
-        raise ImportError(f"no {path}")
-    spec = importlib.util.spec_from_file_location("mplsotn._scipy_version", path)
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module.version
-
-
 _NO_SCIPY = "HiGHS needs scipy and the HiGHS binding it bundles"
 try:
-    _SCIPY = _scipy_folder()
-    _highs = _load_highs(_SCIPY)
-    _SOLVER_NAME = f"highs(scipy-{_scipy_version(_SCIPY)})"
+    _highs = _load_highs()
 except ImportError as exc:
     _highs = None
     _NO_SCIPY += f", which could not be loaded ({exc})"
+else:
+    # the HiGHS build whose search gives the answers, e.g. highs-1.12.0 (4f96ee8)
+    _SOLVER_NAME = (f"highs-{_highs.HIGHS_VERSION_MAJOR}.{_highs.HIGHS_VERSION_MINOR}"
+                    f".{_highs.HIGHS_VERSION_PATCH} ({_highs._Highs().githash()})")
 
 from .milp import (
     MilpModel,
-    Rational,
     Solution,
     SolveStatus,
     VarKind,
     check_solution,
+    format_coefficient,
     snap_values,
     write_metadata,
     write_model,
@@ -224,14 +212,6 @@ def _shape(model: MilpModel) -> tuple[int, int, int]:
 _ROW_TYPE = {"<=": "L", ">=": "G", "=": "E"}
 
 
-def _number(c: Rational) -> str:
-    """Text that parses to ``float(c)``: the digits if ``c`` is whole, else a repr."""
-    if type(c) is int:
-        return str(c)
-    n, d = c.numerator, c.denominator
-    return str(n) if d == 1 else repr(n / d)
-
-
 def mps_text(model: MilpModel) -> str:
     """``model`` as free-format MPS, rows ``r0...`` and columns ``c0...`` in model order.
 
@@ -245,16 +225,16 @@ def mps_text(model: MilpModel) -> str:
     col = {v.name: j for j, v in enumerate(variables)}
     entries: list[list[str]] = [[] for _ in variables]
     for var, coeff in model.objective_terms:
-        entries[col[var]].append("obj " + _number(coeff))
+        entries[col[var]].append("obj " + format_coefficient(coeff))
     rows = ["NAME mplsotn", "ROWS", " N obj"]
     rhs = ["RHS"]
     for i, con in enumerate(model.constraints):
         name = f"r{i}"
         rows.append(f" {_ROW_TYPE[con.sense]} {name}")
         for var, coeff in con.terms:
-            entries[col[var]].append(f"{name} {_number(coeff)}")
+            entries[col[var]].append(f"{name} {format_coefficient(coeff)}")
         if con.rhs:
-            rhs.append(f" rhs {name} {_number(con.rhs)}")
+            rhs.append(f" rhs {name} {format_coefficient(con.rhs)}")
     columns = ["COLUMNS"]
     bounds = ["BOUNDS"]
     marked = False
@@ -266,7 +246,8 @@ def mps_text(model: MilpModel) -> str:
         # one string per column, every line led by the column's name
         name = f" c{j} "
         columns.append(name + ("\n" + name).join(entries[j] or ["obj 0"]))
-        bounds.append(f" LO bnd{name}{_number(v.lower)}\n UP bnd{name}{_number(v.upper)}")
+        lo, up = format_coefficient(v.lower), format_coefficient(v.upper)
+        bounds.append(f" LO bnd{name}{lo}\n UP bnd{name}{up}")
     if marked:
         columns.append(" marker 'MARKER' 'INTEND'")
     return "\n".join([*rows, *columns, *rhs, *bounds, "ENDATA", ""])

@@ -109,6 +109,9 @@ def test_format_coefficient_terminating_and_not():
     assert format_coefficient(Fraction(-7, 4)) == "-1.75"
     assert format_coefficient(Fraction(124, 10)) == "12.4"
     assert format_coefficient(Fraction(0)) == "0"
+    # whole numbers are kept as ints and print as their digits
+    assert format_coefficient(-40) == "-40"
+    assert format_coefficient(0) == "0"
     # non-terminating falls back to float repr
     assert format_coefficient(Fraction(1, 3)) == repr(1 / 3)
 

@@ -21,7 +21,7 @@ from scipy.optimize._highspy._core import (
 )
 
 from mplsotn import Approach, Survivability, pipeline, solvers
-from mplsotn.milp import MilpModel, SolveStatus, VarKind
+from mplsotn.milp import MilpModel, SolveStatus, VarKind, format_coefficient
 from mplsotn.solvers import solve
 
 from support import desk, exact_config, mesh_family
@@ -112,6 +112,20 @@ def mixed_coefficient_model() -> MilpModel:
     return m
 
 
+def fine_decimal_model() -> MilpModel:
+    """Terminating fractions whose exact decimal is not their float's repr."""
+    a, b = Fraction(3, 2**20), Fraction(1, 5**20)
+    m = MilpModel("fine")
+    m.add_variable("u", VarKind.BINARY)
+    m.add_variable("x", VarKind.CONTINUOUS, lower=b, upper=a)
+    m.add_objective_term("u", a)
+    m.add_objective_term("x", b)
+    # HiGHS drops a matrix entry below 1e-9, so b is a bound and a right-hand side
+    m.add_constraint("r1", [("u", a), ("x", a)], "<=", a)
+    m.add_constraint("r2", [("x", 1)], ">=", b)
+    return m
+
+
 def per_term_arrays(m: MilpModel) -> dict:
     """The model as dense float arrays, one ``float()`` per term."""
     names = [v.name for v in m.variables]
@@ -175,7 +189,11 @@ def test_highs_reads_the_mps_text_as_per_term_floats(ring4_brs_models, tmp_path)
     # real stage models: INTEGER x columns with upper bounds above 1, and
     # continuous brsy columns among the binaries
     integrated = brs_stage_models(mesh_family(5, 0), Approach.INTEGRATED)
-    for m in (mixed, ring4_brs_models["lightpath-protection"],
+    fine = fine_decimal_model()
+    # mps_text prints these as exact decimals, not as the repr of a float
+    assert all(format_coefficient(c) != repr(float(c))
+               for c in (Fraction(3, 2**20), Fraction(1, 5**20)))
+    for m in (mixed, fine, ring4_brs_models["lightpath-protection"],
               integrated["integrated-protection"]):
         with pytest.MonkeyPatch.context() as mp:
             assert_highs_reads_per_term_floats(m, mp, tmp_path)
@@ -283,6 +301,7 @@ def ring4_brs_models() -> dict[str, MilpModel]:
 
 PARITY_MODELS = {
     "mixed": mixed_coefficient_model,
+    "fine": fine_decimal_model,
     "knapsack": knapsack,
     "infeasible": infeasible_model,
     "unbounded": unbounded_model,
@@ -339,6 +358,17 @@ def test_binding_is_shared_with_scipy_optimize(order):
     done = subprocess.run([sys.executable, "-c", code], env=env,
                           capture_output=True, text=True, timeout=120)
     assert done.returncode == 0, done.stderr
+
+
+def test_solver_name_is_the_highs_build_that_ran():
+    # the binding's own version and git hash, not the scipy that bundles it
+    core = solvers._highs
+    want = (f"highs-{core.HIGHS_VERSION_MAJOR}.{core.HIGHS_VERSION_MINOR}"
+            f".{core.HIGHS_VERSION_PATCH} ({_Highs().githash()})")
+    assert want == f"highs-{_Highs().version()} ({_Highs().githash()})"
+    assert solvers._SOLVER_NAME == want
+    design = pipeline.run_design(desk("ring4"), exact_config(Survivability.NONE))
+    assert [t.solver for t in design.traces] == [want] * len(design.traces)
 
 
 def test_incumbents_are_feasibility_checked(monkeypatch):
