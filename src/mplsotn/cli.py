@@ -161,39 +161,28 @@ def _cmd_compare(instance: Instance, args) -> int:
     named after it. An option that fails becomes a failed row, and the exit
     code is the highest of any option.
     """
-    configs = [_design_config(args, s) for s in Survivability]
     keep = args.keep_artifacts
     shared = SolveMemo()
-
-    def run_option(cfg: DesignConfig):
-        own = keep / cfg.survivability.value if keep is not None else None
-        try:
-            return cfg, _run_one(instance, cfg, own, shared)
-        except (PipelineError, ValueError) as exc:
-            return cfg, exc
-
-    results = [run_option(cfg) for cfg in configs]
-    return _report_compare(args, results)
-
-
-def _report_compare(args, results) -> int:
     entries = []
     worst = EXIT_OK
-    for cfg, outcome in results:
-        option = cfg.survivability.value
-        if isinstance(outcome, Exception):
-            code, reason, message = _failure(outcome)
+    for survivability in Survivability:
+        option = survivability.value
+        own = keep / option if keep is not None else None
+        try:
+            design, violations, drill = _run_one(
+                instance, _design_config(args, survivability), own, shared)
+        except (PipelineError, ValueError) as exc:
+            code, reason, message = _failure(exc)
             print(f"failed[{option}]: {message}", file=sys.stderr)
             entries.append((option, reason))
             worst = max(worst, code)
             continue
-        design, violations, drill = outcome
         entries.append((option, design))
         _write_outputs(args.output_dir, design, suffix=option)
         for v in violations:
             print(f"verification[{option}]: {v.code}: {v.message}",
                   file=sys.stderr)
-        code = _design_exit(cfg.survivability, violations, drill)
+        code = _design_exit(survivability, violations, drill)
         if code == EXIT_DRILL_FAILED:
             print(f"drill[{option}]: "
                   f"{len(drill.failures())} non-restorable event(s)",

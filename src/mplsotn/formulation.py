@@ -446,8 +446,8 @@ def _build_layer(
     name: str, instance: Instance, cfg: DesignConfig, costs: CostModel,
     riders: Sequence[tuple[int, LspDemand]],
     working_paths: Optional[Mapping[str, tuple[Slot, ...]]] = None,
-    occupied: frozenset[Slot] = frozenset(), subtract_arrival: bool = True,
-    per_pair: bool = False, routed: bool = False,
+    occupied: frozenset[Slot] = frozenset(), per_pair: bool = False,
+    routed: bool = False,
 ) -> StageModel:
     """Priced lightpath slots, a priced unit flow per rider, grooming rows.
 
@@ -456,8 +456,10 @@ def _build_layer(
     riders. The fixed working layer's ``occupied`` slots are not modelled,
     and each rider keeps off its working path's intermediate routers. Each
     rider's arrival at its destination, which is not transit, is taken off
-    the objective when ``subtract_arrival`` is set. With ``routed`` each
-    slot also gets a physical route that runs exactly when the slot is open.
+    the objective, unless the layer is the protection layer and
+    ``cfg.transit_double_count`` books those arrivals as transit. With
+    ``routed`` each slot also gets a physical route that runs exactly when
+    the slot is open.
 
     With ``per_pair`` the layer works over router pairs, each keyed by its
     q = 1 slot: the slot variable is an integer in [0, q_max] that counts
@@ -497,7 +499,7 @@ def _build_layer(
                   nodes, names.flow_tag, f"{names.path}_{k}",
                   f"{names.flow_row}_k{k}", cost=coeff,
                   avoid=frozenset(_intermediates(path)), simple=per_pair)
-        if subtract_arrival:
+        if working_paths is None or not cfg.transit_double_count:
             m.add_objective_constant(-coeff)
     # per slot, the Mbps of the LSPs riding it fit in its open carriers
     for slot in slots:
@@ -543,7 +545,7 @@ def build_protection_mpls(
     """
     return _build_layer("protection-mpls", instance, cfg, costs,
                         plan.indexed_demands(instance), working_paths,
-                        frozenset(work_slots), not cfg.transit_double_count)
+                        frozenset(work_slots))
 
 
 # -- stage III: lightpath routing (sequential) --------------------------------
@@ -833,7 +835,7 @@ def build_integrated_protection(
     protected = plan.indexed_demands(instance)
     base = _build_layer(
         "integrated-protection", instance, cfg, costs, protected, working_paths,
-        frozenset(work_slots), not cfg.transit_double_count, routed=True)
+        frozenset(work_slots), routed=True)
     m = base.model
     index = base.index
     if not protected and not plan.protect_work_carriers:

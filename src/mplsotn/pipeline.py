@@ -31,7 +31,7 @@ from .formulation import (
     compute_protection_plan,
     route_on_shortest_paths,
 )
-from .milp import Rational, SolveStatus, Solution
+from .milp import MilpModel, Rational, SolveStatus, Solution
 from .model import (
     Approach,
     CostModel,
@@ -276,11 +276,12 @@ _SETTLED = frozenset({
 class SolveMemo:
     """Stage solutions by model content, for runs that build the same models.
 
-    ``run_design(..., shared=memo)`` looks each stage model up before solving
-    it. The key is the whole model (name, variables, rows, objective) plus the
+    ``solve`` takes ``solvers.solve``'s arguments and stands in for it:
+    ``run_design(..., shared=memo)`` solves every stage through the memo.
+    The key is the whole model (name, variables, rows, objective) plus the
     gap and the feasibility-jump switch, so a hit is an equal model solved
     the same way. A stored solution is reused only when its status does not
-    depend on the time limit and its solve fits the caller's stage budget;
+    depend on the time limit and its solve fits the caller's time limit;
     otherwise the caller solves the model itself and the first solution
     stays stored. A hit still writes the caller's kept artifacts.
     """
@@ -288,56 +289,22 @@ class SolveMemo:
     def __init__(self) -> None:
         self._solutions: dict[tuple, Solution] = {}
 
-    def solve(self, sm: StageModel, gap: float, budget: float,
-              keep_dir: Optional[Path], feasibility_jump: bool = True) -> Solution:
-        m = sm.model
-        key = (m.name, m.variables, m.constraints, m.objective_terms,
-               m.objective_constant, gap, feasibility_jump)
+    def solve(self, model: MilpModel, *, gap: float = 0.0,
+              time_limit: Optional[float] = None,
+              keep_dir: Optional[Path] = None,
+              stage: str = "model",
+              feasibility_jump: bool = True) -> Solution:
+        key = (model.name, model.variables, model.constraints, model.objective_terms,
+               model.objective_constant, gap, feasibility_jump)
         sol = self._solutions.get(key)
         if (sol is not None and sol.status in _SETTLED
-                and sol.wall_seconds <= budget):
-            keep_artifacts(m, sol, keep_dir, sm.stage)
+                and (time_limit is None or sol.wall_seconds <= time_limit)):
+            keep_artifacts(model, sol, keep_dir, stage)
             return sol
-        sol = solve(m, gap=gap, time_limit=budget, keep_dir=keep_dir,
-                    stage=sm.stage, feasibility_jump=feasibility_jump)
+        sol = solve(model, gap=gap, time_limit=time_limit, keep_dir=keep_dir,
+                    stage=stage, feasibility_jump=feasibility_jump)
         self._solutions.setdefault(key, sol)
         return sol
-
-
-def _run_stage(
-    sm: StageModel,
-    cfg: DesignConfig,
-    budget: float,
-    keep_dir: Optional[Path],
-    shared: Optional[SolveMemo],
-    traces: list[StageTrace],
-    feasibility_jump: bool,
-) -> Solution:
-    gap = cfg.optimality_gap
-    sol = (shared.solve(sm, gap, budget, keep_dir, feasibility_jump)
-           if shared is not None
-           else solve(sm.model, gap=gap, time_limit=budget, keep_dir=keep_dir,
-                      stage=sm.stage, feasibility_jump=feasibility_jump))
-    exact = sm.model.objective_value(sol.values) if sol.status.has_solution else None
-    traces.append(StageTrace(
-        stage=sm.stage,
-        variables=len(sm.model.variables),
-        constraints=len(sm.model.constraints),
-        status=sol.status.value,
-        objective=sol.objective,
-        objective_exact=exact,
-        gap=sol.gap,
-        wall_seconds=sol.wall_seconds,
-        time_budget_seconds=budget,
-        solver=sol.solver_name,
-        node_count=sol.node_count,
-        dual_bound=sol.dual_bound,
-    ))
-    if sol.status is SolveStatus.NO_SOLVER:
-        raise SolverUnavailableError(sol.message or "no MILP solver available")
-    if not sol.status.has_solution:
-        raise StageInfeasibleError(sm.stage, sol.status.value, traces, sol.message)
-    return sol
 
 
 # -- materialization --------------------------------------------------------------
@@ -556,13 +523,37 @@ def _run(
     budgets: Mapping[str, float],
 ) -> Design:
     traces: list[StageTrace] = []
+    solver = solve if shared is None else shared.solve
 
     def stage(sm: StageModel, budget: Optional[float] = None,
               feasibility_jump: bool = True) -> Solution:
         if budget is None:
             budget = budgets[sm.stage]
-        return _run_stage(sm, cfg, budget, keep_dir, shared, traces,
-                          feasibility_jump)
+        m = sm.model
+        sol = solver(m, gap=cfg.optimality_gap, time_limit=budget,
+                     keep_dir=keep_dir, stage=sm.stage,
+                     feasibility_jump=feasibility_jump)
+        exact = m.objective_value(sol.values) if sol.status.has_solution else None
+        traces.append(StageTrace(
+            stage=sm.stage,
+            variables=len(m.variables),
+            constraints=len(m.constraints),
+            status=sol.status.value,
+            objective=sol.objective,
+            objective_exact=exact,
+            gap=sol.gap,
+            wall_seconds=sol.wall_seconds,
+            time_budget_seconds=budget,
+            solver=sol.solver_name,
+            node_count=sol.node_count,
+            dual_bound=sol.dual_bound,
+        ))
+        if sol.status is SolveStatus.NO_SOLVER:
+            raise SolverUnavailableError(sol.message or "no MILP solver available")
+        if not sol.status.has_solution:
+            raise StageInfeasibleError(sm.stage, sol.status.value, traces,
+                                       sol.message)
+        return sol
 
     runner = (_run_integrated if cfg.approach is Approach.INTEGRATED
               else _run_sequential)

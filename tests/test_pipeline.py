@@ -5,6 +5,7 @@ before being written down.
 """
 
 import dataclasses
+import inspect
 import json
 from fractions import Fraction
 from pathlib import Path
@@ -485,14 +486,14 @@ def test_default_cost_model_lightpath_capacity(ring4):
 # -- the solve memo ------------------------------------------------------------
 
 
-def _knapsack_stage(b_weight=3) -> StageModel:
+def _knapsack(b_weight=3) -> MilpModel:
     m = MilpModel("knap")
     m.add_variable("a", VarKind.BINARY)
     m.add_variable("b", VarKind.BINARY)
     m.add_constraint("cap", [("a", 2), ("b", b_weight)], "<=", 4)
     m.add_objective_term("a", -5)
     m.add_objective_term("b", -4)
-    return StageModel(m, VarIndex())
+    return m
 
 
 class _StubSolve:
@@ -511,9 +512,11 @@ def test_solve_memo_solves_an_equal_model_once(monkeypatch):
     stub = _StubSolve()
     monkeypatch.setattr(pipeline, "solve", stub)
     memo = SolveMemo()
-    first = memo.solve(_knapsack_stage(), 0.0, 10.0, None)
+    first = memo.solve(_knapsack(), gap=0.0, time_limit=10.0, keep_dir=None,
+                       stage="knap")
     # a separately built model with the same content is a hit
-    assert memo.solve(_knapsack_stage(), 0.0, 10.0, None) is first
+    assert memo.solve(_knapsack(), gap=0.0, time_limit=10.0, keep_dir=None,
+                      stage="knap") is first
     assert len(stub.calls) == 1
 
 
@@ -528,11 +531,13 @@ def test_solve_memo_keys_on_model_gap_and_solver(monkeypatch, tmp_path, change,
     stub = _StubSolve()
     monkeypatch.setattr(pipeline, "solve", stub)
     memo = SolveMemo()
-    memo.solve(_knapsack_stage(), 0.0, 10.0, None)
+    memo.solve(_knapsack(), gap=0.0, time_limit=10.0, keep_dir=None,
+               stage="knap")
     keep = tmp_path / change["keep_dir"] if "keep_dir" in change else None
-    memo.solve(_knapsack_stage(change.get("b_weight", 3)),
-               change.get("gap", 0.0), 10.0, keep,
-               change.get("feasibility_jump", True))
+    memo.solve(_knapsack(change.get("b_weight", 3)),
+               gap=change.get("gap", 0.0), time_limit=10.0, keep_dir=keep,
+               stage="knap",
+               feasibility_jump=change.get("feasibility_jump", True))
     assert len(stub.calls) == solves
 
 
@@ -550,21 +555,40 @@ def test_solve_memo_reuses_only_what_the_time_limit_cannot_change(
     stub = _StubSolve(status, wall)
     monkeypatch.setattr(pipeline, "solve", stub)
     memo = SolveMemo()
-    memo.solve(_knapsack_stage(), 0.0, 30.0, None)
-    memo.solve(_knapsack_stage(), 0.0, 10.0, None)
+    memo.solve(_knapsack(), gap=0.0, time_limit=30.0, keep_dir=None,
+               stage="knap")
+    memo.solve(_knapsack(), gap=0.0, time_limit=10.0, keep_dir=None,
+               stage="knap")
     assert len(stub.calls) == solves
     assert stub.calls[-1]["time_limit"] == (30.0 if solves == 1 else 10.0)
 
 
 def test_solve_memo_keeps_artifacts_on_a_hit(tmp_path):
     memo = SolveMemo()
-    first = memo.solve(_knapsack_stage(), 0.0, 10.0, tmp_path / "first")
+    first = memo.solve(_knapsack(), gap=0.0, time_limit=10.0,
+                       keep_dir=tmp_path / "first", stage="knap")
     assert first.status is SolveStatus.OPTIMAL
-    assert memo.solve(_knapsack_stage(), 0.0, 10.0,
-                      tmp_path / "second") is first
+    assert memo.solve(_knapsack(), gap=0.0, time_limit=10.0,
+                      keep_dir=tmp_path / "second", stage="knap") is first
     for name in ("knap.lp", "knap.meta.json", "knap.sol"):
         assert (tmp_path / "second" / name).read_bytes() == \
             (tmp_path / "first" / name).read_bytes()
+
+
+def test_solve_memo_takes_the_arguments_of_solve(monkeypatch):
+    # run_design calls either one the same way
+    def shape(fn):
+        return [(p.name, p.kind) for p in inspect.signature(fn).parameters.values()]
+
+    assert shape(SolveMemo().solve) == shape(solvers.solve)
+    # with solve's defaults there is no time limit, so a settled solve fits
+    stub = _StubSolve()
+    monkeypatch.setattr(pipeline, "solve", stub)
+    memo = SolveMemo()
+    first = memo.solve(_knapsack())
+    assert memo.solve(_knapsack()) is first
+    assert stub.calls == [{"gap": 0.0, "time_limit": None, "keep_dir": None,
+                           "stage": "model", "feasibility_jump": True}]
 
 
 # -- decoding crafted solutions --------------------------------------------------

@@ -251,6 +251,21 @@ def test_a_row_entry_the_reader_drops_ends_the_solve():
     assert "(1, 0, 0)" in res.message
 
 
+def test_a_matrix_entry_below_the_reader_threshold_is_refused():
+    # HiGHS drops an entry below its small_matrix_value (1e-9) on reading;
+    # scipy.optimize.milp would solve the LP without it, solve refuses it
+    m = MilpModel("tiny")
+    m.add_variable("x", VarKind.CONTINUOUS)
+    m.add_variable("y", VarKind.CONTINUOUS)
+    m.add_constraint("r", [("x", 1), ("y", Fraction(1, 10**10))], "<=", 1)
+    m.add_objective_term("x", -1)
+    sol = solve(m)
+    assert sol.status is SolveStatus.ERROR
+    assert sol.values == {} and sol.objective is None
+    assert "no incumbent" in sol.message
+    assert "(2, 1, 1)" in sol.message and "not (2, 1, 2)" in sol.message
+
+
 def test_every_column_row_and_entry_of_a_stage_model_reaches_highs(
         ring4_brs_models, monkeypatch):
     m = ring4_brs_models["lightpath-routing"]
