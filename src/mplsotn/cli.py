@@ -251,7 +251,7 @@ def build_parser() -> argparse.ArgumentParser:
     run.add_argument("--double-count-transit", action="store_true",
                      help="book protection-path arrivals as transit traffic")
     run.add_argument("--keep-artifacts", type=Path, default=None, metavar="DIR",
-                     help="keep LP files, solver output, and metadata in DIR")
+                     help="keep each stage's MPS model, solution, and metadata in DIR")
     run.add_argument("--compare-all", action="store_true",
                      help="run every survivability option and tabulate")
     run.add_argument("--format", choices=["text", "csv"], default="text")

@@ -3,9 +3,10 @@
 A model is an ordered collection of named variables, tagged linear
 constraints, and a minimization objective with an affine constant. Every
 number in it is exact: an ``int`` where it is whole, a ``Fraction`` otherwise
-(``Rational``). Models are written to LP-format text, which any LP-reading
-solver accepts; the writer is deterministic (variables and rows appear in
-insertion order) so identical builds yield byte-identical files.
+(``Rational``). ``write_model`` writes a model as free-format MPS text under
+its own names, the one text HiGHS reads and ``--keep-artifacts`` keeps; the
+writer is deterministic (variables and rows appear in insertion order) so
+identical builds yield byte-identical files.
 """
 
 from __future__ import annotations
@@ -15,9 +16,16 @@ import json
 import re
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Iterable, Mapping, Optional, Sequence
+from typing import Iterable, Mapping, Optional
 
-_NAME_RE = re.compile(r"^[A-Za-z_][A-Za-z0-9_.]*$")
+# Names are plain words of the MPS text. HiGHS's reader takes a few words,
+# in any case, for the text's own and misreads or refuses a model using them:
+# as row names "obj" (the objective row) and "rhs" (the right-hand-side
+# vector); as column names "bnd" (the bound vector) and the section keywords
+# it reads at the head of a column's line.
+_ROW_NAME_RE = re.compile(r"^(?!(?i:obj|rhs)$)[A-Za-z_][A-Za-z0-9_.]*$")
+_COLUMN_NAME_RE = re.compile(
+    r"^(?!(?i:bnd|name|objsense|qsection|qcmatrix|csection)$)[A-Za-z_][A-Za-z0-9_.]*$")
 
 
 class VarKind(enum.Enum):
@@ -101,8 +109,8 @@ class MilpModel:
 
     def add_variable(self, name: str, kind: VarKind,
                      lower=0, upper=1) -> str:
-        if not _NAME_RE.match(name):
-            raise ModelError(f"variable name {name!r} is not LP-safe")
+        if not _COLUMN_NAME_RE.match(name):
+            raise ModelError(f"variable name {name!r} is not a valid MPS name")
         if name in self._vars:
             raise ModelError(f"variable {name!r} already defined")
         lo, hi = as_fraction(lower), as_fraction(upper)
@@ -125,8 +133,8 @@ class MilpModel:
             raise ModelError(f"bad sense {sense!r}")
         if name in self._constraint_names:
             raise ModelError(f"constraint {name!r} already defined")
-        if not _NAME_RE.match(name):
-            raise ModelError(f"constraint name {name!r} is not LP-safe")
+        if not _ROW_NAME_RE.match(name):
+            raise ModelError(f"constraint name {name!r} is not a valid MPS name")
         folded: dict[str, Rational] = {}
         repeated = False
         for var, coeff in terms:
@@ -180,7 +188,7 @@ class MilpModel:
         return tuple(sorted({c.tag for c in self._constraints if c.tag}))
 
     def metadata(self) -> dict:
-        """Row tags and variable kinds, serialized next to LP artifacts."""
+        """Row tags and variable kinds, serialized next to the kept model text."""
         return {
             "model": self.name,
             "objective_constant": str(self.objective_constant),
@@ -189,7 +197,7 @@ class MilpModel:
         }
 
 
-# -- LP text ----------------------------------------------------------------
+# -- model text ---------------------------------------------------------------
 
 
 def format_coefficient(c: Rational) -> str:
@@ -212,49 +220,51 @@ def format_coefficient(c: Rational) -> str:
     return f"{'-' if n < 0 else ''}{whole}.{frac:0{k}d}"
 
 
-def _terms_text(terms: Sequence[tuple[str, Rational]]) -> str:
-    if not terms:
-        return "0 __zero__"
-    chunks: list[str] = []
-    for idx, (var, coeff) in enumerate(terms):
-        mag = format_coefficient(abs(coeff))
-        body = f"{mag} {var}" if mag != "1" else var
-        if idx == 0:
-            chunks.append(f"- {body}" if coeff < 0 else body)
-        else:
-            chunks.append(f"{'-' if coeff < 0 else '+'} {body}")
-    return " ".join(chunks)
+_ROW_TYPE = {"<=": "L", ">=": "G", "=": "E"}
 
 
 def write_model(m: MilpModel) -> str:
-    """Deterministic LP-format text for the model.
+    """Deterministic free-format MPS text for the model, under its own names.
 
-    The objective constant is not representable in LP files; it is recorded
-    as a comment, and ``objective_value`` adds it back.
+    Rows and columns keep model order, each column's entries come in row
+    order, every column states both bounds, and integer and binary columns
+    sit between ``INTORG``/``INTEND`` markers. Every number is printed by
+    ``format_coefficient``. A column with no cost and no row is declared by
+    a zero cost. MPS cannot state the objective constant: it is recorded on
+    a ``*`` comment line, which a reader skips, and ``objective_value`` adds
+    it back.
     """
-    lines: list[str] = [f"\\ model: {m.name}"]
-    if m.objective_constant != 0:
-        lines.append(f"\\ objective-constant: {format_coefficient(m.objective_constant)}")
-    lines.append("Minimize")
-    lines.append(f" obj: {_terms_text(m.objective_terms)}")
-    lines.append("Subject To")
-    for c in m.constraints:
-        lines.append(f" {c.name}: {_terms_text(c.terms)} {c.sense} {format_coefficient(c.rhs)}")
-    lines.append("Bounds")
+    entries: dict[str, list[str]] = {v.name: [] for v in m.variables}
+    for var, coeff in m.objective_terms:
+        entries[var].append("obj " + format_coefficient(coeff))
+    lines = [f"NAME {m.name}"]
+    if m.objective_constant:
+        lines.append(f"* objective-constant: {format_coefficient(m.objective_constant)}")
+    lines += ["ROWS", " N obj"]
+    rhs = ["RHS"]
+    for con in m.constraints:
+        name = con.name
+        lines.append(f" {_ROW_TYPE[con.sense]} {name}")
+        for var, coeff in con.terms:
+            entries[var].append(f"{name} {format_coefficient(coeff)}")
+        if con.rhs:
+            rhs.append(f" rhs {name} {format_coefficient(con.rhs)}")
+    lines.append("COLUMNS")
+    bounds = ["BOUNDS"]
+    marked = False
     for v in m.variables:
-        lines.append(f" {format_coefficient(v.lower)} <= {v.name} <= {format_coefficient(v.upper)}")
-    generals = [v.name for v in m.variables if v.kind is VarKind.INTEGER]
-    binaries = [v.name for v in m.variables if v.kind is VarKind.BINARY]
-    if generals:
-        lines.append("Generals")
-        for name in generals:
-            lines.append(f" {name}")
-    if binaries:
-        lines.append("Binaries")
-        for name in binaries:
-            lines.append(f" {name}")
-    lines.append("End")
-    return "\n".join(lines) + "\n"
+        integral = v.kind is not VarKind.CONTINUOUS
+        if integral is not marked:
+            lines.append(f" marker 'MARKER' '{'INTORG' if integral else 'INTEND'}'")
+            marked = integral
+        # one string per column, every line led by the column's name
+        lead = f" {v.name} "
+        lines.append(lead + ("\n" + lead).join(entries[v.name] or ["obj 0"]))
+        lo, up = format_coefficient(v.lower), format_coefficient(v.upper)
+        bounds.append(f" LO bnd{lead}{lo}\n UP bnd{lead}{up}")
+    if marked:
+        lines.append(" marker 'MARKER' 'INTEND'")
+    return "\n".join([*lines, *rhs, *bounds, "ENDATA", ""])
 
 
 # -- solutions ----------------------------------------------------------------

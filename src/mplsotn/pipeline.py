@@ -569,8 +569,9 @@ def run_design(
 ) -> Design:
     """Validate, optimize stage by stage, decode, and account.
 
-    With ``keep_artifacts_dir``, each stage's LP text, metadata and solution
-    are written there under the stage's name.
+    With ``keep_artifacts_dir``, each stage's model text (``<stage>.mps``,
+    the MPS text HiGHS read), metadata and solution are written there under
+    the stage's name.
 
     With ``shared``, a stage model already solved through the same memo,
     by this run or another, is not solved again (see ``SolveMemo``).

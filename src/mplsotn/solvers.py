@@ -3,8 +3,9 @@
 ``solve`` takes a model plus gap/time limits and returns a ``Solution``.
 Every incumbent HiGHS returns is feasibility-checked against the model
 (1e-6 absolute) before being handed to callers. ``keep_artifacts`` writes a
-stage's LP text, metadata and solution, so a model can still be run through
-another solver by hand.
+stage's model text, metadata and solution: the ``<stage>.mps`` file holds
+the very bytes HiGHS read, so a model can still be run through another
+solver by hand.
 
 HiGHS comes from the pybind11 binding scipy bundles at
 ``scipy/optimize/_highspy/_core*``, the one ``scipy.optimize.milp`` drives.
@@ -20,8 +21,9 @@ takes under 10 ms. The module is registered under its own name, so a later
 The model reaches HiGHS as free-format MPS text, which the binding's
 ``readModel`` reads from a temporary file; the one other way in, the
 binding's ``HighsLp``, takes its costs only as an array of that library.
-``mps_text`` keeps the model's column and row order and prints every number
-with the LP text's ``format_coefficient``, whose text parses to the float
+The text is ``milp.write_model``'s, which keeps the
+model's names and its column and row order and prints every number with
+``format_coefficient``, whose text parses to the float
 ``scipy.optimize.milp`` would hand HiGHS, so HiGHS holds the same LP and
 runs the same search. ``scipy_milp`` sets ``milp``'s options and reads the
 result back in ``milp``'s terms. The one exception is the integrated
@@ -97,7 +99,6 @@ from .milp import (
     SolveStatus,
     VarKind,
     check_solution,
-    format_coefficient,
     snap_values,
     write_metadata,
     write_model,
@@ -140,11 +141,12 @@ def solve(model: MilpModel, *, gap: float = 0.0,
 
 def keep_artifacts(model: MilpModel, sol: Solution, directory: Optional[Path],
                    stage: str) -> None:
+    """Write ``<stage>.mps``, ``.meta.json`` and ``.sol`` to ``directory``, if any."""
     if directory is None:
         return
     d = Path(directory)
     d.mkdir(parents=True, exist_ok=True)
-    (d / f"{stage}.lp").write_text(write_model(model))
+    (d / f"{stage}.mps").write_text(write_model(model))
     (d / f"{stage}.meta.json").write_text(write_metadata(model))
     (d / f"{stage}.sol").write_text(write_solution(sol))
 
@@ -154,7 +156,7 @@ def _solve_embedded(model: MilpModel, *, gap: float,
                     feasibility_jump: bool) -> Solution:
     variables = model.variables
     res = scipy_milp(
-        mps=mps_text(model),
+        mps=write_model(model),
         shape=_shape(model),
         integral=any(v.kind is not VarKind.CONTINUOUS for v in variables),
         gap=float(gap),
@@ -204,53 +206,9 @@ def _solve_embedded(model: MilpModel, *, gap: float,
 
 
 def _shape(model: MilpModel) -> tuple[int, int, int]:
-    """The columns, rows and row entries ``mps_text`` writes for ``model``."""
+    """The columns, rows and row entries ``write_model`` writes for ``model``."""
     rows = model.constraints
     return len(model.variables), len(rows), sum(len(con.terms) for con in rows)
-
-
-_ROW_TYPE = {"<=": "L", ">=": "G", "=": "E"}
-
-
-def mps_text(model: MilpModel) -> str:
-    """``model`` as free-format MPS, rows ``r0...`` and columns ``c0...`` in model order.
-
-    Every number parses to the float ``scipy.optimize.milp`` would hand
-    HiGHS, each column's entries come in row order, every column states both
-    bounds, and integer and binary columns sit between ``INTORG``/``INTEND``
-    markers. A column with no cost and no row is declared by a zero cost.
-    The objective constant is left out, as ``milp`` leaves it out.
-    """
-    variables = model.variables
-    col = {v.name: j for j, v in enumerate(variables)}
-    entries: list[list[str]] = [[] for _ in variables]
-    for var, coeff in model.objective_terms:
-        entries[col[var]].append("obj " + format_coefficient(coeff))
-    rows = ["NAME mplsotn", "ROWS", " N obj"]
-    rhs = ["RHS"]
-    for i, con in enumerate(model.constraints):
-        name = f"r{i}"
-        rows.append(f" {_ROW_TYPE[con.sense]} {name}")
-        for var, coeff in con.terms:
-            entries[col[var]].append(f"{name} {format_coefficient(coeff)}")
-        if con.rhs:
-            rhs.append(f" rhs {name} {format_coefficient(con.rhs)}")
-    columns = ["COLUMNS"]
-    bounds = ["BOUNDS"]
-    marked = False
-    for j, v in enumerate(variables):
-        integral = v.kind is not VarKind.CONTINUOUS
-        if integral is not marked:
-            columns.append(f" marker 'MARKER' '{'INTORG' if integral else 'INTEND'}'")
-            marked = integral
-        # one string per column, every line led by the column's name
-        name = f" c{j} "
-        columns.append(name + ("\n" + name).join(entries[j] or ["obj 0"]))
-        lo, up = format_coefficient(v.lower), format_coefficient(v.upper)
-        bounds.append(f" LO bnd{name}{lo}\n UP bnd{name}{up}")
-    if marked:
-        columns.append(" marker 'MARKER' 'INTEND'")
-    return "\n".join([*rows, *columns, *rhs, *bounds, "ENDATA", ""])
 
 
 @dataclass(frozen=True)
@@ -274,7 +232,7 @@ _LIMITS = ("kTimeLimit", "kIterationLimit", "kSolutionLimit")
 def scipy_milp(*, mps: str, shape: tuple[int, int, int], integral: bool,
                gap: float, time_limit: Optional[float] = None,
                feasibility_jump: bool = True) -> HighsResult:
-    """Solve the MPS text ``mps_text`` wrote, as ``scipy.optimize.milp`` would.
+    """Solve the MPS text ``write_model`` wrote, as ``scipy.optimize.milp`` would.
 
     HiGHS reads the text from a file in a ``mplsotn-*`` temporary directory,
     which is gone before the search starts. The options (``log_to_console``

@@ -28,7 +28,22 @@ from mplsotn.model import (
     instance_hash,
     normalized_link,
 )
+from mplsotn import solvers
 from mplsotn.pipeline import SolveMemo, run_design
+
+
+def highs_calls(monkeypatch) -> list[tuple[dict, object]]:
+    """Every HiGHS call from now on as (keywords, result); ``mps`` is its text."""
+    calls = []
+    real = solvers.scipy_milp
+
+    def recording(**kwargs):
+        calls.append((kwargs, real(**kwargs)))
+        return calls[-1][1]
+
+    monkeypatch.setattr(solvers, "scipy_milp", recording)
+    return calls
+
 
 OPTIONS = (
     Survivability.NONE,
@@ -79,15 +94,6 @@ def cached_design(instance: Instance, cfg: DesignConfig) -> Design:
     if key not in _designs:
         _designs[key] = (instance, run_design(instance, cfg, shared=_shared))
     return _designs[key][1]
-
-
-def cached_protected_designs() -> list[tuple[Instance, Design]]:
-    """Every design built so far whose option allocates spare capacity."""
-    return [
-        (inst, des)
-        for inst, des in _designs.values()
-        if des.config.survivability is not Survivability.NONE
-    ]
 
 
 # -- reference instance families -------------------------------------------------

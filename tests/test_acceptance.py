@@ -7,8 +7,10 @@ none are produced by the code under test.
 """
 
 import copy
+import random
 import sys
 import time
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -314,14 +316,22 @@ def _mutate_leaf(value):
     raise TypeError(f"unexpected leaf {value!r}")
 
 
-def _apply(doc, path, value):
-    node = doc
-    for step in path[:-1]:
-        node = node[step]
-    node[path[-1]] = value
+def _semantic_leaves(doc):
+    return [path for path in _leaf_paths(doc) if path and path[0] in _SEMANTIC_KEYS]
 
 
-def test_acceptance_8_verifier_flags_every_corruption(verdict):
+def _mutant(doc, paths):
+    """A copy of ``doc`` with the leaf at each of ``paths`` corrupted."""
+    mutant = copy.deepcopy(doc)
+    for path in paths:
+        node, target = doc, mutant
+        for step in path[:-1]:
+            node, target = node[step], target[step]
+        target[path[-1]] = _mutate_leaf(node[path[-1]])
+    return mutant
+
+
+def _fuzz_pool():
     pool = []
     for name in DESKS:
         inst = desk(name)
@@ -330,7 +340,47 @@ def test_acceptance_8_verifier_flags_every_corruption(verdict):
                        Survivability.MULTI_INTERLAYER_BRS):
             design = cached_design(inst, exact_config(option))
             pool.append((inst, design, design_to_dict(design)))
+    return pool
 
+
+def _relabels_slots(doc, mutant_doc, q_max: int) -> bool:
+    """Whether the mutant only moves lightpaths to free slots of their pairs,
+    each with its optical protection and every LSP hop on it: the same design
+    under other slot labels."""
+    relabel = {}
+    for lp, moved in zip(doc["lightpaths"], mutant_doc["lightpaths"]):
+        pair = (lp["origin"], lp["termination"])
+        if (pair != (moved["origin"], moved["termination"])
+                or not 1 <= moved["slot"] <= q_max):
+            return False
+        # a carrier and its optical protection share a key: one new key for both
+        new_key = [*pair, moved["slot"]]
+        if relabel.setdefault((*pair, lp["slot"]), new_key) != new_key:
+            return False
+    if len({tuple(key) for key in relabel.values()}) < len(relabel):
+        return False
+    expected = copy.deepcopy(doc)
+    for lp, moved in zip(expected["lightpaths"], mutant_doc["lightpaths"]):
+        lp["slot"] = moved["slot"]
+    for route in expected["lsp_routes"]:
+        for side in ("working", "protection"):
+            if route[side] is not None:
+                route[side] = [relabel[tuple(hop)] for hop in route[side]]
+    return expected == mutant_doc
+
+
+def _outcome(inst, doc, paths) -> str:
+    """What becomes of ``doc`` with the leaves at ``paths`` corrupted:
+    ``rejected`` at parse, ``flagged`` by the verifier, or ``passed``."""
+    try:
+        mutant = design_from_dict(_mutant(doc, paths))
+    except Exception:
+        return "rejected"
+    return "flagged" if verify_design(inst, mutant) else "passed"
+
+
+def test_acceptance_8_verifier_flags_every_corruption(verdict):
+    pool = _fuzz_pool()
     false_positives = []
     for inst, design, doc in pool:
         if verify_design(inst, design):
@@ -339,34 +389,60 @@ def test_acceptance_8_verifier_flags_every_corruption(verdict):
             false_positives.append((inst.name, "after round trip"))
 
     # every semantic leaf of every pooled design, mutated once
+    outcomes = Counter()
     missed = []
-    rejected = 0
-    flagged = 0
     for inst, design, doc in pool:
-        for path in _leaf_paths(doc):
-            if not path or path[0] not in _SEMANTIC_KEYS:
-                continue
-            mutant_doc = copy.deepcopy(doc)
-            node = doc
-            for step in path:
-                node = node[step]
-            _apply(mutant_doc, path, _mutate_leaf(node))
-            try:
-                mutant = design_from_dict(mutant_doc)
-            except Exception:
-                rejected += 1
-                continue
-            if verify_design(inst, mutant):
-                flagged += 1
-            else:
+        for path in _semantic_leaves(doc):
+            outcome = _outcome(inst, doc, [path])
+            outcomes[outcome] += 1
+            if outcome == "passed":
                 missed.append((inst.name, design.config.survivability.value,
                                path))
 
     ok = not missed and not false_positives
     verdict(8, "verifier flags every corrupted design field", ok,
-             f"{flagged + rejected + len(missed)} corruptions, every semantic"
-             f" leaf once: {flagged} flagged, {rejected} rejected at parse,"
-             f" {len(missed)} missed; {len(false_positives)} false positives"
+             f"{outcomes.total()} corruptions, every semantic leaf once:"
+             f" {outcomes['flagged']} flagged, {outcomes['rejected']} rejected"
+             f" at parse, {len(missed)} missed; {len(false_positives)} false positives"
              " on pristine designs")
     assert not false_positives, false_positives
     assert not missed, missed[:10]
+
+
+def test_verifier_flags_every_two_leaf_corruption():
+    # 2,000 seeded pairs of check 8's semantic leaves; at seed 0 the verifier
+    # passes one: a ring4 `none` lightpath and its hop moved to slot 2
+    rng = random.Random(0)
+    pool = _fuzz_pool()
+    leaves = [_semantic_leaves(doc) for _inst, _design, doc in pool]
+    outcomes = Counter()
+    for _ in range(2000):
+        k = rng.randrange(len(pool))
+        inst, design, doc = pool[k]
+        paths = rng.sample(leaves[k], 2)
+        outcome = _outcome(inst, doc, paths)
+        if outcome == "passed":
+            assert _relabels_slots(doc, _mutant(doc, paths),
+                                   design.config.effective_q_max(inst)), (
+                inst.name, paths)
+        outcomes[outcome] += 1
+    assert outcomes["flagged"] > outcomes["rejected"] > outcomes["passed"] == 1
+
+
+def test_a_protected_slot_relabel_moves_carrier_protection_and_hops_together():
+    # ring5-chord `double`: the (1, 4) carrier and its optical protection
+    # share slot 1, and slot 2 of the pair is free
+    inst, design, doc = _fuzz_pool()[10]
+    lightpaths = [("lightpaths", i, "slot") for i, lp in enumerate(doc["lightpaths"])
+                  if [lp["origin"], lp["termination"], lp["slot"]] == [1, 4, 1]]
+    hops = [("lsp_routes", k, side, h, 2) for k, route in enumerate(doc["lsp_routes"])
+            for side in ("working", "protection")
+            for h, hop in enumerate(route[side] or ()) if hop == [1, 4, 1]]
+    assert len(lightpaths) == 2 and hops
+    q_max = design.config.effective_q_max(inst)
+    relabelled = _mutant(doc, lightpaths + hops)
+    assert not verify_design(inst, design_from_dict(relabelled))
+    assert _relabels_slots(doc, relabelled, q_max)
+    # the carrier moved without its protection, or without its hops
+    for paths in (lightpaths[:1] + hops, lightpaths):
+        assert not _relabels_slots(doc, _mutant(doc, paths), q_max)

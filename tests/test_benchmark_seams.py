@@ -10,6 +10,7 @@ instead.
 
 import importlib
 import importlib.util
+import re
 import sys
 from pathlib import Path
 
@@ -55,6 +56,13 @@ def test_a_traced_run_solves_and_decodes_through_the_wrapped_seams(tracing):
     assert nodes == [t.node_count for t in design.traces
                      if t.stage != "protection-mpls"]
     assert sum(nodes) > 0
+    # the tracer digests each solved model through milp.write_model
+    records = tracing.model_records(tracer.spans)
+    assert [(r["stage"], r["vars"], r["rows"], r["nnz"]) for r in records] == [
+        (s.stage, len(m.variables), len(m.constraints),
+         sum(len(c.terms) for c in m.constraints))
+        for s in solves for m in [s.attrs["model"]]]
+    assert all(re.fullmatch("[0-9a-f]{64}", r["sha256"]) for r in records)
 
 
 def test_a_traced_integrated_run_files_each_layer_under_its_stage(tracing):

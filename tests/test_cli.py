@@ -37,7 +37,7 @@ from mplsotn.model import (
 from mplsotn.pipeline import PipelineError, StageInfeasibleError, run_design
 from mplsotn.serialize import load_design
 
-from support import OPTIONS, desk, exact_config, mesh_family
+from support import OPTIONS, desk, exact_config, highs_calls, mesh_family
 
 
 @pytest.fixture(scope="module")
@@ -167,7 +167,7 @@ def test_run_keep_artifacts(ring4_file, tmp_path):
                  "--keep-artifacts", str(art)])
     assert code == EXIT_OK
     for stage in ("working-mpls", "lightpath-routing"):
-        for ext in (".lp", ".sol", ".meta.json"):
+        for ext in (".mps", ".sol", ".meta.json"):
             assert (art / f"{stage}{ext}").exists(), f"{stage}{ext}"
 
 
@@ -588,7 +588,7 @@ def test_compare_all_retries_get_the_time_left_after_a_shared_stage(
 
 
 def test_compare_all_solves_the_working_stage_once(ring4_file, monkeypatch):
-    solved = []  # (stage, LP text, gap) per solve
+    solved = []  # (stage, model text, gap) per solve
     solve = pipeline.solve
 
     def counting_solve(model, **kwargs):
@@ -650,13 +650,20 @@ def test_compare_all_matches_lone_runs(name, approach, tmp_path, capsys):
     assert code == (EXIT_INFEASIBLE if infeasible else EXIT_OK)
 
 
-def test_compare_all_keeps_every_options_artifacts(ring4_file, tmp_path):
+def test_compare_all_keeps_every_options_artifacts(ring4_file, tmp_path,
+                                                   monkeypatch):
+    calls = highs_calls(monkeypatch)
     shared = tmp_path / "shared"
     assert main(["run", ring4_file, "--compare-all",
                  "--keep-artifacts", str(shared)]) == EXIT_OK
     # every option keeps its whole chain, shared solves included
     assert sorted(p.name for p in shared.iterdir()) == sorted(
         option.value for option in OPTIONS)
+    # a memo hit keeps the very text of the solve it reuses, as stage I does
+    # under every option; a model without columns is never read
+    kept = [p.read_bytes() for p in shared.glob("*/*.mps")]
+    assert {t for t in kept if b"\nCOLUMNS\nRHS\n" not in t} == {
+        kwargs["mps"].encode() for kwargs, _ in calls}
 
     def contents(directory):
         return {p.name: p.read_bytes() for p in directory.iterdir()}

@@ -1,21 +1,23 @@
-"""Byte-identical LP text for every stage model of a fixed roster.
+"""Byte-identical model text for every stage model of a fixed roster.
 
-``write_model`` is deterministic, so the sha256 of each kept ``<stage>.lp``
-pins the exact model a builder emits. The roster is the three desk instances
-and ``mesh_family(5, 0)`` under every option and approach at gap 0; the mesh
-adds the rows the desk instances never build (``pr2``, ``pairnode2`` and the
-shared-restoration ``brsy``/``brscont``/``brsban`` rows). Under
-``none/integrated`` the pinned ``integrated-working`` is stage I's route-free
-relaxation over router pairs, with one count of open lightpaths per pair,
-without the LSP pairs into a demand's source or out of its destination and
-with its node cut-set rows: its LSPs pack into their pairs' open slots and
-its shortest routes fit every link here, so the full model is never solved
-after it. The stage-II models (``protection-mpls`` and
-``integrated-protection``) hold no variable, arc, grooming row or route for
-a slot the working layer holds, and no row that bars one. A refactor of the
-builders leaves every digest unchanged; a deliberate change to a
-formulation updates the pinned values below and says why. ``ROSTER_MPS`` pins in one digest the MPS text of every model the
-roster hands HiGHS, so it also moves with a change to the MPS writer.
+``write_model`` is deterministic, so the sha256 of each kept ``<stage>.mps``
+pins the exact model a builder emits and the exact text HiGHS reads: the
+number printer, the names, the column order and the bounds. Each design also
+checks that every text HiGHS reads is one of its pinned files. The roster is
+the three desk instances and ``mesh_family(5, 0)`` under every option and
+approach at gap 0; the mesh adds the rows the desk instances never build
+(``pr2``, ``pairnode2`` and the shared-restoration
+``brsy``/``brscont``/``brsban`` rows). Under ``none/integrated`` the pinned
+``integrated-working`` is stage I's route-free relaxation over router pairs,
+with one count of open lightpaths per pair, without the LSP pairs into a
+demand's source or out of its destination and with its node cut-set rows:
+its LSPs pack into their pairs' open slots and its shortest routes fit every
+link here, so the full model is never solved after it. The stage-II models
+(``protection-mpls`` and ``integrated-protection``) hold no variable, arc,
+grooming row or route for a slot the working layer holds, and no row that
+bars one. A refactor of the builders leaves every digest unchanged; a
+deliberate change to a formulation or to the writer updates the pinned
+values below and says why.
 
 A later stage's model depends on the optimum HiGHS returned for the earlier
 stages, so the pins belong to one solver build (scipy 1.17.1). After a solver
@@ -26,9 +28,8 @@ import hashlib
 
 import pytest
 
-from support import OPTIONS, desk, exact_config, mesh_family
+from support import OPTIONS, desk, exact_config, highs_calls, mesh_family
 
-from mplsotn import solvers
 from mplsotn.formulation import build_integrated_working
 from mplsotn.milp import write_model
 from mplsotn.model import Approach, DesignConfig, Survivability
@@ -49,289 +50,289 @@ INSTANCES = {
 PINNED = {
     "fam-5-s0/brs/integrated": {
         "integrated-working":
-            "0e577a0d3108dcedf366c1dbf22b6ec5e96293c840dfcf72fa5c07e774b8fd80",
+            "6121fdeff847ca6406865df880fe117df6a2091ab522790876f77959067e6d8d",
         "integrated-protection":
-            "4c9b9ceb2b68e0a4b1d41e2be2aeb8238b97f4446f4e97fcda5e521aacfbebf4",
+            "a5adc69881a7302178827692138cce67a32f881bdef35835825965fd47c8c8a7",
     },
     "fam-5-s0/brs/sequential": {
         "working-mpls":
-            "20a6bb0a2093510a5d30730a2e768b9bae3421f198575b100abc71d4ce413ced",
+            "f8ffb37098e2801a8f74c9f0bdf769e79f3bc0d0be4bbf063f412aa527799b2c",
         "protection-mpls":
-            "d9c3cfa36e6fec141941760c26a1abe516dc334a2a819a81f32ae6c2b7aef741",
+            "b4aa562c9d297bea0b6b57f1c66a297b5bce90e825962d7a6140e481804bfd54",
         "lightpath-routing":
-            "de054d1ce5f3eb23505fc769274663c8a18136efae2673420e84c6deb0b47430",
+            "893a612030a811f2eea5afd025b9704cf443c10043f820b87018a6509568f43d",
         "lightpath-protection":
-            "809a1626956c143015f7cd1f0c713c03e2bd9c6674ca50ee2220877b15d58649",
+            "5c983bf7794d47cb8e53e3a090fa93806fba46e6ce5e711b2058e7b6e8e612b6",
     },
     "fam-5-s0/double/integrated": {
         "integrated-working":
-            "0e577a0d3108dcedf366c1dbf22b6ec5e96293c840dfcf72fa5c07e774b8fd80",
+            "6121fdeff847ca6406865df880fe117df6a2091ab522790876f77959067e6d8d",
         "integrated-protection":
-            "4f0c70ea584f36969de151c2283887332f50494c6f2a7d31ac5bcf55dfd722bc",
+            "a98d911875705e0a39b40c0c500e52dfe847c02c759152ff4de617e350ec1bb1",
     },
     "fam-5-s0/double/sequential": {
         "working-mpls":
-            "20a6bb0a2093510a5d30730a2e768b9bae3421f198575b100abc71d4ce413ced",
+            "f8ffb37098e2801a8f74c9f0bdf769e79f3bc0d0be4bbf063f412aa527799b2c",
         "protection-mpls":
-            "d9c3cfa36e6fec141941760c26a1abe516dc334a2a819a81f32ae6c2b7aef741",
+            "b4aa562c9d297bea0b6b57f1c66a297b5bce90e825962d7a6140e481804bfd54",
         "lightpath-routing":
-            "6028788eed22554a908605f999bd7deb47af153c84ed8b43a0d930c6cf9a7a60",
+            "588763721df0ebd95f0ce1e4b88494d9757d9e9becfa7cf7bfa164013a6a1a69",
         "lightpath-protection":
-            "159491ac15f0cad079950ac8405722d0e3b3a5d2f6fc2e3255faa47c45742f78",
+            "e404074118305b28e782a82cb6d4596cd921870c81baab6fe8b1660aaa551aea",
     },
     "fam-5-s0/none/integrated": {
         "integrated-working":
-            "3364118788fdbe018a064ad69a76a5be1404aabfadd346b85ce04d6451c48ac1",
+            "9f947b796f774cf72ea6445c55addf2c8ac73252353669feba7375ea7283b6d5",
     },
     "fam-5-s0/none/sequential": {
         "working-mpls":
-            "20a6bb0a2093510a5d30730a2e768b9bae3421f198575b100abc71d4ce413ced",
+            "f8ffb37098e2801a8f74c9f0bdf769e79f3bc0d0be4bbf063f412aa527799b2c",
         "lightpath-routing":
-            "503c5100433ad78b5d20c73e539259788a914e596c9bb5238e093f85bc5eb99a",
+            "83b3411110949b7f25e3deafa5b3d1f469359873b95e18667b347535e69c5910",
     },
     "fam-5-s0/single/integrated": {
         "integrated-working":
-            "0e577a0d3108dcedf366c1dbf22b6ec5e96293c840dfcf72fa5c07e774b8fd80",
+            "6121fdeff847ca6406865df880fe117df6a2091ab522790876f77959067e6d8d",
         "integrated-protection":
-            "2e571b786eba8c20a73caa76b11cda7b978c6fc9fd58582d2b27a24735e6fb59",
+            "2fba4b594b4f9183abfd46119783b1044f917f2dfe198b7838abc4672aecc9a5",
     },
     "fam-5-s0/single/sequential": {
         "working-mpls":
-            "20a6bb0a2093510a5d30730a2e768b9bae3421f198575b100abc71d4ce413ced",
+            "f8ffb37098e2801a8f74c9f0bdf769e79f3bc0d0be4bbf063f412aa527799b2c",
         "protection-mpls":
-            "c85d65f930de24099bc0811df3474c215ec6eacbb2ca32e50afcdd6aa631c43f",
+            "20e78e48ae4e9bf0a08f6a5b62f732c521d17112390047a29b077aaeef58d0b5",
     },
     "fam-5-s0/spare-unprotected/integrated": {
         "integrated-working":
-            "0e577a0d3108dcedf366c1dbf22b6ec5e96293c840dfcf72fa5c07e774b8fd80",
+            "6121fdeff847ca6406865df880fe117df6a2091ab522790876f77959067e6d8d",
         "integrated-protection":
-            "122ed85263736829c6cccfc358568deed6045bafc29f5621d48b13bf6b4d65ef",
+            "0ed8dd7dc24a1293c83381867548dd999b16c6393a22bc25d4515530889df61f",
     },
     "fam-5-s0/spare-unprotected/sequential": {
         "working-mpls":
-            "20a6bb0a2093510a5d30730a2e768b9bae3421f198575b100abc71d4ce413ced",
+            "f8ffb37098e2801a8f74c9f0bdf769e79f3bc0d0be4bbf063f412aa527799b2c",
         "protection-mpls":
-            "d9c3cfa36e6fec141941760c26a1abe516dc334a2a819a81f32ae6c2b7aef741",
+            "b4aa562c9d297bea0b6b57f1c66a297b5bce90e825962d7a6140e481804bfd54",
         "lightpath-routing":
-            "de054d1ce5f3eb23505fc769274663c8a18136efae2673420e84c6deb0b47430",
+            "893a612030a811f2eea5afd025b9704cf443c10043f820b87018a6509568f43d",
         "lightpath-protection":
-            "29f367c17d43a6e27f963add5d0b89a8892661dc07842ac8cb3afde3c3dcb7cc",
+            "65a123d3a2f42e3fa3f5b050db8479fc948fcbbd19cc236232a6df9df7f097d8",
     },
     "ring4-chord/brs/integrated": {
         "integrated-working":
-            "51e0520255f5f14f95d4bfd8e55b78035a81ddc8254912550c6cbad28f16c151",
+            "2d4eefc813cb9619514a418dce6f5c84293a68142404d5dc3869f9e87cd954bf",
         "integrated-protection":
-            "c40e8dc7b4319173021d6bee53638ba753cb81cb7431246719d99e3e660f201d",
+            "69fc2068f59ee614baca07f2f922896a60e9ba3c5c9f4639a8874fafe5a1c949",
     },
     "ring4-chord/brs/sequential": {
         "working-mpls":
-            "c51c7854db91a3671525c114935529e7f5aefdbede634a0b97198ed5f3ccc047",
+            "fad9ced3f7353bcce6b54150a2802af68bbef54ffbb28736a5747f075331e838",
         "protection-mpls":
-            "5926612a123ad94ff934ccf119e2f748821e0a2c62ad3ca283dc8f840d7b4af1",
+            "9f788579b9076393912190aa53325a3e0385e68262e1a865517b814a006f32be",
         "lightpath-routing":
-            "e05cbd79b288fc64e279a2da53c40ac85b791b468b4663bc851751e28495eb0c",
+            "57273a6e53795033b08a6eab826e8bfc88e6bd395350f7381fcd3ff1eef70d07",
         "lightpath-protection":
-            "04ecac3328427063d128a050022128b8a13e2daeecb5b079fd113a68129d047f",
+            "cc3abf338ba8eaa1bfe02a239bf39edadf9833933afe788e3391276824d5bb09",
     },
     "ring4-chord/double/integrated": {
         "integrated-working":
-            "51e0520255f5f14f95d4bfd8e55b78035a81ddc8254912550c6cbad28f16c151",
+            "2d4eefc813cb9619514a418dce6f5c84293a68142404d5dc3869f9e87cd954bf",
         "integrated-protection":
-            "0b3e8f5e2e7db533e4b497648c5c30f01555f44a48b01e8912019a50b409c98c",
+            "c71ec8ab96bcdac66e637905cb93e9e0fc0393efeb91d1ff6ef6680fc10ebb20",
     },
     "ring4-chord/double/sequential": {
         "working-mpls":
-            "c51c7854db91a3671525c114935529e7f5aefdbede634a0b97198ed5f3ccc047",
+            "fad9ced3f7353bcce6b54150a2802af68bbef54ffbb28736a5747f075331e838",
         "protection-mpls":
-            "5926612a123ad94ff934ccf119e2f748821e0a2c62ad3ca283dc8f840d7b4af1",
+            "9f788579b9076393912190aa53325a3e0385e68262e1a865517b814a006f32be",
         "lightpath-routing":
-            "e05cbd79b288fc64e279a2da53c40ac85b791b468b4663bc851751e28495eb0c",
+            "57273a6e53795033b08a6eab826e8bfc88e6bd395350f7381fcd3ff1eef70d07",
         "lightpath-protection":
-            "23dd240ec032ba3bcbaf5b8525e4af3ff2be6429b2c4ff4367d15fecfdd4c6f9",
+            "3cdf32717bc200e4b4ff3093590a91d50ad95ae7d6ac2da429a2407ea406aaad",
     },
     "ring4-chord/none/integrated": {
         "integrated-working":
-            "c395e55de44ae60d22a72e652d9f237c290f3d3c95c04aeafa25e63addd565b8",
+            "4d515ff4e89b6e8e4d4a03621b2991518c1488202d15a0c1d4020bf02adfe4fc",
     },
     "ring4-chord/none/sequential": {
         "working-mpls":
-            "c51c7854db91a3671525c114935529e7f5aefdbede634a0b97198ed5f3ccc047",
+            "fad9ced3f7353bcce6b54150a2802af68bbef54ffbb28736a5747f075331e838",
         "lightpath-routing":
-            "e05cbd79b288fc64e279a2da53c40ac85b791b468b4663bc851751e28495eb0c",
+            "57273a6e53795033b08a6eab826e8bfc88e6bd395350f7381fcd3ff1eef70d07",
     },
     "ring4-chord/single/integrated": {
         "integrated-working":
-            "51e0520255f5f14f95d4bfd8e55b78035a81ddc8254912550c6cbad28f16c151",
+            "2d4eefc813cb9619514a418dce6f5c84293a68142404d5dc3869f9e87cd954bf",
         "integrated-protection":
-            "8a35a8c3b37d758031743451a74df0fe95abba86a1a4aaff1c284b972831dd0c",
+            "bebf2f8cf8b7a9a472bfc9dbd3bd24c1dccad789856be3edc5027959dede07de",
     },
     "ring4-chord/single/sequential": {
         "working-mpls":
-            "c51c7854db91a3671525c114935529e7f5aefdbede634a0b97198ed5f3ccc047",
+            "fad9ced3f7353bcce6b54150a2802af68bbef54ffbb28736a5747f075331e838",
         "protection-mpls":
-            "fd66040ffdaee69d4d59d9d61ee0a3c0ec710a76cc2ff1ee947722e4dd9d618f",
+            "ccc174944e55c813ac77ae4ac719653a8f95cb461a44fd40c31bdc298ffdb928",
         "lightpath-routing":
-            "e6162438b3decaeeb0a1bd6777f8d58ee52eacbcf22e6040b92ad33bd3738ca5",
+            "16412d515dc44f5dd3095abedad812627be663d44c2ec5d49476a2f4850fd722",
     },
     "ring4-chord/spare-unprotected/integrated": {
         "integrated-working":
-            "51e0520255f5f14f95d4bfd8e55b78035a81ddc8254912550c6cbad28f16c151",
+            "2d4eefc813cb9619514a418dce6f5c84293a68142404d5dc3869f9e87cd954bf",
         "integrated-protection":
-            "0b3e8f5e2e7db533e4b497648c5c30f01555f44a48b01e8912019a50b409c98c",
+            "c71ec8ab96bcdac66e637905cb93e9e0fc0393efeb91d1ff6ef6680fc10ebb20",
     },
     "ring4-chord/spare-unprotected/sequential": {
         "working-mpls":
-            "c51c7854db91a3671525c114935529e7f5aefdbede634a0b97198ed5f3ccc047",
+            "fad9ced3f7353bcce6b54150a2802af68bbef54ffbb28736a5747f075331e838",
         "protection-mpls":
-            "5926612a123ad94ff934ccf119e2f748821e0a2c62ad3ca283dc8f840d7b4af1",
+            "9f788579b9076393912190aa53325a3e0385e68262e1a865517b814a006f32be",
         "lightpath-routing":
-            "e05cbd79b288fc64e279a2da53c40ac85b791b468b4663bc851751e28495eb0c",
+            "57273a6e53795033b08a6eab826e8bfc88e6bd395350f7381fcd3ff1eef70d07",
         "lightpath-protection":
-            "23dd240ec032ba3bcbaf5b8525e4af3ff2be6429b2c4ff4367d15fecfdd4c6f9",
+            "3cdf32717bc200e4b4ff3093590a91d50ad95ae7d6ac2da429a2407ea406aaad",
     },
     "ring4/brs/integrated": {
         "integrated-working":
-            "106f4abaf7bb5d03db295cbcb032fe79a6bb0253bcda52658be8624928ce28f5",
+            "24ee5e25f4d3d18e4becaf3512d0632bf2feb27f799ca80aa7426251e2f8e894",
         "integrated-protection":
-            "b2c7cfe4a5b898ac5da9d0773964de45c452d4bcb7a367e0642c04e120143a0d",
+            "e945fa74069e2e3515897b595a655f47d18e043cd4ea26a6a60f811e048effc2",
     },
     "ring4/brs/sequential": {
         "working-mpls":
-            "c51c7854db91a3671525c114935529e7f5aefdbede634a0b97198ed5f3ccc047",
+            "fad9ced3f7353bcce6b54150a2802af68bbef54ffbb28736a5747f075331e838",
         "protection-mpls":
-            "5926612a123ad94ff934ccf119e2f748821e0a2c62ad3ca283dc8f840d7b4af1",
+            "9f788579b9076393912190aa53325a3e0385e68262e1a865517b814a006f32be",
         "lightpath-routing":
-            "a383a26fdd81a3386e16ae25ca7708058cd39b3634f3dc9d2d2727eb0da5408d",
+            "ada68fdfd86620fbcb943bdf16e78a3b37ddadeb7287e902ef93f29e91153fa9",
         "lightpath-protection":
-            "8cd8725a840fcc33132ab4992cb62bf00fca9019d0de56eebe06f196236098d1",
+            "6a97680bef44513cc8d8d9a8ac4d45af95fc1cedba78d00156050978e21c1e91",
     },
     "ring4/double/integrated": {
         "integrated-working":
-            "106f4abaf7bb5d03db295cbcb032fe79a6bb0253bcda52658be8624928ce28f5",
+            "24ee5e25f4d3d18e4becaf3512d0632bf2feb27f799ca80aa7426251e2f8e894",
         "integrated-protection":
-            "ba7117d04e9592463bb623fc820b899c779c10040e8879bd63afb7125f6dcc1b",
+            "8347056f86e9fe6f57a0b8029c563ca1a46fead18e3efb3e02b459d381385a6b",
     },
     "ring4/double/sequential": {
         "working-mpls":
-            "c51c7854db91a3671525c114935529e7f5aefdbede634a0b97198ed5f3ccc047",
+            "fad9ced3f7353bcce6b54150a2802af68bbef54ffbb28736a5747f075331e838",
         "protection-mpls":
-            "5926612a123ad94ff934ccf119e2f748821e0a2c62ad3ca283dc8f840d7b4af1",
+            "9f788579b9076393912190aa53325a3e0385e68262e1a865517b814a006f32be",
         "lightpath-routing":
-            "a383a26fdd81a3386e16ae25ca7708058cd39b3634f3dc9d2d2727eb0da5408d",
+            "ada68fdfd86620fbcb943bdf16e78a3b37ddadeb7287e902ef93f29e91153fa9",
         "lightpath-protection":
-            "bcc78453d8103c4fb481a2069cc5b7a20264cbe32f97452b5146c43aac8dd6ec",
+            "1016f3f8ed1c5d29ffb603ff68965236fab9020cecfdfcd186e0e75178bbfdfd",
     },
     "ring4/none/integrated": {
         "integrated-working":
-            "a33ca9a21824e14f79c79fbdd0730c5f96574628d8a78e00ea0877825d956269",
+            "5f22c4c18594758c87bdcc1d1fc0d49549c17da4e4f79fd34537a8967b6f5781",
     },
     "ring4/none/sequential": {
         "working-mpls":
-            "c51c7854db91a3671525c114935529e7f5aefdbede634a0b97198ed5f3ccc047",
+            "fad9ced3f7353bcce6b54150a2802af68bbef54ffbb28736a5747f075331e838",
         "lightpath-routing":
-            "a383a26fdd81a3386e16ae25ca7708058cd39b3634f3dc9d2d2727eb0da5408d",
+            "ada68fdfd86620fbcb943bdf16e78a3b37ddadeb7287e902ef93f29e91153fa9",
     },
     "ring4/single/integrated": {
         "integrated-working":
-            "106f4abaf7bb5d03db295cbcb032fe79a6bb0253bcda52658be8624928ce28f5",
+            "24ee5e25f4d3d18e4becaf3512d0632bf2feb27f799ca80aa7426251e2f8e894",
         "integrated-protection":
-            "348a98416ec6697e9bfc3b531c958dbb3a9946ae2d1ce8186f9f1c42965e6749",
+            "cbe996df987c5680afd5a2c38e287a283f898c6b3e7583debcec191b00c83cac",
     },
     "ring4/single/sequential": {
         "working-mpls":
-            "c51c7854db91a3671525c114935529e7f5aefdbede634a0b97198ed5f3ccc047",
+            "fad9ced3f7353bcce6b54150a2802af68bbef54ffbb28736a5747f075331e838",
         "protection-mpls":
-            "fd66040ffdaee69d4d59d9d61ee0a3c0ec710a76cc2ff1ee947722e4dd9d618f",
+            "ccc174944e55c813ac77ae4ac719653a8f95cb461a44fd40c31bdc298ffdb928",
         "lightpath-routing":
-            "b13f1310bdead27cff0ebb4222cd575fc3da05749062238f4aee0ece7d8a6f86",
+            "1dd0655fc6700f1ff95095b88e376d5b770233d6bb2e4555c6aaf74b1a3db5eb",
     },
     "ring4/spare-unprotected/integrated": {
         "integrated-working":
-            "106f4abaf7bb5d03db295cbcb032fe79a6bb0253bcda52658be8624928ce28f5",
+            "24ee5e25f4d3d18e4becaf3512d0632bf2feb27f799ca80aa7426251e2f8e894",
         "integrated-protection":
-            "ba7117d04e9592463bb623fc820b899c779c10040e8879bd63afb7125f6dcc1b",
+            "8347056f86e9fe6f57a0b8029c563ca1a46fead18e3efb3e02b459d381385a6b",
     },
     "ring4/spare-unprotected/sequential": {
         "working-mpls":
-            "c51c7854db91a3671525c114935529e7f5aefdbede634a0b97198ed5f3ccc047",
+            "fad9ced3f7353bcce6b54150a2802af68bbef54ffbb28736a5747f075331e838",
         "protection-mpls":
-            "5926612a123ad94ff934ccf119e2f748821e0a2c62ad3ca283dc8f840d7b4af1",
+            "9f788579b9076393912190aa53325a3e0385e68262e1a865517b814a006f32be",
         "lightpath-routing":
-            "a383a26fdd81a3386e16ae25ca7708058cd39b3634f3dc9d2d2727eb0da5408d",
+            "ada68fdfd86620fbcb943bdf16e78a3b37ddadeb7287e902ef93f29e91153fa9",
         "lightpath-protection":
-            "bcc78453d8103c4fb481a2069cc5b7a20264cbe32f97452b5146c43aac8dd6ec",
+            "1016f3f8ed1c5d29ffb603ff68965236fab9020cecfdfcd186e0e75178bbfdfd",
     },
     "ring5-chord/brs/integrated": {
         "integrated-working":
-            "a4d1f483436180d32defc113e7c9fb85963ed7473c0acf9f993692268eabd68c",
+            "217a9473b739b932bba7df5d2ef7cc1fe956091363be576413236e77a0135bf4",
         "integrated-protection":
-            "42e720232ef80aec4acb8b53e5a7340ce9089f15a5467bbc86683706941c04b6",
+            "b3c9318c3bc66aba862f30da3176f068b41a17cd6222ab3564a1d26577fcffc7",
     },
     "ring5-chord/brs/sequential": {
         "working-mpls":
-            "4334f3bc12f5ab8f717758b5cb4f6b5a73c5623507e7f85826c38fac960805bc",
+            "b006877e3f018e16a07fae7f1abbfabeedcc4822e0763081c25157ab6f4d3341",
         "protection-mpls":
-            "5926612a123ad94ff934ccf119e2f748821e0a2c62ad3ca283dc8f840d7b4af1",
+            "9f788579b9076393912190aa53325a3e0385e68262e1a865517b814a006f32be",
         "lightpath-routing":
-            "21fcf73850cb2d44e0f40b73c333db501aa2825b2a6121008a4afc4f8729b69b",
+            "723ecd4af3e1609bff723ab4f35ca8ce32b0c8f094cf4ea4499ab9b956bb2f9a",
         "lightpath-protection":
-            "5fca09a0f669bd50bfe2de52a0cfce5a187bce19e63f32e9616af85101572ecc",
+            "37bc6f9b65024774162ea881984c6894d7ee8a7f130f973a5a34349403119edd",
     },
     "ring5-chord/double/integrated": {
         "integrated-working":
-            "a4d1f483436180d32defc113e7c9fb85963ed7473c0acf9f993692268eabd68c",
+            "217a9473b739b932bba7df5d2ef7cc1fe956091363be576413236e77a0135bf4",
         "integrated-protection":
-            "ac02aed4abf76d4ee6ad615f37f560afc3f4f0442d1cdd46359f578042b67538",
+            "26378e432235b3f5c945521d26819062625b451c28f491686ea465b489fcecd2",
     },
     "ring5-chord/double/sequential": {
         "working-mpls":
-            "4334f3bc12f5ab8f717758b5cb4f6b5a73c5623507e7f85826c38fac960805bc",
+            "b006877e3f018e16a07fae7f1abbfabeedcc4822e0763081c25157ab6f4d3341",
         "protection-mpls":
-            "5926612a123ad94ff934ccf119e2f748821e0a2c62ad3ca283dc8f840d7b4af1",
+            "9f788579b9076393912190aa53325a3e0385e68262e1a865517b814a006f32be",
         "lightpath-routing":
-            "21fcf73850cb2d44e0f40b73c333db501aa2825b2a6121008a4afc4f8729b69b",
+            "723ecd4af3e1609bff723ab4f35ca8ce32b0c8f094cf4ea4499ab9b956bb2f9a",
         "lightpath-protection":
-            "d9f6cfaea04892868ed642aec3ae0ea62955d03136ca71f31db818977bc96954",
+            "d533ada2435b2175c914c3ca07a71433acaba36d5807ec6a84b82d51c1088bdc",
     },
     "ring5-chord/none/integrated": {
         "integrated-working":
-            "e480d74690b8e6387ba8d5e3aeb6339136a1bb8a51b61b060f16c778c8e3696a",
+            "f3d94ff1c5223db40c668bf334d48f7e5c42eacd7f9763f6e3d675215a3d4c0d",
     },
     "ring5-chord/none/sequential": {
         "working-mpls":
-            "4334f3bc12f5ab8f717758b5cb4f6b5a73c5623507e7f85826c38fac960805bc",
+            "b006877e3f018e16a07fae7f1abbfabeedcc4822e0763081c25157ab6f4d3341",
         "lightpath-routing":
-            "21fcf73850cb2d44e0f40b73c333db501aa2825b2a6121008a4afc4f8729b69b",
+            "723ecd4af3e1609bff723ab4f35ca8ce32b0c8f094cf4ea4499ab9b956bb2f9a",
     },
     "ring5-chord/single/integrated": {
         "integrated-working":
-            "a4d1f483436180d32defc113e7c9fb85963ed7473c0acf9f993692268eabd68c",
+            "217a9473b739b932bba7df5d2ef7cc1fe956091363be576413236e77a0135bf4",
         "integrated-protection":
-            "6a934c7166c738faed42b103530306c9634f202920eee3fcc0101ee831ba88e8",
+            "53afe7606b2b47d2019e2fe959b717fe9b8a69c55abcfd0d1c492522e640fe9a",
     },
     "ring5-chord/single/sequential": {
         "working-mpls":
-            "4334f3bc12f5ab8f717758b5cb4f6b5a73c5623507e7f85826c38fac960805bc",
+            "b006877e3f018e16a07fae7f1abbfabeedcc4822e0763081c25157ab6f4d3341",
         "protection-mpls":
-            "5758b26f0dc1e3e183c9f819708f24096cc6f5c5e5a8959060d8661fa79f76f2",
+            "710e2aef5ecc8c26d6c5af139252300bedb009c115426dec1a07055a59cb3d33",
         "lightpath-routing":
-            "f94e42f915f236a05d514bd7d0d87ea98db55410118536cf2e732cefdf1a719d",
+            "31112d9d7e40157271e1d58470825bb72f2265ea890d4631d39f234c472b7092",
     },
     "ring5-chord/spare-unprotected/integrated": {
         "integrated-working":
-            "a4d1f483436180d32defc113e7c9fb85963ed7473c0acf9f993692268eabd68c",
+            "217a9473b739b932bba7df5d2ef7cc1fe956091363be576413236e77a0135bf4",
         "integrated-protection":
-            "ac02aed4abf76d4ee6ad615f37f560afc3f4f0442d1cdd46359f578042b67538",
+            "26378e432235b3f5c945521d26819062625b451c28f491686ea465b489fcecd2",
     },
     "ring5-chord/spare-unprotected/sequential": {
         "working-mpls":
-            "4334f3bc12f5ab8f717758b5cb4f6b5a73c5623507e7f85826c38fac960805bc",
+            "b006877e3f018e16a07fae7f1abbfabeedcc4822e0763081c25157ab6f4d3341",
         "protection-mpls":
-            "5926612a123ad94ff934ccf119e2f748821e0a2c62ad3ca283dc8f840d7b4af1",
+            "9f788579b9076393912190aa53325a3e0385e68262e1a865517b814a006f32be",
         "lightpath-routing":
-            "21fcf73850cb2d44e0f40b73c333db501aa2825b2a6121008a4afc4f8729b69b",
+            "723ecd4af3e1609bff723ab4f35ca8ce32b0c8f094cf4ea4499ab9b956bb2f9a",
         "lightpath-protection":
-            "d9f6cfaea04892868ed642aec3ae0ea62955d03136ca71f31db818977bc96954",
+            "d533ada2435b2175c914c3ca07a71433acaba36d5807ec6a84b82d51c1088bdc",
     },
 }
 
@@ -344,51 +345,27 @@ def test_roster_is_complete():
 
 
 @pytest.mark.parametrize("key", sorted(PINNED))
-def test_stage_lp_digests(key, tmp_path):
+def test_stage_lp_digests(key, tmp_path, monkeypatch):
+    calls = highs_calls(monkeypatch)
     name, option, approach = key.split("/")
     cfg = exact_config(Survivability(option), Approach(approach))
     try:
         run_design(INSTANCES[name](), cfg, keep_artifacts_dir=tmp_path)
     except (StageInfeasibleError, DecodeError):
         pass  # the stages solved before the failure still kept their models
-    digests = {
-        p.stem: hashlib.sha256(p.read_bytes()).hexdigest()
-        for p in tmp_path.glob("*.lp")
-    }
+    digests = {p.stem: hashlib.sha256(p.read_bytes()).hexdigest()
+               for p in tmp_path.glob("*.mps")}
     assert digests == PINNED[key]
-
-
-# Every MPS text HiGHS reads, in roster order and in solve order within a
-# design: the LP pins cover what the builders emit, this one every byte
-# that reaches HiGHS (the number printer, the column order, the bounds).
-ROSTER_MPS = (
-    "4a73cced759f2bc7334ce8ea3e969d514c9c3afd6c14dcdf3ebf2956d68709cc")
-
-
-def test_roster_mps_digest(monkeypatch):
-    digest = hashlib.sha256()
-    scipy_milp = solvers.scipy_milp
-
-    def recording(**kwargs):
-        digest.update(kwargs["mps"].encode())
-        return scipy_milp(**kwargs)
-
-    monkeypatch.setattr(solvers, "scipy_milp", recording)
-    for key in sorted(PINNED):
-        name, option, approach = key.split("/")
-        try:
-            run_design(INSTANCES[name](),
-                       exact_config(Survivability(option), Approach(approach)))
-        except (StageInfeasibleError, DecodeError):
-            pass
-    assert digest.hexdigest() == ROSTER_MPS
+    # every text HiGHS reads is pinned (a stage read twice keeps only its last)
+    assert {hashlib.sha256(kwargs["mps"].encode()).hexdigest()
+            for kwargs, _ in calls} <= {*digests.values()}
 
 
 # With one slot per router pair the pair-level relaxation and the slot-level
 # one are the same model, so these pins never move with the pair refactor.
 SINGLE_SLOT_RELAXATION = {
-    "ring4": "0fcc45c743aa2e20c3c972166e55b9e0e14800425f6bac9d7a9c399441fd0f28",
-    "fam-5-s0": "e0bdcf58349ec7b937cd2dc3c91bf8eb8d022d4230cd137319c9a25bd62fe0c9",
+    "fam-5-s0": "86ddbe39c973d9c4dd1a4933204f6a4bdadf606bf021976a9e27c60d8e32d803",
+    "ring4": "f99063bd3aab57306bb53086058f28bf0f77692bd6036099b563209341ff641b",
 }
 
 
@@ -405,18 +382,14 @@ def test_single_slot_relaxation_digest(name):
 # objective. No roster key above sets it, so these pin that branch of the
 # stage-II model, sequential and integrated.
 DOUBLE_COUNT = {
-    "fam-5-s0/spare-unprotected/integrated": (
-        "integrated-protection",
-        "164a167965d2359a87587a0fffa81fd9f5164235d1955b4afddf82fd1b9c075d"),
-    "fam-5-s0/spare-unprotected/sequential": (
-        "protection-mpls",
-        "eb288d0f0197abf4e99492adfbd14cb4f261e7c1a30adc2ca02cf36bba8b09c9"),
-    "ring4/single/integrated": (
-        "integrated-protection",
-        "35380a70f761cc74e1d8f4ad7569317d169ba247e8609f221cff606eec2dcc07"),
-    "ring4/single/sequential": (
-        "protection-mpls",
-        "2681a798eae161c883c95d1688c76ccbc81bb89569b62d56744905e0d207cafc"),
+    "fam-5-s0/spare-unprotected/integrated": ("integrated-protection",
+        "667fb589d69cb43d528ddd209b55f7420bf7764c8166500bd43d9287c76336a8"),
+    "fam-5-s0/spare-unprotected/sequential": ("protection-mpls",
+        "843115b82932595ee08d8aa2fa81853cd47339d99575b4bc793f9e08c38501d2"),
+    "ring4/single/integrated": ("integrated-protection",
+        "9e03b9e978b7fae99be81b5dea32e42cb5b359b611e6df7bb06a7441215cf9aa"),
+    "ring4/single/sequential": ("protection-mpls",
+        "22da447af0a054d3091324feb6f713c6ca2d4c57175ff59adf882383b619d7f4"),
 }
 
 
@@ -427,5 +400,5 @@ def test_double_counted_transit_stage_two_digest(key, tmp_path):
                        transit_double_count=True)
     run_design(INSTANCES[name](), cfg, keep_artifacts_dir=tmp_path)
     stage, digest = DOUBLE_COUNT[key]
-    text = (tmp_path / f"{stage}.lp").read_bytes()
+    text = (tmp_path / f"{stage}.mps").read_bytes()
     assert hashlib.sha256(text).hexdigest() == digest

@@ -1,4 +1,4 @@
-"""Model container, LP text as HiGHS reads it, and solution files."""
+"""Model container, MPS text as HiGHS reads it, and solution files."""
 
 from fractions import Fraction
 
@@ -15,7 +15,6 @@ from mplsotn.milp import (
     check_solution,
     format_coefficient,
     snap_values,
-    write_model,
     write_solution,
 )
 
@@ -120,7 +119,7 @@ def test_highs_reads_the_written_small_model():
     m = small_model()
     text = assert_highs_reads_the_model(m)
     # the constant HiGHS does not see is kept as a comment
-    assert text.startswith("\\ model: toy\n\\ objective-constant: 0.7\n")
+    assert text.startswith("NAME toy\n* objective-constant: 0.7\nROWS\n N obj\n")
 
 
 def test_nonterminating_coefficient_survives_textually():
@@ -134,8 +133,7 @@ def test_nonterminating_coefficient_survives_textually():
 
 
 def test_negative_leading_objective_term():
-    # the first objective term may be negative; the writer must emit a sign
-    # a reader takes as one, not fold it into the variable name
+    # a negative cost prints with its sign on the column's own line
     m = MilpModel("neg")
     m.add_variable("wd_d1_1_2", VarKind.BINARY)
     m.add_variable("u", VarKind.CONTINUOUS, 0, 10)
@@ -143,7 +141,7 @@ def test_negative_leading_objective_term():
     m.add_objective_term("u", Fraction(1, 2))
     m.add_constraint("only", [("wd_d1_1_2", -1), ("u", 1)], ">=", 0)
     text = assert_highs_reads_the_model(m)
-    assert " obj: - wd_d1_1_2 + 0.5 u" in text
+    assert " wd_d1_1_2 obj -1\n wd_d1_1_2 only -1\n" in text
 
 
 def test_highs_reads_the_written_working_mpls_model(ring4):
@@ -157,13 +155,31 @@ def test_highs_reads_the_written_working_mpls_model(ring4):
 
 
 def test_parse_empty_objective_placeholder():
+    # no objective term, a row that folds to no term, and a column in no row
     m = MilpModel("void")
     m.add_variable("x", VarKind.BINARY)
+    m.add_variable("idle", VarKind.CONTINUOUS, upper=5)
     m.add_constraint("r", [("x", 1)], "<=", 1)
     m.add_constraint("nothing", [("x", 2), ("x", -2)], ">=", -1)
     text = assert_highs_reads_the_model(m)
-    assert " obj: 0 __zero__\n" in text
-    assert " nothing: 0 __zero__ >= -1\n" in text
+    assert " G nothing\n" in text and " rhs nothing -1\n" in text
+    # a column with no cost and no row is declared by a zero cost
+    assert " idle obj 0\n" in text
+
+
+def test_names_the_mps_text_reserves_are_refused():
+    m = MilpModel("g")
+    m.add_variable("a", VarKind.BINARY)
+    for row in ("obj", "OBJ", "rhs"):
+        with pytest.raises(ModelError, match="not a valid MPS name"):
+            m.add_constraint(row, [("a", 1)], "<=", 1)
+    for column in ("bnd", "Name", "OBJSENSE", "qsection", "QCMATRIX", "csection"):
+        with pytest.raises(ModelError, match="not a valid MPS name"):
+            m.add_variable(column, VarKind.BINARY)
+    # a row and a column share no names in MPS
+    m.add_variable("obj", VarKind.BINARY)
+    m.add_constraint("bnd", [("obj", 1), ("a", 1)], "<=", 1)
+    assert_highs_reads_the_model(m)
 
 
 def test_snap_values_tolerance():

@@ -570,7 +570,7 @@ def test_solve_memo_keeps_artifacts_on_a_hit(tmp_path):
     assert first.status is SolveStatus.OPTIMAL
     assert memo.solve(_knapsack(), gap=0.0, time_limit=10.0,
                       keep_dir=tmp_path / "second", stage="knap") is first
-    for name in ("knap.lp", "knap.meta.json", "knap.sol"):
+    for name in ("knap.mps", "knap.meta.json", "knap.sol"):
         assert (tmp_path / "second" / name).read_bytes() == \
             (tmp_path / "first" / name).read_bytes()
 

@@ -13,18 +13,15 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 from scipy.optimize import Bounds, LinearConstraint, milp
-from scipy.optimize._highspy._core import (
-    HighsStatus,
-    HighsVarType,
-    MatrixFormat,
-    _Highs,
-)
+from scipy.optimize._highspy._core import _Highs
 
 from mplsotn import Approach, Survivability, pipeline, solvers
-from mplsotn.milp import MilpModel, SolveStatus, VarKind, format_coefficient
+from mplsotn.milp import (MilpModel, SolveStatus, VarKind, format_coefficient,
+                          write_model)
 from mplsotn.solvers import solve
 
-from support import desk, exact_config, mesh_family
+from highs_lp import assert_highs_reads_the_model, model_view
+from support import desk, exact_config, highs_calls, mesh_family
 
 
 def knapsack() -> MilpModel:
@@ -126,107 +123,29 @@ def fine_decimal_model() -> MilpModel:
     return m
 
 
-def per_term_arrays(m: MilpModel) -> dict:
-    """The model as dense float arrays, one ``float()`` per term."""
-    names = [v.name for v in m.variables]
-    col = {name: i for i, name in enumerate(names)}
-    c = np.zeros(len(names))
-    for var, coeff in m.objective_terms:
-        c[col[var]] = float(coeff)
-    matrix = np.zeros((len(m.constraints), len(names)))
-    lo, hi = [], []
-    for r, con in enumerate(m.constraints):
-        for var, coeff in con.terms:
-            matrix[r, col[var]] = float(coeff)
-        lo.append(-np.inf if con.sense == "<=" else float(con.rhs))
-        hi.append(np.inf if con.sense == ">=" else float(con.rhs))
-    return {
-        "c": c,
-        "integrality": [0 if v.kind is VarKind.CONTINUOUS else 1
-                        for v in m.variables],
-        "col_lower": [float(v.lower) for v in m.variables],
-        "col_upper": [float(v.upper) for v in m.variables],
-        "matrix": matrix,
-        "row_lower": lo,
-        "row_upper": hi,
-    }
-
-
-def same(got, want) -> bool:
-    got = np.asarray(got, dtype=float)
-    want = np.asarray(want, dtype=float)
-    return got.shape == want.shape and got.tobytes() == want.tobytes()
-
-
-def solve_capturing_seam(m: MilpModel, monkeypatch, gap: float = 0.0):
-    """``solve(m)`` plus the keywords and result of its one HiGHS call."""
-    seen = []
-
-    def capture(**kwargs):
-        seen.append((kwargs, real(**kwargs)))
-        return seen[-1][1]
-
-    real = solvers.scipy_milp
-    monkeypatch.setattr(solvers, "scipy_milp", capture)
-    sol = solve(m, gap=gap)
-    (kwargs, result), = seen
-    return sol, kwargs, result
-
-
-def highs_lp_of(text: str, folder: Path):
-    """The LP HiGHS holds after reading MPS ``text``."""
-    path = folder / "model.mps"
-    path.write_text(text)
-    highs = _Highs()
-    highs.setOptionValue("output_flag", False)
-    assert highs.readModel(str(path)) == HighsStatus.kOk
-    return highs.getLp()
-
-
-def test_highs_reads_the_mps_text_as_per_term_floats(ring4_brs_models, tmp_path):
+def test_highs_reads_the_mps_text_as_per_term_floats(ring4_brs_models):
     mixed = mixed_coefficient_model()
     mixed.add_variable("idle", VarKind.CONTINUOUS, upper=5)  # no cost, no row
     # real stage models: INTEGER x columns with upper bounds above 1, and
     # continuous brsy columns among the binaries
     integrated = brs_stage_models(mesh_family(5, 0), Approach.INTEGRATED)
-    fine = fine_decimal_model()
-    # mps_text prints these as exact decimals, not as the repr of a float
+    # write_model prints these as exact decimals, not as the repr of a float
     assert all(format_coefficient(c) != repr(float(c))
                for c in (Fraction(3, 2**20), Fraction(1, 5**20)))
-    for m in (mixed, fine, ring4_brs_models["lightpath-protection"],
+    for m in (mixed, fine_decimal_model(), ring4_brs_models["lightpath-protection"],
               integrated["integrated-protection"]):
-        with pytest.MonkeyPatch.context() as mp:
-            assert_highs_reads_per_term_floats(m, mp, tmp_path)
+        assert_highs_reads_the_model(m)
 
 
-def assert_highs_reads_per_term_floats(m: MilpModel, monkeypatch, tmp_path):
-    sol, seen, _ = solve_capturing_seam(m, monkeypatch)
-    assert sol.status is SolveStatus.OPTIMAL
-    assert seen["integral"] is True
-    want = per_term_arrays(m)
-    lp = highs_lp_of(seen["mps"], tmp_path)
-    assert (lp.num_col_, lp.num_row_) == want["matrix"].shape[::-1]
-
-    # the dense matrix the column-wise arrays describe, rows ascending
-    matrix = lp.a_matrix_
-    assert matrix.format_ == MatrixFormat.kColwise
-    start, index = list(matrix.start_), list(matrix.index_)
-    got = np.zeros_like(want["matrix"])
-    for j in range(len(want["c"])):
-        rows = index[start[j]:start[j + 1]]
-        assert rows == sorted(rows)
-        for k in range(start[j], start[j + 1]):
-            got[index[k], j] = matrix.value_[k]
-
-    assert same(lp.col_cost_, want["c"])
-    assert same(lp.col_lower_, want["col_lower"])
-    assert same(lp.col_upper_, want["col_upper"])
-    kinds = (HighsVarType.kContinuous, HighsVarType.kInteger)
-    assert list(lp.integrality_) == [kinds[k] for k in want["integrality"]]
-    assert same(got, want["matrix"])
-    assert len(matrix.value_) == sum(len(con.terms) for con in m.constraints)
-    assert same(lp.row_lower_, want["row_lower"])
-    assert same(lp.row_upper_, want["row_upper"])
+def test_the_kept_model_is_the_text_highs_read(ring4_brs_models, monkeypatch,
+                                               tmp_path):
+    calls = highs_calls(monkeypatch)
+    pipeline.run_design(desk("ring4"), exact_config(
+        Survivability.MULTI_INTERLAYER_BRS), keep_artifacts_dir=tmp_path)
+    read = [kwargs["mps"] for kwargs, _ in calls]
+    assert read == [write_model(ring4_brs_models[stage]) for stage in RING4_STAGES]
+    assert [t.encode() for t in read] == [
+        (tmp_path / f"{stage}.mps").read_bytes() for stage in RING4_STAGES]
 
 
 @pytest.mark.parametrize("outcome", ["optimal", "infeasible", "read-error"])
@@ -269,7 +188,9 @@ def test_a_matrix_entry_below_the_reader_threshold_is_refused():
 def test_every_column_row_and_entry_of_a_stage_model_reaches_highs(
         ring4_brs_models, monkeypatch):
     m = ring4_brs_models["lightpath-routing"]
-    sol, kwargs, result = solve_capturing_seam(m, monkeypatch)
+    calls = highs_calls(monkeypatch)
+    sol = solve(m)
+    (kwargs, result), = calls
     assert kwargs["shape"] == (len(m.variables), len(m.constraints),
                                sum(len(c.terms) for c in m.constraints))
     assert result.status == 0 and sol.status is SolveStatus.OPTIMAL
@@ -277,12 +198,16 @@ def test_every_column_row_and_entry_of_a_stage_model_reaches_highs(
 
 def milp_reference(m: MilpModel, gap: float = 0.0):
     """``m`` through ``scipy.optimize.milp``, the reference HiGHS route."""
-    a = per_term_arrays(m)
-    constraints = (LinearConstraint(a["matrix"], a["row_lower"], a["row_upper"])
-                   if a["row_lower"] else [])
-    return milp(c=a["c"], integrality=a["integrality"],
-                bounds=Bounds(a["col_lower"], a["col_upper"]),
-                constraints=constraints, options={"mip_rel_gap": gap})
+    view = model_view(m)
+    integral, lower, upper, cost = zip(*view["columns"].values())
+    rows = view["rows"].values()
+    matrix = [[terms.get(name, 0.0) for name in view["columns"]]
+              for _lo, _hi, terms in rows]
+    constraints = (LinearConstraint(matrix, [r[0] for r in rows], [r[1] for r in rows])
+                   if rows else [])
+    return milp(c=cost, integrality=[int(i) for i in integral],
+                bounds=Bounds(lower, upper), constraints=constraints,
+                options={"mip_rel_gap": gap})
 
 
 def brs_stage_models(instance, approach=Approach.SEQUENTIAL) -> dict[str, MilpModel]:
@@ -329,7 +254,9 @@ RING4_STAGES = ("working-mpls", "lightpath-routing", "lightpath-protection")
 def test_highs_answers_as_scipy_milp_does(name, ring4_brs_models, monkeypatch):
     m = (PARITY_MODELS[name]() if name in PARITY_MODELS
          else ring4_brs_models[name])
-    sol, _, got = solve_capturing_seam(m, monkeypatch)
+    calls = highs_calls(monkeypatch)
+    sol = solve(m)
+    (_, got), = calls
     want = milp_reference(m)
     assert want.status == {"infeasible": 2, "unbounded": 3}.get(name, 0)
 
@@ -441,8 +368,7 @@ def test_keep_artifacts_writes_stage_files(tmp_path):
     assert sol.status is SolveStatus.OPTIMAL
 
     base = tmp_path / "art"
-    lp = (base / "working-mpls.lp").read_text()
-    assert lp.startswith("\\ model: knap")
+    assert (base / "working-mpls.mps").read_text() == write_model(knapsack())
     meta = json.loads((base / "working-mpls.meta.json").read_text())
     assert meta["variables"] == {"a": "binary", "b": "binary", "c": "binary"}
     body = (base / "working-mpls.sol").read_text()
